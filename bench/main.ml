@@ -102,10 +102,8 @@ let table_a6 () =
 (* P1: magic restricts the computation to the query's cone             *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(max_facts = 5_000_000) ?(jobs = 1) ?chunk ?fallback name p q edb =
-  C.Rewrite.run ~max_facts ~jobs ?chunk ?fallback
-    (List.assoc name C.Rewrite.methods)
-    p q ~edb
+let run ?(max_facts = 5_000_000) name p q edb =
+  C.Rewrite.run ~max_facts (List.assoc name C.Rewrite.methods) p q ~edb
 
 let table_p1 () =
   header "Table P1 — bottom-up vs magic: facts computed (Section 1 claim)";
@@ -576,158 +574,6 @@ let json_engine_speedup () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* PAR: parallel semi-naive speedup (Domain pool).  Every row — jobs=1 *)
-(* included — is answer-checked against the uncompiled reference       *)
-(* engine; divergence exits 1 like every other --json row.  Speedups   *)
-(* are reported relative to the jobs=1 row of the same workload and    *)
-(* depend on the machine's core count (a single-core host pays the     *)
-(* fan-out overhead and reports <= 1.0x, honestly).                    *)
-(* ------------------------------------------------------------------ *)
-
-(* --jobs N caps the sweep; default measures jobs in {1, 2, 4} *)
-let par_max_jobs = ref 4
-
-(* --chunk / --fallback override the parallel engine's grain knobs for
-   every jobs > 1 row; unset keeps the engine defaults (auto-calibrated
-   adaptive fallback), so the committed numbers measure what a plain
-   `--jobs N` user gets *)
-let par_chunk : int option ref = ref None
-let par_fallback : int option ref = ref None
-
-let par_jobs_list () =
-  List.filter (fun j -> j = 1 || j <= !par_max_jobs) [ 1; 2; 4; 8; 16 ]
-  @ (if List.mem !par_max_jobs [ 1; 2; 4; 8; 16 ] then [] else [ !par_max_jobs ])
-
-(* Chain and sparse-random rows keep the narrow-delta regime the grain
-   controller must survive (PR 5's losing cases); the dense-graph, grid
-   and bushy same-generation rows are the wide-delta regime where a
-   round carries hundreds to tens of thousands of delta tuples. *)
-let par_workloads () =
-  let n = if !smoke then 400 else 2000 in
-  let chain_edb = G.db (G.chain ~pred:"p" n) in
-  let chain_q = P.ancestor_query (G.node "n" (n / 2)) in
-  let nodes, edges = if !smoke then (120, 180) else (400, 600) in
-  let gfacts = G.random_graph ~pred:"edge" ~nodes ~edges ~seed:11 () in
-  let gedb = G.db gfacts in
-  let gq = P.tc_query (List.hd (List.hd gfacts).Atom.args) in
-  let dn, dd = if !smoke then (60, 4) else (150, 5) in
-  let dedb = G.db (G.dense_graph ~pred:"edge" ~nodes:dn ~degree:dd ~seed:11 ()) in
-  let dq = P.tc_query (G.node "n" 0) in
-  let gw, gh = if !smoke then (12, 12) else (20, 20) in
-  let gridedb = G.db (G.grid ~width:gw ~height:gh ()) in
-  let gridq = P.tc_query (Term.Sym (Fmt.str "g_%d_%d" 0 0)) in
-  let bb, bd = if !smoke then (3, 4) else (3, 5) in
-  let bedb = G.db (G.bushy_same_generation ~branching:bb ~depth:bd ()) in
-  let bq = P.same_generation_query (G.node "bsg" 1) in
-  [
-    (Fmt.str "chain n=%d, query mid" n, "gms", P.ancestor, chain_q, chain_edb);
-    ( Fmt.str "random %d nodes %d edges tc" nodes edges,
-      "seminaive",
-      P.transitive_closure,
-      gq,
-      gedb );
-    ( Fmt.str "dense %d nodes deg %d tc" dn dd,
-      "seminaive",
-      P.transitive_closure,
-      dq,
-      dedb );
-    (Fmt.str "grid %dx%d tc" gw gh, "seminaive", P.transitive_closure, gridq, gridedb);
-    ( Fmt.str "bushy sg b=%d d=%d" bb bd,
-      "seminaive",
-      P.same_generation_linear,
-      bq,
-      bedb );
-  ]
-
-(* Speedup rows must compare like with like: the first evaluation of a
-   workload additionally pays global symbol interning and major-heap
-   growth that every later row inherits for free, which (at chain
-   scale) can double the jobs=1 row's wall clock.  Each workload
-   therefore gets one untimed warm-up run, and every row is the best of
-   a fixed number of repetitions — [timed]'s 0.5 s repeat cutoff would
-   leave exactly the slowest (most noise-sensitive) rows single-run. *)
-let timed_par f =
-  let repeat = if !full then 3 else 2 in
-  let result, t0, g0 = time f in
-  let best = ref t0 in
-  let gc = ref g0 in
-  for _ = 2 to repeat do
-    let _, t, g = time f in
-    if t < !best then begin
-      best := t;
-      gc := g
-    end
-  done;
-  (result, !best, !gc)
-
-(* (workload, method, jobs, result, best time, gc, speedup vs jobs=1) *)
-let par_measurements () =
-  List.concat_map
-    (fun (wname, meth, p, q, edb) ->
-      let ref_ans = reference_answers p q edb in
-      ignore (run meth p q edb);
-      let base_t = ref nan in
-      List.map
-        (fun jobs ->
-          let r, t, gc =
-            timed_par (fun () ->
-                run ~jobs ?chunk:!par_chunk ?fallback:!par_fallback meth p q edb)
-          in
-          check_against_reference ~workload:wname
-            ~meth:(Fmt.str "%s jobs=%d" meth jobs)
-            ~ref_ans r;
-          if jobs = 1 then base_t := t;
-          (wname, meth, jobs, r, t, gc, !base_t /. t))
-        (par_jobs_list ()))
-    (par_workloads ())
-
-let table_par () =
-  header "Table PAR — parallel semi-naive over a domain pool";
-  Fmt.pr "%-28s %-10s %5s %10s %9s %9s %8s %8s %8s@." "workload" "method" "jobs"
-    "time_s" "speedup" "facts" "fanned" "fellback" "tasks";
-  List.iter
-    (fun (wname, meth, jobs, (r : C.Rewrite.result), t, _gc, speedup) ->
-      Fmt.pr "%-28s %-10s %5d %10.6f %8.2fx %9d %8d %8d %8d@." wname meth jobs t
-        speedup r.C.Rewrite.stats.Engine.Stats.facts
-        r.C.Rewrite.stats.Engine.Stats.par_rounds
-        r.C.Rewrite.stats.Engine.Stats.par_fallback_rounds
-        r.C.Rewrite.stats.Engine.Stats.par_tasks)
-    (par_measurements ());
-  Fmt.pr
-    "@.shape: every row's answers equal the reference engine's at any jobs \
-     count.  The fanned/fellback columns show the grain controller's per-round \
-     verdicts: narrow-delta workloads (chain) should fall back to sequential \
-     rounds and hold speedup near 1.0x, wide-delta workloads should fan out.  \
-     The speedup column tracks the host's core count (on a single core the \
-     controller converges to all-fallback and the pool only ever adds its \
-     calibration cost).@."
-
-let json_par () =
-  let measurements = par_measurements () in
-  let rows =
-    List.map
-      (fun (wname, meth, jobs, r, t, gc, _) ->
-        jresult ~workload:wname ~meth:(Fmt.str "%s-j%d" meth jobs) r t gc)
-      measurements
-  in
-  let speedups =
-    List.filter_map
-      (fun (wname, meth, jobs, _, _, _, speedup) ->
-        if jobs = 1 then None
-        else
-          Some
-            (J.obj
-               [
-                 J.field "workload" (J.str wname);
-                 J.field "method" (J.str meth);
-                 J.field "jobs" (string_of_int jobs);
-                 J.field "speedup" (Fmt.str "%.2f" speedup);
-               ]))
-      measurements
-  in
-  J.obj [ J.field "rows" (J.arr rows); J.field "speedup" (J.arr speedups) ]
-
-(* ------------------------------------------------------------------ *)
 (* INCR: incremental maintenance vs from-scratch recomputation.        *)
 (* The standing materialization is free (it already exists); a small   *)
 (* delta is applied by the maintenance engine and, for comparison, by  *)
@@ -1002,9 +848,9 @@ let opt_workloads () =
 
 let opt_case (okey, olabel, p, q, edb) =
   let ref_ans = reference_answers p q edb in
-  (* warm-up: global interning must not be charged to whichever
-     candidate happens to run first (see timed_par); gms stays within
-     the query's cone on every family *)
+  (* warm-up: global symbol interning and major-heap growth must not be
+     charged to whichever candidate happens to run first; gms stays
+     within the query's cone on every family *)
   ignore (run "gms" p q edb);
   let ochoice, osel_t, _ = timed (fun () -> Analysis.choose_strategy ~db:edb p q) in
   (* timing every viable candidate is the point of the table, but a
@@ -1612,8 +1458,8 @@ let table_serve () =
      the touched relations (repairing insert-only ones in place), so the \
      partitioned run keeps the unwritten side's entries hot — the run \
      exits 1 unless its hit rate clears 0.5 and beats the wipe-everything \
-     mode.  Like the PAR numbers, scaling with connections is only visible \
-     on a multi-core container.@."
+     mode.  Scaling with connections is only visible on a multi-core \
+     container.@."
 
 let json_serve () =
   let rows =
@@ -1851,7 +1697,6 @@ let emit_json only =
         ("p1", json_p1 ());
         ("p8", json_p8 ());
         ("incr", json_incr ());
-        ("par", json_par ());
         ("opt", json_opt ());
         ("serve", json_serve ());
         ("persist", json_persist ());
@@ -1860,13 +1705,12 @@ let emit_json only =
     | Some "P1" -> [ ("p1", json_p1 ()) ]
     | Some "P8" -> [ ("p8", json_p8 ()) ]
     | Some "INCR" -> [ ("incr", json_incr ()) ]
-    | Some "PAR" -> [ ("par", json_par ()) ]
     | Some "OPT" -> [ ("opt", json_opt ()) ]
     | Some "SERVE" -> [ ("serve", json_serve ()) ]
     | Some "PERSIST" -> [ ("persist", json_persist ()) ]
     | Some id ->
       Fmt.epr
-        "--json supports tables P1, P8, INCR, PAR, OPT, SERVE and PERSIST, not %s@."
+        "--json supports tables P1, P8, INCR, OPT, SERVE and PERSIST, not %s@."
         id;
       exit 1
   in
@@ -1900,7 +1744,6 @@ let tables =
     ("P7", table_p7);
     ("P8", table_p8);
     ("INCR", table_incr);
-    ("PAR", table_par);
     ("OPT", table_opt);
     ("SERVE", table_serve);
     ("PERSIST", table_persist);
@@ -1916,14 +1759,6 @@ let () =
     | _ :: rest -> table_of rest
     | [] -> None
   in
-  let rec opt_of name = function
-    | flag :: n :: _ when flag = name -> int_of_string_opt n
-    | _ :: rest -> opt_of name rest
-    | [] -> None
-  in
-  (match opt_of "--jobs" args with Some n when n >= 1 -> par_max_jobs := n | _ -> ());
-  (match opt_of "--chunk" args with Some n when n >= 1 -> par_chunk := Some n | _ -> ());
-  (match opt_of "--fallback" args with Some n when n >= 0 -> par_fallback := Some n | _ -> ());
   match (json, table_of args) with
   | true, only -> emit_json only
   | false, Some id -> begin

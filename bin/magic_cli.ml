@@ -281,32 +281,8 @@ let method_conv =
   in
   Arg.conv (parse, fun ppf (s, _) -> Fmt.string ppf s)
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Evaluate semi-naive bottom-up methods on a pool of $(docv) OCaml \
-              domains (default 1: fully sequential). Answers and statistics are \
-              identical at any value.")
-
-let chunk_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:"Parallel grain: minimum delta stamps per fan-out task (default \
-              256). Only meaningful with --jobs > 1.")
-
-let fallback_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "fallback" ] ~docv:"N"
-        ~doc:"Parallel grain: run rounds whose total delta width is below \
-              $(docv) sequentially on the main domain. 0 disables the \
-              fallback; unset auto-calibrates and adapts per round. Only \
-              meaningful with --jobs > 1.")
-
 let eval_cmd =
-  let run file (name, method_) max_facts jobs chunk fallback json =
+  let run file (name, method_) max_facts json =
     let program, query, edb = load file in
     (* "auto": cost-based selection over the measured EDB *)
     let name, method_, cost =
@@ -324,8 +300,7 @@ let eval_cmd =
           Some (w.Analysis.Pass_cost.est_facts, w.Analysis.Pass_cost.est_probes) )
     in
     let r, time_s =
-      timed (fun () ->
-          C.Rewrite.run ~max_facts ~jobs ?chunk ?fallback method_ program query ~edb)
+      timed (fun () -> C.Rewrite.run ~max_facts method_ program query ~edb)
     in
     if json then
       Fmt.pr "%s@."
@@ -371,13 +346,7 @@ let eval_cmd =
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate the query with one method and print the answers.")
     (T.app
-       (T.app
-          (T.app
-             (T.app
-                (T.app (T.app (T.app (T.const run) file_arg) method_arg) max_facts_arg)
-                jobs_arg)
-             chunk_arg)
-          fallback_arg)
+       (T.app (T.app (T.app (T.const run) file_arg) method_arg) max_facts_arg)
        json_arg)
 
 let explain_cmd =

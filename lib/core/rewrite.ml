@@ -50,19 +50,14 @@ type status = Ok | Diverged | Unsafe of string
 
 type result = { answers : Engine.Tuple.t list; stats : Engine.Stats.t; status : status }
 
-let run ?max_facts ?max_iterations ?(jobs = 1) ?chunk ?fallback method_ program
-    query ~edb =
+let run ?max_facts ?max_iterations method_ program query ~edb =
   match method_ with
   | Original engine -> begin
     try
       let out =
         match engine with
         | `Naive -> Engine.Eval.naive ?max_facts ?max_iterations program ~edb
-        | `Seminaive ->
-          if jobs > 1 then
-            Engine.Par_eval.seminaive ?max_facts ?max_iterations ~jobs ?chunk
-              ?fallback program ~edb
-          else Engine.Eval.seminaive ?max_facts ?max_iterations program ~edb
+        | `Seminaive -> Engine.Eval.seminaive ?max_facts ?max_iterations program ~edb
       in
       {
         answers = Engine.Eval.answers out query;
@@ -75,7 +70,7 @@ let run ?max_facts ?max_iterations ?(jobs = 1) ?chunk ?fallback method_ program
   | Rewritten_bottom_up (rewriting, options) -> begin
     try
       let rw = rewrite ~options rewriting program query in
-      let out = Rewritten.run ?max_facts ?max_iterations ~jobs ?chunk ?fallback rw ~edb in
+      let out = Rewritten.run ?max_facts ?max_iterations rw ~edb in
       {
         answers = Rewritten.answers rw out;
         stats = out.Engine.Eval.stats;

@@ -47,21 +47,14 @@ type result = {
 val run :
   ?max_facts:int ->
   ?max_iterations:int ->
-  ?jobs:int ->
-  ?chunk:int ->
-  ?fallback:int ->
   method_ ->
   Program.t ->
   Atom.t ->
   edb:Engine.Database.t ->
   result
-(** [jobs > 1] evaluates the semi-naive bottom-up methods ([Original
-    `Seminaive] and every [Rewritten_bottom_up]) on a pool of that many
-    OCaml domains ({!Engine.Par_eval}), with identical answers and
-    statistics; [chunk] and [fallback] tune the parallel engine's grain
-    (minimum task width, sequential-fallback threshold — see
-    {!Engine.Par_eval.seminaive}).  The other methods ignore all
-    three. *)
+(** Answer [query] over [program] and [edb] with one method.  Unsafe
+    rewrites report [Unsafe]; an exhausted [max_facts]/[max_iterations]
+    budget reports [Diverged]. *)
 
 val methods : (string * method_) list
 (** Named methods for CLIs and benches: naive, seminaive, sld, tabled,

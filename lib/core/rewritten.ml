@@ -32,16 +32,11 @@ let strip_indices t atom =
     let rec drop n xs = if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r in
     { atom with Atom.args = drop t.index_fields atom.Atom.args }
 
-let run ?(engine = `Seminaive) ?max_iterations ?max_facts ?(jobs = 1) ?chunk
-    ?fallback t ~edb =
+let run ?(engine = `Seminaive) ?max_iterations ?max_facts t ~edb =
   let edb' = Engine.Database.copy edb in
   List.iter (fun seed -> ignore (Engine.Database.add_fact edb' seed)) t.seeds;
   match engine with
-  | `Seminaive ->
-    if jobs > 1 then
-      Engine.Par_eval.seminaive ?max_iterations ?max_facts ~jobs ?chunk ?fallback
-        t.program ~edb:edb'
-    else Engine.Eval.seminaive ?max_iterations ?max_facts t.program ~edb:edb'
+  | `Seminaive -> Engine.Eval.seminaive ?max_iterations ?max_facts t.program ~edb:edb'
   | `Naive -> Engine.Eval.naive ?max_iterations ?max_facts t.program ~edb:edb'
   | `Seminaive_reference ->
     Engine.Eval.seminaive_reference ?max_iterations ?max_facts t.program ~edb:edb'

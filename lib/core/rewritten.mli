@@ -50,21 +50,13 @@ val run :
   ?engine:[ `Naive | `Seminaive | `Seminaive_reference ] ->
   ?max_iterations:int ->
   ?max_facts:int ->
-  ?jobs:int ->
-  ?chunk:int ->
-  ?fallback:int ->
   t ->
   edb:Engine.Database.t ->
   Engine.Eval.outcome
 (** Evaluate the rewritten program bottom-up: the seeds are added to a
     copy of the EDB and the program is run to fixpoint (default
     semi-naive; [`Seminaive_reference] is the uncompiled seed engine,
-    kept for differential testing and before/after benchmarks).
-    [jobs > 1] runs the semi-naive engine on a pool of that many OCaml
-    domains ({!Engine.Par_eval}); [chunk] and [fallback] are its grain
-    knobs (minimum task width and sequential-fallback threshold — see
-    {!Engine.Par_eval.seminaive}).  All three are ignored by the other
-    engines, which have no parallel implementation. *)
+    kept for differential testing and before/after benchmarks). *)
 
 val answers : t -> Engine.Eval.outcome -> Engine.Tuple.t list
 (** Answer tuples for the query: facts of the query's (indexed) predicate

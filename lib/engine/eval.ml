@@ -324,17 +324,3 @@ let seminaive ?max_iterations ?max_facts program ~edb =
 
 let seminaive_reference ?max_iterations ?max_facts program ~edb =
   run ~engine:`Seminaive_reference ?max_iterations ?max_facts program ~edb
-
-(* shared with Par_eval: the round/budget discipline must be identical
-   in the sequential and parallel engines for their stats to agree *)
-module Internal = struct
-  type nonrec budget = budget
-
-  exception Budget_exhausted = Budget_exhausted
-
-  let make_budget = make_budget
-  let exhausted = exhausted
-  let spend_fact = spend_fact
-  let start_round = start_round
-  let strata = strata
-end

@@ -44,31 +44,3 @@ val seminaive_reference :
 val answers : outcome -> Atom.t -> Tuple.t list
 (** Tuples of the query's predicate matching the query atom's constant
     arguments, sorted. *)
-
-(** {2 Engine internals}
-
-    The round/budget discipline, shared with the parallel engine
-    ({!module:Par_eval}) so that both spend budgets and count rounds
-    identically — the precondition for their statistics to agree. *)
-module Internal : sig
-  type budget
-
-  exception Budget_exhausted
-  (** Raised by {!spend_fact} as soon as the fact budget hits zero, so
-      combinatorially exploding programs are cut off promptly. *)
-
-  val make_budget : ?max_iterations:int -> ?max_facts:int -> unit -> budget
-  val exhausted : budget -> bool
-
-  val spend_fact : budget -> unit
-  (** Account one newly derived fact; raises {!Budget_exhausted} when
-      the allowance is used up. *)
-
-  val start_round : stats:Stats.t -> budget:budget -> unit
-  (** Account one fixpoint round on both the budget and the stats. *)
-
-  val strata : Program.t -> Rule.t list list
-  (** The program's rules grouped by stratum, in evaluation order.
-      Positive programs have a single stratum.
-      @raise Invalid_argument if the program cannot be stratified. *)
-end

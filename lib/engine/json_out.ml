@@ -18,18 +18,8 @@ let stats_fields (s : Stats.t) ~time_s =
     field "overdeleted" (string_of_int s.Stats.overdeleted);
     field "rederived" (string_of_int s.Stats.rederived);
     field "delta_firings" (string_of_int s.Stats.delta_firings);
+    field "time_s" (Fmt.str "%.6f" time_s);
   ]
-  @ (if s.Stats.par_jobs > 0 then
-       [
-         field "par_jobs" (string_of_int s.Stats.par_jobs);
-         field "par_rounds" (string_of_int s.Stats.par_rounds);
-         field "par_fallback_rounds" (string_of_int s.Stats.par_fallback_rounds);
-         field "par_tasks" (string_of_int s.Stats.par_tasks);
-         field "par_wall_s" (Fmt.str "%.6f" s.Stats.par_wall_s);
-         field "par_busy_s" (Fmt.str "%.6f" s.Stats.par_busy_s);
-       ]
-     else [])
-  @ [ field "time_s" (Fmt.str "%.6f" time_s) ]
 
 let gc_fields (g : Stats.gc_counters) =
   [

@@ -20,9 +20,7 @@ val arr_inline : string list -> string
 
 val stats_fields : Stats.t -> time_s:float -> string list
 (** The common statistics fields of a result row, including the
-    incremental-maintenance counters.  Rows from a parallel run
-    ([par_jobs > 0]) additionally carry the [par_*] fan-out counters;
-    sequential rows are unchanged. *)
+    incremental-maintenance counters. *)
 
 val gc_fields : Stats.gc_counters -> string list
 (** Allocation / collection counter fields of a result row. *)

@@ -51,10 +51,9 @@ type fscan = {
    allocated per {!run_fast} call, a handful of small arrays per rule
    firing.  Probes within a run still reuse the same buffers, so the
    inner join loop stays allocation-free — but two executors of the same
-   instance, whether nested (an [on_fact] that fires another run) or on
-   different domains, can never corrupt each other's keys.  [fzero] is a
-   pre-interned filler for those scratch arrays: interning at run time
-   would write the global value pool, which parallel workers must not. *)
+   instance, nested through an [on_fact] that fires another run, can
+   never corrupt each other's keys.  [fzero] is a pre-interned filler
+   for those scratch arrays, so a run never touches the value pool. *)
 type fast = {
   fsteps : fscan array;
   fhead_sym : Symbol.t;
@@ -518,23 +517,6 @@ let run ?stats ~source ~neg_source ~on_fact instance =
 
 let head_symbol instance =
   match instance.head with Direct (sym, _) -> Some sym | Dynamic _ -> None
-
-let fast_head_symbol f = f.fhead_sym
-
-(* Build, on the calling domain, every index a read-only execution of
-   [f] over [source] could otherwise create lazily: indexes materialize
-   on first probe ({!Relation.iter_matching_in}), which is a write, and
-   the parallel engine hands the same frozen views to several domains at
-   once.  Fully-bound steps probe the stamp table, which always exists,
-   and all-free patterns scan the log — neither needs an index. *)
-let prepare_indexes ~source f =
-  Array.iter
-    (fun s ->
-      if not (s.fall_bound || Array.for_all not s.fpattern) then
-        List.iter
-          (fun v -> Relation.prepare_index v.rel s.fpattern)
-          (source s.flit s.fsym))
-    f.fsteps
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing                                                     *)

@@ -77,12 +77,11 @@ type fast
     numbers, eliminating map allocation from the inner join loop; key
     constants are pre-interned and probe keys are written into per-scan
     buffers, so a probe allocates nothing.  All executor scratch (env
-    and key buffers) is allocated per {!run_fast} call, never shared
-    between runs: executing a [fast] only reads the compiled form and
-    its sources, so the same instance can run nested (re-entrant
-    [on_fact]) or on several domains at once.  Instances using builtins,
-    negation, arithmetic or dynamic heads fall back to the
-    substitution-based executor. *)
+    and key buffers) is allocated per {!run} call, never shared between
+    runs: executing a [fast] only reads the compiled form and its
+    sources, so the same instance can run nested (re-entrant
+    [on_fact]).  Instances using builtins, negation, arithmetic or
+    dynamic heads fall back to the substitution-based executor. *)
 
 type instance = { steps : step array; head : emit; fast : fast option }
 (** One executable join order for the rule.  Steps carry original body
@@ -150,34 +149,6 @@ val run :
 val head_symbol : instance -> Symbol.t option
 (** The fixed head predicate of a statically-safe instance; [None] for
     dynamic heads (whose predicate is only known per emission). *)
-
-(** {2 Parallel execution support}
-
-    The fast executor is the read-only core the parallel engine fans out
-    over domains: it interns nothing (key constants were interned at
-    compile time, all other values come from stored tuples) and, once
-    {!prepare_indexes} has run, probes touch no mutable state of the
-    relations they read. *)
-
-val run_fast :
-  ?stats:Stats.t ->
-  source:source ->
-  on_fact:(Symbol.t -> Tuple.t -> unit) ->
-  fast ->
-  unit
-(** Execute a fast instance directly.  Safe to call concurrently from
-    several domains on the {e same} [fast] value provided every relation
-    reachable through [source] is frozen (no concurrent writer) and
-    {!prepare_indexes} was called first; pass a distinct [stats] per
-    domain (its counters are bumped unsynchronized). *)
-
-val prepare_indexes : source:source -> fast -> unit
-(** Eagerly build, on the calling domain, every lazy index a read-only
-    execution of the instance over [source] could create; must run
-    before fanning the instance out to other domains. *)
-
-val fast_head_symbol : fast -> Symbol.t
-(** The (always statically-safe) head predicate of a fast instance. *)
 
 val pp : t Fmt.t
 (** Human-readable plan listing (instances, binding patterns, slots). *)

@@ -77,9 +77,10 @@ val iter_matching_in :
 val prepare_index : t -> bool array -> unit
 (** Build the index for [pattern] now if it does not exist (an all-false
     pattern needs none).  Indexes are otherwise created lazily by the
-    first matching probe — a hidden write.  The parallel executor calls
-    this for every pattern its read-only workers will probe, so that a
-    fanned-out scan never mutates the relation it reads. *)
+    first matching probe — a hidden write.  A writer that hands the
+    relation to concurrent readers must call this, under its write lock,
+    for every pattern those readers will probe, so that an indexed read
+    never mutates the relation it reads. *)
 
 val copy : t -> t
 (** A fresh relation with the same tuples, re-stamped in insertion order,

@@ -3,8 +3,8 @@
     A snapshot captures, for every relation, the insertion-stamp
     watermark at capture time; reads then go through the stamp-range
     views of {!Relation} ([iter_in]/[mem_in] over [\[0, w)]) — the same
-    freeze machinery the parallel engine ({!Par_eval}) fans its
-    read-only workers out over, lifted into a first-class surface.
+    stamp ranges the semi-naive engine reads its "old" and "delta"
+    views through, lifted into a first-class surface.
 
     A snapshot is {e not} a copy: it aliases the live relations.  Tuples
     inserted after capture carry stamps [>= w] and are invisible, so the

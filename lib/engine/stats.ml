@@ -10,12 +10,6 @@ type t = {
   mutable overdeleted : int;
   mutable rederived : int;
   mutable delta_firings : int;
-  mutable par_jobs : int;
-  mutable par_rounds : int;
-  mutable par_fallback_rounds : int;
-  mutable par_tasks : int;
-  mutable par_wall_s : float;
-  mutable par_busy_s : float;
   per_pred : int ref Symbol.Tbl.t;
 }
 
@@ -30,12 +24,6 @@ let create () =
     overdeleted = 0;
     rederived = 0;
     delta_firings = 0;
-    par_jobs = 0;
-    par_rounds = 0;
-    par_fallback_rounds = 0;
-    par_tasks = 0;
-    par_wall_s = 0.;
-    par_busy_s = 0.;
     per_pred = Symbol.Tbl.create 16;
   }
 
@@ -52,59 +40,6 @@ let record_fact s sym ~is_new =
 
 let facts_for s sym =
   match Symbol.Tbl.find_opt s.per_pred sym with Some n -> !n | None -> 0
-
-(* Fold [src] into [dst] in place.  Every counter is a sum except
-   [par_jobs], which is a configuration (the width of the domain pool),
-   not an amount of work: combining a 4-way phase with a sequential one
-   still describes a 4-way run, so the combine is [max].  [src]'s
-   [per_pred] refs are dereferenced, never shared, so later mutation of
-   either side cannot leak into the other.
-
-   Counters are amounts of work: a negative value is always a bookkeeping
-   bug upstream (historically, the parallel engine's per-chunk probe
-   correction could underflow), and summing it would silently corrupt
-   every later report.  Absorbing one is rejected loudly instead. *)
-let check_counters s =
-  if
-    s.iterations < 0 || s.firings < 0 || s.facts < 0 || s.rederivations < 0
-    || s.probes < 0 || s.subqueries < 0 || s.overdeleted < 0 || s.rederived < 0
-    || s.delta_firings < 0 || s.par_rounds < 0 || s.par_fallback_rounds < 0
-    || s.par_tasks < 0
-  then invalid_arg "Stats.absorb: negative counter"
-
-let absorb ~into:dst src =
-  check_counters src;
-  check_counters dst;
-  dst.iterations <- dst.iterations + src.iterations;
-  dst.firings <- dst.firings + src.firings;
-  dst.facts <- dst.facts + src.facts;
-  dst.rederivations <- dst.rederivations + src.rederivations;
-  dst.probes <- dst.probes + src.probes;
-  dst.subqueries <- dst.subqueries + src.subqueries;
-  dst.overdeleted <- dst.overdeleted + src.overdeleted;
-  dst.rederived <- dst.rederived + src.rederived;
-  dst.delta_firings <- dst.delta_firings + src.delta_firings;
-  dst.par_jobs <- max dst.par_jobs src.par_jobs;
-  dst.par_rounds <- dst.par_rounds + src.par_rounds;
-  dst.par_fallback_rounds <- dst.par_fallback_rounds + src.par_fallback_rounds;
-  dst.par_tasks <- dst.par_tasks + src.par_tasks;
-  dst.par_wall_s <- dst.par_wall_s +. src.par_wall_s;
-  dst.par_busy_s <- dst.par_busy_s +. src.par_busy_s;
-  Symbol.Tbl.iter
-    (fun sym n ->
-      match Symbol.Tbl.find_opt dst.per_pred sym with
-      | Some existing -> existing := !existing + !n
-      | None -> Symbol.Tbl.add dst.per_pred sym (ref !n))
-    src.per_pred
-
-(* The result owns every one of its [per_pred] refs: both inputs are
-   absorbed through {!absorb}, which re-allocates counters, so mutating
-   the merge never writes through to either input (and vice versa). *)
-let merge a b =
-  let m = create () in
-  absorb ~into:m a;
-  absorb ~into:m b;
-  m
 
 (* Allocation and collection counters, deltas of [Gc.quick_stat]: the
    memory half of a benchmark row.  Word counts are floats because that
@@ -136,27 +71,6 @@ let gc_delta ~before ~after =
     major_collections = after.major_collections - before.major_collections;
   }
 
-let gc_zero =
-  {
-    minor_words = 0.;
-    major_words = 0.;
-    promoted_words = 0.;
-    minor_collections = 0;
-    major_collections = 0;
-  }
-
-(* [Gc.quick_stat] reports the calling domain's counters: summing each
-   domain's deltas gives the run's total allocation, which is how the
-   parallel engine accounts a fan-out phase. *)
-let gc_add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-  }
-
 let pp_gc ppf g =
   Fmt.pf ppf "minor_words=%.0f major_words=%.0f promoted_words=%.0f minor_gcs=%d major_gcs=%d"
     g.minor_words g.major_words g.promoted_words g.minor_collections
@@ -168,10 +82,4 @@ let pp ppf s =
     s.iterations s.firings s.facts s.rederivations s.probes s.subqueries;
   if s.overdeleted <> 0 || s.rederived <> 0 || s.delta_firings <> 0 then
     Fmt.pf ppf " overdeleted=%d rederived=%d delta_firings=%d" s.overdeleted
-      s.rederived s.delta_firings;
-  if s.par_jobs > 0 then
-    Fmt.pf ppf
-      " jobs=%d par_rounds=%d par_fallback_rounds=%d par_tasks=%d par_wall_s=%.6f \
-       par_busy_s=%.6f"
-      s.par_jobs s.par_rounds s.par_fallback_rounds s.par_tasks s.par_wall_s
-      s.par_busy_s
+      s.rederived s.delta_firings

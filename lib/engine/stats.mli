@@ -22,24 +22,6 @@ type t = {
           an alternative derivation survived the update *)
   mutable delta_firings : int;
       (** incremental maintenance: delta-rule firings during repair *)
-  mutable par_jobs : int;
-      (** parallel evaluation: width of the domain pool, 0 when the run
-          never went parallel *)
-  mutable par_rounds : int;
-      (** parallel evaluation: fixpoint rounds that fanned work out to
-          the pool *)
-  mutable par_fallback_rounds : int;
-      (** parallel evaluation: fixpoint rounds the grain controller ran
-          sequentially on the main domain because the round's total
-          delta width was below the fallback threshold *)
-  mutable par_tasks : int;  (** parallel evaluation: chunk tasks executed *)
-  mutable par_wall_s : float;
-      (** parallel evaluation: wall-clock seconds spent in fan-out +
-          merge phases *)
-  mutable par_busy_s : float;
-      (** parallel evaluation: per-task execution seconds summed over
-          all domains; [par_busy_s /. par_wall_s] approximates the
-          effective parallelism of the fanned-out portion *)
   per_pred : int ref Symbol.Tbl.t;
       (** distinct facts per predicate; read through {!facts_for} *)
 }
@@ -47,24 +29,6 @@ type t = {
 val create : unit -> t
 val record_fact : t -> Symbol.t -> is_new:bool -> unit
 val facts_for : t -> Symbol.t -> int
-
-val merge : t -> t -> t
-(** Sum of two stats ([par_jobs] combines by [max]: it is a pool width,
-    not an amount of work).  The result shares no [per_pred] counter
-    refs with either input: every counter is copied, so later mutation
-    of the merge (or of the inputs) cannot alias or double-count. *)
-
-val absorb : into:t -> t -> unit
-(** In-place {!merge}: fold the second argument's counters into [into]
-    without allocating a result.  The barrier step of the parallel
-    engine absorbs each worker's per-domain counters into the run's
-    stats; no refs are shared afterwards.  [absorb ~into:a b] leaves [a]
-    equal to [merge a b].
-
-    @raise Invalid_argument if any integer counter of either side is
-    negative: counters are amounts of work, so a negative value is a
-    bookkeeping bug (e.g. an underflowing correction) that must not be
-    silently summed into later reports. *)
 
 val pp : t Fmt.t
 
@@ -86,13 +50,5 @@ val gc_now : unit -> gc_counters
 
 val gc_delta : before:gc_counters -> after:gc_counters -> gc_counters
 (** Counter increments between two {!gc_now} snapshots. *)
-
-val gc_zero : gc_counters
-(** All-zero counters: the identity of {!gc_add}. *)
-
-val gc_add : gc_counters -> gc_counters -> gc_counters
-(** Pointwise sum.  [Gc.quick_stat] reports the calling domain's
-    counters only, so a parallel phase's allocation is the sum of each
-    domain's {!gc_delta}. *)
 
 val pp_gc : gc_counters Fmt.t

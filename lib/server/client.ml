@@ -1,11 +1,13 @@
-type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+(* [ic] and [oc] share one descriptor, owned by [oc]: {!close} closes it
+   exactly once, through [oc], and [ic] is never closed *)
+type t = { ic : in_channel; oc : out_channel }
 
 let connect ?(retries = 50) addr =
   let rec go n =
     let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () ->
-      { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+      { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
     | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) when n > 0 ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Unix.sleepf 0.02;
@@ -32,6 +34,4 @@ let request t req =
     | Ok resp -> resp
     | Error msg -> failwith msg)
 
-let close t =
-  (try close_out_noerr t.oc with _ -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+let close t = close_out_noerr t.oc

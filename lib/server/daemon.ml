@@ -72,8 +72,10 @@ let handle_conn registry fd =
      (* broken pipe, malformed channel state: drop the connection, keep
         the daemon *)
      ());
-  (try close_out_noerr oc with _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (* [oc] owns [fd]: closing it closes the descriptor, exactly once.  A
+     second [Unix.close fd] would hit whatever descriptor another domain
+     has since been handed under the same number. *)
+  close_out_noerr oc;
   !shutdown
 
 let bind_listen = function

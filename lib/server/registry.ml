@@ -17,7 +17,6 @@ type counters = {
   mutable seed_installs : int;
   mutable rebuilds : int;
   mutable errors : int;
-  mutable maint_facts : int;
   mutable maint_firings : int;
 }
 
@@ -85,7 +84,6 @@ let now () = Unix.gettimeofday ()
 
 let absorb_maint t (stats : Engine.Stats.t) =
   with_c t (fun c ->
-      c.maint_facts <- c.maint_facts + stats.Engine.Stats.facts;
       c.maint_firings <-
         c.maint_firings + stats.Engine.Stats.firings
         + stats.Engine.Stats.delta_firings)
@@ -166,7 +164,6 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
         seed_installs = 0;
         rebuilds = 0;
         errors = 0;
-        maint_facts = 0;
         maint_firings = 0;
       };
   }
@@ -602,7 +599,6 @@ let stats_fields t =
     ("seed_installs", string_of_int c.seed_installs);
     ("rebuilds", string_of_int c.rebuilds);
     ("errors", string_of_int c.errors);
-    ("maint_facts", string_of_int c.maint_facts);
     ("maint_firings", string_of_int c.maint_firings);
   ]
   @

@@ -11,7 +11,6 @@ let () =
       ("solve", Test_solve.suite);
       ("plan", Test_plan.suite);
       ("eval", Test_eval.suite);
-      ("par-eval", Test_par_eval.suite);
       ("topdown", Test_topdown.suite);
       ("adornment", Test_adornment.suite);
       ("sip", Test_sip.suite);

@@ -158,63 +158,34 @@ let test_missing_relation_not_probed () =
   Alcotest.(check int) "only b is probed" 1 s.E.Stats.probes
 
 (* regression: executor scratch (env + key buffers) is allocated per
-   run_fast call — a nested run fired from inside on_fact must not
-   corrupt the outer run's keys the way the old shared key buffer did *)
-let test_run_fast_reentrant () =
+   run — a nested run fired from inside on_fact must not corrupt the
+   outer run's keys the way the old shared key buffer did *)
+let test_run_reentrant () =
   let facts =
     List.init 8 (fun i -> atom (Fmt.str "e(n%d, n%d)" i (i + 1)))
     @ List.init 9 (fun i -> atom (Fmt.str "t(n%d, m%d)" i i))
   in
   let db = E.Database.of_facts facts in
   let plan = compile "a(X, Y) :- e(X, Z), t(Z, Y)." in
-  let fast = Option.get plan.E.Plan.base.E.Plan.fast in
+  let inst = plan.E.Plan.base in
+  Alcotest.(check bool) "compiled to the fast form" true (inst.E.Plan.fast <> None);
   let source = E.Plan.db_source db in
+  let run_with on_fact = E.Plan.run ~source ~neg_source:source ~on_fact inst in
   let run_one () =
     let acc = ref [] in
-    E.Plan.run_fast ~source ~on_fact:(fun _ t -> acc := t :: !acc) fast;
+    run_with (fun _ t -> acc := t :: !acc);
     !acc
   in
   let expected = run_one () in
   Alcotest.(check int) "expected solutions" 8 (List.length expected);
   let outer = ref [] in
   let nested_ok = ref true in
-  E.Plan.run_fast ~source
-    ~on_fact:(fun _ t ->
+  run_with (fun _ t ->
       outer := t :: !outer;
       (* a full nested run of the same compiled form, mid-solution *)
-      if run_one () <> expected then nested_ok := false)
-    fast;
+      if run_one () <> expected then nested_ok := false);
   Alcotest.(check bool) "nested runs see correct keys" true !nested_ok;
   Alcotest.(check bool) "outer run unaffected by nested runs" true (!outer = expected)
-
-(* two domains running the same compiled form over the same frozen
-   sources concurrently: both must enumerate exactly the sequential
-   solution list (the single-writer discipline of the parallel engine
-   rests on run_fast being read-only and per-run-scratch) *)
-let test_run_fast_two_domains () =
-  let n = 300 in
-  let facts =
-    List.init n (fun i -> atom (Fmt.str "e(n%d, n%d)" i (i + 1)))
-    @ List.init (n + 1) (fun i -> atom (Fmt.str "t(n%d, m%d)" i i))
-  in
-  let db = E.Database.of_facts facts in
-  let plan = compile "a(X, Y) :- e(X, Z), t(Z, Y)." in
-  let fast = Option.get plan.E.Plan.base.E.Plan.fast in
-  let source = E.Plan.db_source db in
-  (* build any lazy indexes up front: after this, execution is read-only *)
-  E.Plan.prepare_indexes ~source fast;
-  let run_one () =
-    let acc = ref [] in
-    E.Plan.run_fast ~source ~on_fact:(fun _ t -> acc := t :: !acc) fast;
-    !acc
-  in
-  let expected = run_one () in
-  Alcotest.(check int) "expected solutions" n (List.length expected);
-  let d = Domain.spawn run_one in
-  let here = run_one () in
-  let there = Domain.join d in
-  Alcotest.(check bool) "main-domain run correct" true (here = expected);
-  Alcotest.(check bool) "worker-domain run correct" true (there = expected)
 
 let suite =
   [
@@ -228,6 +199,5 @@ let suite =
     Alcotest.test_case "range views" `Quick test_range_views;
     Alcotest.test_case "missing relation not probed" `Quick
       test_missing_relation_not_probed;
-    Alcotest.test_case "run_fast is re-entrant" `Quick test_run_fast_reentrant;
-    Alcotest.test_case "run_fast on two domains" `Quick test_run_fast_two_domains;
+    Alcotest.test_case "run is re-entrant (fast form)" `Quick test_run_reentrant;
   ]

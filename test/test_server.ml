@@ -310,67 +310,9 @@ let test_registry_budget_recovery () =
 (* daemon end to end                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_daemon_socket_roundtrip () =
-  let p = program tc_src in
-  let r =
-    Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
-      ~edb:(chain_edb 3 [])
-  in
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let port = ref None in
-  let on_ready = function
-    | Unix.ADDR_INET (_, p) ->
-      Mutex.lock m;
-      port := Some p;
-      Condition.signal cv;
-      Mutex.unlock m
-    | _ -> ()
-  in
-  let daemon =
-    Domain.spawn (fun () -> Server.Daemon.run ~jobs:2 ~on_ready (Server.Daemon.Tcp 0) r)
-  in
-  Mutex.lock m;
-  while !port = None do
-    Condition.wait cv m
-  done;
-  Mutex.unlock m;
-  let c = Server.Client.tcp (Option.get !port) in
-  (match Server.Client.request c (P.Query (path_q (n 0))) with
-  | P.Answers { answers; _ } ->
-    Alcotest.check rows "served answers"
-      [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
-      answers
-  | _ -> Alcotest.fail "query over the socket");
-  (match Server.Client.request c (P.Txn [ M.Insert (edge (n 3) (n 4)) ]) with
-  | P.Committed { epoch = 1; _ } -> ()
-  | _ -> Alcotest.fail "txn over the socket");
-  (match Server.Client.request c (P.Query (path_q (n 0))) with
-  | P.Answers { epoch = 1; answers; _ } ->
-    Alcotest.(check int) "post-txn count" 4 (List.length answers)
-  | _ -> Alcotest.fail "re-read over the socket");
-  (match Server.Client.request c (P.Stats) with
-  | P.Stats_reply fields ->
-    Alcotest.(check (option string)) "epoch stat" (Some "1")
-      (List.assoc_opt "epoch" fields)
-  | _ -> Alcotest.fail "stats over the socket");
-  (match Server.Client.request c P.Shutdown with
-  | P.Shutdown_ack -> ()
-  | _ -> Alcotest.fail "shutdown over the socket");
-  Server.Client.close c;
-  Domain.join daemon
-
-(* ------------------------------------------------------------------ *)
-(* daemon restart over a durable store                                 *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
+(* serve [r] on an ephemeral TCP port with two worker domains, run [f]
+   on one client connection, then shut the daemon down over the socket
+   and join it *)
 let with_daemon r f =
   let m = Mutex.create () in
   let cv = Condition.create () in
@@ -400,6 +342,62 @@ let with_daemon r f =
   Domain.join daemon;
   Server.Registry.close r;
   out
+
+let test_daemon_socket_roundtrip () =
+  let p = program tc_src in
+  let r =
+    Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
+      ~edb:(chain_edb 3 [])
+  in
+  with_daemon r (fun c ->
+      (match Server.Client.request c (P.Query (path_q (n 0))) with
+      | P.Answers { answers; _ } ->
+        Alcotest.check rows "served answers"
+          [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
+          answers
+      | _ -> Alcotest.fail "query over the socket");
+      (match Server.Client.request c (P.Txn [ M.Insert (edge (n 3) (n 4)) ]) with
+      | P.Committed { epoch = 1; _ } -> ()
+      | _ -> Alcotest.fail "txn over the socket");
+      (match Server.Client.request c (P.Query (path_q (n 0))) with
+      | P.Answers { epoch = 1; answers; _ } ->
+        Alcotest.(check int) "post-txn count" 4 (List.length answers)
+      | _ -> Alcotest.fail "re-read over the socket");
+      match Server.Client.request c P.Stats with
+      | P.Stats_reply fields ->
+        Alcotest.(check (option string)) "epoch stat" (Some "1")
+          (List.assoc_opt "epoch" fields)
+      | _ -> Alcotest.fail "stats over the socket")
+
+(* regression: the daemon and the client each closed a connection's
+   descriptor twice (the out channel, then the raw fd).  The shutdown
+   poke could be handed the freed number in between, so the stray
+   second close killed it and its own close raised EBADF out of the
+   worker domain.  Each cycle is a fresh daemon with two workers. *)
+let test_daemon_shutdown_loop () =
+  let p = program tc_src in
+  for _ = 1 to 200 do
+    let r =
+      Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
+        ~edb:(chain_edb 3 [])
+    in
+    with_daemon r (fun c ->
+        match Server.Client.request c (P.Query (path_q (n 0))) with
+        | P.Answers { answers; _ } ->
+          Alcotest.(check int) "served answers" 3 (List.length answers)
+        | _ -> Alcotest.fail "query over the socket")
+  done
+
+(* ------------------------------------------------------------------ *)
+(* daemon restart over a durable store                                 *)
+(* ------------------------------------------------------------------ *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
 let test_daemon_restart_durable () =
   let p = program tc_src in
@@ -586,6 +584,7 @@ let suite =
       test_daemon_socket_roundtrip;
     Alcotest.test_case "daemon: restart over a durable store" `Quick
       test_daemon_restart_durable;
+    Alcotest.test_case "daemon: shutdown loop" `Quick test_daemon_shutdown_loop;
     prop_serve_consistency;
     prop_partial_equals_full;
   ]
