@@ -31,10 +31,10 @@
       the head is statically safe.
 
     Executing the base instance is behaviourally identical to solving the
-    rule body left-to-right with {!Solve.solve}; delta instances compute
-    the same solution set (joins commute; sources are attached to body
-    positions, not execution order).  The equivalence is locked by the
-    cross-engine property tests. *)
+    rule body left-to-right with the symbolic {!Solve} engine; delta
+    instances compute the same solution set (joins commute; sources are
+    attached to body positions, not execution order).  The equivalence
+    is locked by the cross-engine property tests. *)
 
 open Datalog
 

@@ -36,7 +36,6 @@ module Rel = Engine.Relation
 module Tup = Engine.Tuple
 module Plan = Engine.Plan
 module Stats = Engine.Stats
-module Solve = Engine.Solve
 
 type op = Insert of Atom.t | Delete of Atom.t
 
@@ -80,9 +79,25 @@ type mrule = {
   neg_deltas : (int * Symbol.t * Plan.instance) list;
 }
 
+(* DRed's rederivation check for one rule: does the rule derive a given
+   head tuple from the current state?  [Goal] is the rule compiled with
+   a [$goal$p(head args)] literal prepended to its body and taken as the
+   delta instance at that position, so a scan of the one-tuple goal
+   relation binds the head variables and the bound-first ordering turns
+   the rest of the body into probes — a point lookup even for GMS magic
+   rules, whose head variable the last body literal binds.  A head with
+   arithmetic or compound arguments cannot be a scan pattern; its rule
+   runs the [Enumerate]d base instance and compares every emitted tuple. *)
+type check = Goal of Plan.instance | Enumerate of Plan.instance
+
 type kind = Counting | DRed
 
-type unit_ = { syms : Symbol.t list; kind : kind; rules : mrule list }
+type unit_ = {
+  syms : Symbol.t list;
+  kind : kind;
+  rules : mrule list;
+  checks : (Symbol.t * check list) list;  (* per head predicate; DRed only *)
+}
 
 (* The per-transaction repair state of one updated relation: its deleted
    tuples and the watermark separating carried-over stamps from inserted
@@ -90,7 +105,6 @@ type unit_ = { syms : Symbol.t list; kind : kind; rules : mrule list }
 type change = { dminus : Rel.t; w : int }
 
 type t = {
-  program : Program.t;
   db : Db.t;
   derived : Symbol.Set.t;
   units : unit_ list;
@@ -141,6 +155,21 @@ let compile_mrule rule =
          rule.Rule.body)
   in
   { rule; body; plan; neg_deltas }
+
+let compile_check mr =
+  let head = mr.rule.Rule.head in
+  let scannable = function Term.Var _ | Term.Int _ | Term.Sym _ -> true | _ -> false in
+  if List.for_all scannable head.Atom.args then begin
+    let goal = Atom.make ("$goal$" ^ head.Atom.pred) head.Atom.args in
+    let rule' = Rule.make head (Rule.Pos goal :: mr.rule.Rule.body) in
+    match
+      (Plan.compile ~delta_preds:(Symbol.Set.singleton (Atom.symbol goal)) rule')
+        .Plan.delta
+    with
+    | [ (0, inst) ] -> Goal inst
+    | _ -> assert false
+  end
+  else Enumerate mr.plan.Plan.base
 
 (* ------------------------------------------------------------------ *)
 (* Stamp-range views of the transaction's three relation versions      *)
@@ -336,40 +365,34 @@ let process_counting t ~stats ~changes ~ext_ops ~budget u =
 (* DRed maintenance (recursive units)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Does any rule for [sym] derive [tuple] in the database's current
-   state?  Used by the rederivation step; the head is matched against
-   the tuple first so the body runs with the query's bindings — the
-   bound-head check that makes rederivation a point lookup rather than
-   a scan. *)
-let derivable t sym tuple =
+(* Does any of [checks] (the rules for [sym]) derive [tuple] in the
+   database's current state?  Used by the rederivation step.  A [Goal]
+   check reads the one-tuple goal relation at body position 0 and the
+   current database everywhere else, negated literals included. *)
+let derivable t ~stats checks sym tuple =
   (match Symbol.Tbl.find_opt t.external_ sym with
   | Some ext -> Rel.mem ext tuple
   | None -> false)
   || begin
-    let src _ s = Db.find t.db s in
-    let target = Tup.to_list tuple in
-    let check rule =
-      let head = rule.Rule.head in
-      let solve s0 =
-        try
-          Solve.solve ~source:src ~neg_source:(src 0) rule.Rule.body s0 (fun s ->
-              let args =
-                List.map (fun a -> Term.eval (Subst.apply s a)) head.Atom.args
-              in
-              if args = target then raise Exit);
-          false
-        with
-        | Exit -> true
-        | Solve.Unsafe _ -> false
-      in
-      match Subst.match_list head.Atom.args target Subst.empty with
-      | Some s0 -> solve s0
-      | None ->
-        (* head not syntactically matchable (arithmetic in the head):
-           enumerate the body and compare evaluated heads *)
-        solve Subst.empty
+    let exception Found in
+    let on_fact _ tu = if Tup.equal tu tuple then raise Found in
+    let db_views _ s = full_views t.db s in
+    let goal = Rel.create (Array.length tuple) in
+    ignore (Rel.add goal tuple);
+    let run = function
+      | Goal inst ->
+        Plan.run ~stats
+          ~source:(fun lit s -> if lit = 0 then [ Plan.full goal ] else db_views lit s)
+          ~neg_source:db_views ~on_fact inst
+      | Enumerate inst -> Plan.run ~stats ~source:db_views ~neg_source:db_views ~on_fact inst
     in
-    List.exists (fun (_, r) -> check r) (Program.rules_for t.program sym)
+    List.exists
+      (fun c ->
+        match run c with
+        | () -> false
+        | exception Found -> true
+        | exception Engine.Solve.Unsafe _ -> false)
+      checks
   end
 
 let process_dred t ~stats ~changes ~ext_ops ~budget u =
@@ -477,9 +500,14 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
     Symbol.Tbl.iter
       (fun sym tbl ->
         let rel = rel_of sym in
+        let checks =
+          match List.find_opt (fun (p, _) -> Symbol.equal p sym) u.checks with
+          | Some (_, cs) -> cs
+          | None -> []
+        in
         Tup.Tbl.iter
           (fun tu () ->
-            if (not (Rel.mem rel tu)) && derivable t sym tu then begin
+            if (not (Rel.mem rel tu)) && derivable t ~stats checks sym tu then begin
               ignore (Rel.add rel tu);
               stats.Stats.rederived <- stats.Stats.rederived + 1;
               progress := true
@@ -734,7 +762,23 @@ let compile_units program =
         | [ s ] when not (Program.is_recursive program s) -> Counting
         | _ -> DRed
       in
-      { syms; kind; rules = List.map compile_mrule own })
+      let rules = List.map compile_mrule own in
+      let checks =
+        match kind with
+        | Counting -> []
+        | DRed ->
+          List.map
+            (fun p ->
+              ( p,
+                List.filter_map
+                  (fun mr ->
+                    if Symbol.equal (Atom.symbol mr.rule.Rule.head) p then
+                      Some (compile_check mr)
+                    else None)
+                  rules ))
+            syms
+      in
+      { syms; kind; rules; checks })
     (Program.sccs program)
 
 let create ?max_facts program ~edb =
@@ -753,7 +797,7 @@ let create ?max_facts program ~edb =
       | Some r when Rel.cardinal r > 0 -> Symbol.Tbl.add external_ sym (Rel.copy r)
       | _ -> ())
     derived;
-  let t = { program; db; derived; units; counts = Symbol.Tbl.create 8; external_ } in
+  let t = { db; derived; units; counts = Symbol.Tbl.create 8; external_ } in
   (* initial support counts for the counting predicates: one per
      rule-body valuation in the fixpoint, plus one per external fact *)
   List.iter
@@ -833,7 +877,6 @@ let of_image program im =
       Symbol.Tbl.add external_ sym r)
     im.im_external;
   {
-    program;
     db = im.im_db;
     derived = Program.derived program;
     units = compile_units program;

@@ -52,9 +52,10 @@ let read_file path =
 
 let truncate path len = Unix.truncate path len
 
+(* EINVAL is the answer of a filesystem that cannot sync a directory;
+   any other error means the rename may not be durable *)
 let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())

@@ -31,5 +31,6 @@ val truncate : string -> int -> unit
 (** Truncate a file to the given length (dropping a torn WAL tail). *)
 
 val fsync_dir : string -> unit
-(** Best-effort [fsync] of a directory, making a rename durable; silent
-    on platforms or filesystems that refuse to sync directories. *)
+(** [fsync] a directory, making a rename in it durable.  A filesystem
+    that cannot sync directories ([EINVAL]) is tolerated.
+    @raise Unix.Unix_error on any other failure to open or sync. *)

@@ -100,6 +100,109 @@ let test_dred_cycle () =
     "cycle restored" (scratch_pred tc facts "tc" 2)
     (M.answers m (wildcard "tc" 2))
 
+(* Rederivation compiles one head-bound check per rule: the head's
+   arguments become the scan pattern of a one-tuple goal relation, or,
+   when they contain arithmetic, the rule's base instance is enumerated.
+   Each case deletes a fact so that some overdeleted tuple must come
+   back, then compares every maintained relation with scratch. *)
+let check_rederives name p facts del preds =
+  let m = M.create p ~edb:(Engine.Database.of_facts facts) in
+  let stats = M.apply m [ M.Delete (atom del) ] in
+  Alcotest.(check bool) (name ^ ": rederived >= 1") true (stats.Engine.Stats.rederived >= 1);
+  let facts = List.filter (fun a -> a <> atom del) facts in
+  List.iter
+    (fun (pred, arity) ->
+      Alcotest.(check tuple_list)
+        (Fmt.str "%s: %s equals scratch" name pred)
+        (scratch_pred p facts pred arity)
+        (M.answers m (wildcard pred arity)))
+    preds;
+  (m, facts)
+
+let test_rederive_gms_shape () =
+  (* the magic-rule shape: only the last body literal binds the head
+     variable; m(a) is an externally asserted seed *)
+  let p = program "m(Z) :- m(X), e(X, Z)." in
+  ignore
+    (check_rederives "gms shape" p
+       [ atom "m(a)"; atom "e(a, b)"; atom "e(b, c)"; atom "e(a, c)"; atom "e(c, d)" ]
+       "e(b, c)" [ ("m", 1) ])
+
+let test_rederive_head_constant () =
+  let p =
+    program "r(a, Y) :- e(a, Y). r(a, Y) :- r(a, X), e(X, Y). r(b, Y) :- q(Y)."
+  in
+  let m, facts =
+    check_rederives "head constant" p
+      [ atom "e(a, b)"; atom "e(b, c)"; atom "e(a, c)"; atom "q(c)" ]
+      "e(b, c)" [ ("r", 2) ]
+  in
+  (* r(b, c) holds, but the constant keeps it from proving r(a, c) *)
+  ignore (M.apply m [ M.Delete (atom "e(a, c)") ]);
+  let facts = List.filter (fun a -> a <> atom "e(a, c)") facts in
+  Alcotest.(check tuple_list)
+    "head constant: r(a, c) stays deleted" (scratch_pred p facts "r" 2)
+    (M.answers m (wildcard "r" 2))
+
+let test_rederive_repeated_head_var () =
+  let p = program "r(X, X) :- n(X). r(X, Y) :- r(X, Z), e(Z, Y)." in
+  ignore
+    (check_rederives "repeated head variable" p
+       [ atom "n(a)"; atom "e(a, b)"; atom "e(b, a)"; atom "e(b, c)" ]
+       "e(b, a)" [ ("r", 2) ])
+
+let test_rederive_arith_head () =
+  let p = program "d(0, X) :- src(X). d(N + 1, Y) :- d(N, X), e(X, Y)." in
+  ignore
+    (check_rederives "arithmetic head" p
+       [
+         atom "src(a)"; atom "e(a, b)"; atom "e(b, c)"; atom "e(a, x)"; atom "e(x, c)";
+       ]
+       "e(b, c)" [ ("d", 2) ])
+
+(* A served delete must cost in proportion to the deleted tuple's cone,
+   not to the magic relation the installed seeds have grown: the same
+   spoke deletion under 10 and under 200 seeds on disjoint chains. *)
+let hub =
+  program
+    "q(X, Y) :- spoke(X, Z), tc(Z, Y). tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, \
+     Z), tc(Z, Y)."
+
+let hub_facts =
+  List.concat
+    (List.init 200 (fun c ->
+         atom (Fmt.str "spoke(h%d, n%d_0)" c c)
+         :: atom (Fmt.str "spoke(h%d, n%d_5)" c c)
+         :: List.init 9 (fun j -> atom (Fmt.str "edge(n%d_%d, n%d_%d)" c j c (j + 1)))))
+
+let delete_probes seeds =
+  let q = atom "q(h0, Y)" in
+  let s = S.create ~strategy:S.GMS hub q ~edb:(Engine.Database.of_facts hub_facts) in
+  for c = 1 to seeds - 1 do
+    ignore (S.query s (atom (Fmt.str "q(h%d, Y)" c)))
+  done;
+  let del = atom "spoke(h0, n0_0)" in
+  let stats = S.update s [ M.Delete del ] in
+  Alcotest.(check bool)
+    (Fmt.str "%d seeds: rederived >= 1" seeds)
+    true
+    (stats.Engine.Stats.rederived >= 1);
+  let ans, _ = S.query s q in
+  Alcotest.(check tuple_list)
+    (Fmt.str "%d seeds: answers equal scratch" seeds)
+    (sorted_answers
+       (run_method "gms" hub q
+          (Engine.Database.of_facts (List.filter (fun a -> a <> del) hub_facts))))
+    (sorted ans);
+  stats.Engine.Stats.probes
+
+let test_delete_cost_independent_of_seeds () =
+  let few = delete_probes 10 in
+  let many = delete_probes 200 in
+  if many > 2 * few then
+    Alcotest.failf "delete probes grow with unrelated seeds: %d (10 seeds) vs %d (200)"
+      few many
+
 (* ------------------------------------------------------------------ *)
 (* stratified negation                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -372,6 +475,13 @@ let suite =
     Alcotest.test_case "counting external support" `Quick test_counting_external_support;
     Alcotest.test_case "dred rederives" `Quick test_dred_rederives;
     Alcotest.test_case "dred cycle" `Quick test_dred_cycle;
+    Alcotest.test_case "rederive: gms rule shape" `Quick test_rederive_gms_shape;
+    Alcotest.test_case "rederive: head constant" `Quick test_rederive_head_constant;
+    Alcotest.test_case "rederive: repeated head variable" `Quick
+      test_rederive_repeated_head_var;
+    Alcotest.test_case "rederive: arithmetic head" `Quick test_rederive_arith_head;
+    Alcotest.test_case "rederive: delete cost independent of seeds" `Quick
+      test_delete_cost_independent_of_seeds;
     Alcotest.test_case "stratified negation" `Quick test_negation_unit_order;
     Alcotest.test_case "change summary counts" `Quick test_summary_counts;
     Alcotest.test_case "change summary through negation" `Quick

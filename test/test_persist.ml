@@ -86,6 +86,19 @@ let test_crc32 () =
     "digest_sub agrees" (Persist.Crc32.digest "3456")
     (Persist.Crc32.digest_sub "123456789" ~pos:2 ~len:4)
 
+(* a directory fsync that fails must surface, or a checkpoint could
+   publish a snapshot whose rename never reached the disk *)
+let test_fsync_dir_errors () =
+  let dir = fresh_dir () in
+  Alcotest.(check bool)
+    "missing directory raises" true
+    (match Io.fsync_dir dir with
+    | () -> false
+    | exception Unix.Unix_error _ -> true);
+  Unix.mkdir dir 0o755;
+  Io.fsync_dir dir;
+  rm_rf dir
+
 (* a session whose EDB holds compound (App) terms: the pool section must
    re-intern children before parents and remap every tuple *)
 let app_src =
@@ -561,6 +574,7 @@ let test_corpus_bad_version () =
 let suite =
   [
     Alcotest.test_case "crc32 check values" `Quick test_crc32;
+    Alcotest.test_case "fsync_dir surfaces errors" `Quick test_fsync_dir_errors;
     Alcotest.test_case "snapshot round-trip with app terms" `Quick
       test_snapshot_roundtrip_app_terms;
     Alcotest.test_case "reopen mismatch refused" `Quick test_reopen_mismatch_refused;
