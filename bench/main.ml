@@ -1,15 +1,19 @@
 (* Bench harness: regenerates every appendix table (A2-A6) and measured
-   experiment (P1-P8) of DESIGN.md.  Run all tables with
-   `dune exec bench/main.exe`, or one with `-- --table P4`.
-   With `--json`, writes machine-readable P1/P8 series and the
+   experiment (P1-P8) of DESIGN.md, and the OPT table (cost-based
+   strategy selection against every hand-picked strategy).  Run all
+   tables with `dune exec bench/main.exe`, or one with `-- --table P4`.
+   With `--json`, writes the P1, P8 and OPT series and the
    reference-vs-plan engine comparison to BENCH_engine.json instead
    (`-- --table P1 --json` restricts to one series).
 
+   Serving, durability and maintenance are timed out of process by
+   perfbench/ (BENCHMARK.json); their correctness gates are tests in
+   test/.
+
    Multi-second rows (naive evaluation of the larger workloads, repeat
-   timing of the engine comparison) only run under `--full`; the default
-   invocation stays around ten seconds and `--smoke` (CI) under a few.
-   Every --json row's answer set is checked against the uncompiled
-   reference engine before the file is written; divergence exits 1. *)
+   timing of the engine comparison) only run under `--full`.  Every
+   timed row's answer set is checked against the uncompiled reference
+   engine; divergence exits 1. *)
 
 open Datalog
 module C = Magic_core
@@ -36,15 +40,10 @@ let status_string = function
   | C.Rewrite.Diverged -> "diverged"
   | C.Rewrite.Unsafe _ -> "unsafe"
 
-(* --smoke shrinks the INCR workloads (CI); --full adds the multi-second
+(* --smoke shrinks the OPT workloads (CI); --full adds the multi-second
    rows the default invocation skips *)
 let smoke = ref false
 let full = ref false
-
-(* naive evaluation of the larger P1 workloads takes several seconds per
-   row and shows nothing the smaller sizes don't; keep the default (and
-   CI) invocations fast *)
-let slow_naive ~chain_n = chain_n >= 400
 
 (* ------------------------------------------------------------------ *)
 (* A2-A6: appendix program listings                                    *)
@@ -105,42 +104,46 @@ let table_a6 () =
 let run ?(max_facts = 5_000_000) name p q edb =
   C.Rewrite.run ~max_facts (List.assoc name C.Rewrite.methods) p q ~edb
 
+(* the P1 workloads, read by the table and the JSON series alike:
+   (label, program, query, edb, whether naive evaluation is slow).
+   Naive evaluation of the larger chains takes several seconds per row
+   and shows nothing the smaller sizes don't, so it runs only under
+   --full. *)
+let p1_workloads () =
+  List.map
+    (fun n ->
+      ( Fmt.str "chain n=%d, query mid" n,
+        P.ancestor,
+        P.ancestor_query (G.node "n" (n / 2)),
+        G.db (G.chain ~pred:"p" n),
+        n >= 400 ))
+    [ 100; 200; 400 ]
+  @ List.map
+      (fun (nodes, edges) ->
+        let facts = G.random_graph ~pred:"edge" ~nodes ~edges ~seed:11 () in
+        ( Fmt.str "random %d nodes %d edges" nodes edges,
+          P.transitive_closure,
+          (* query a node that actually has outgoing edges *)
+          P.tc_query (List.hd (List.hd facts).Atom.args),
+          G.db facts,
+          false ))
+      [ (200, 300); (400, 600) ]
+
 let table_p1 () =
   header "Table P1 — bottom-up vs magic: facts computed (Section 1 claim)";
   Fmt.pr "%-28s %10s %10s %10s %10s@." "workload" "naive" "seminaive" "gms" "answers";
   List.iter
-    (fun n ->
-      let edb = G.db (G.chain ~pred:"p" n) in
-      let q = P.ancestor_query (G.node "n" (n / 2)) in
+    (fun (label, p, q, edb, slow_naive) ->
+      let facts (r : C.Rewrite.result) = r.C.Rewrite.stats.Engine.Stats.facts in
       let naive =
-        if slow_naive ~chain_n:n && not !full then "(--full)"
-        else
-          string_of_int
-            (run "naive" P.ancestor q edb).C.Rewrite.stats.Engine.Stats.facts
+        if slow_naive && not !full then "(--full)"
+        else string_of_int (facts (run "naive" p q edb))
       in
-      let semi = run "seminaive" P.ancestor q edb in
-      let gms = run "gms" P.ancestor q edb in
-      Fmt.pr "%-28s %10s %10d %10d %10d@."
-        (Fmt.str "chain n=%d, query mid" n)
-        naive semi.C.Rewrite.stats.Engine.Stats.facts
-        gms.C.Rewrite.stats.Engine.Stats.facts
+      let semi = run "seminaive" p q edb in
+      let gms = run "gms" p q edb in
+      Fmt.pr "%-28s %10s %10d %10d %10d@." label naive (facts semi) (facts gms)
         (List.length gms.C.Rewrite.answers))
-    [ 100; 200; 400 ];
-  List.iter
-    (fun (nodes, edges) ->
-      let facts = G.random_graph ~pred:"edge" ~nodes ~edges ~seed:11 () in
-      let edb = G.db facts in
-      (* query a node that actually has outgoing edges *)
-      let q = P.tc_query (List.hd (List.hd facts).Atom.args) in
-      let naive = run "naive" P.transitive_closure q edb in
-      let semi = run "seminaive" P.transitive_closure q edb in
-      let gms = run "gms" P.transitive_closure q edb in
-      Fmt.pr "%-28s %10d %10d %10d %10d@."
-        (Fmt.str "random %d nodes %d edges" nodes edges)
-        naive.C.Rewrite.stats.Engine.Stats.facts semi.C.Rewrite.stats.Engine.Stats.facts
-        gms.C.Rewrite.stats.Engine.Stats.facts
-        (List.length gms.C.Rewrite.answers))
-    [ (200, 300); (400, 600) ];
+    (p1_workloads ());
   Fmt.pr
     "@.shape: magic computes a fraction of the facts of bottom-up evaluation when \
      the query binds an argument; the fraction shrinks as the data grows around \
@@ -335,75 +338,7 @@ let table_p7 () =
      columns, reducing joins (probes); answers are unchanged.@."
 
 (* ------------------------------------------------------------------ *)
-(* P8: wall-clock sweep (bechamel)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let p8_workloads () =
-  [
-    ( "ancestor-chain-120-mid",
-      P.ancestor,
-      P.ancestor_query (G.node "n" 60),
-      (* the query's cone has depth 60, within the numeric index range;
-         gc-path measures the price of structured index terms *)
-      G.db (G.chain ~pred:"p" 120),
-      [
-        "naive"; "seminaive"; "sld"; "tabled"; "gms"; "gsms"; "gc"; "gc-sj"; "gc-path";
-      ] );
-    ( "samegen-grid-8x6",
-      P.nonlinear_same_generation,
-      P.same_generation_query (Term.Sym "sg_0_0"),
-      G.db (G.same_generation ~width:8 ~height:6),
-      [ "naive"; "seminaive"; "tabled"; "gms"; "gsms" ] );
-    ( "reverse-20",
-      P.list_reverse,
-      P.reverse_query (G.list_of_ints 20),
-      Engine.Database.create (),
-      [ "sld"; "gms"; "gsms"; "gc"; "gsc" ] );
-  ]
-
-let table_p8 () =
-  header "Table P8 — wall-clock comparison (bechamel, ns/run)";
-  let open Bechamel in
-  let workloads = p8_workloads () in
-  List.iter
-    (fun (wname, p, q, edb, methods) ->
-      let tests =
-        List.map
-          (fun m ->
-            Test.make ~name:m
-              (Staged.stage (fun () -> ignore (run ~max_facts:2_000_000 m p q edb))))
-          methods
-      in
-      let grouped = Test.make_grouped ~name:wname tests in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let instance = Toolkit.Instance.monotonic_clock in
-      let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~stabilize:false () in
-      let raw = Benchmark.all cfg [ instance ] grouped in
-      let results = Analyze.all ols instance raw in
-      Fmt.pr "@.%s:@." wname;
-      let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-      List.iter
-        (fun (name, ols_result) ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) -> Fmt.pr "  %-28s %14.0f ns/run@." name est
-          | Some [] | None -> Fmt.pr "  %-28s %14s@." name "n/a")
-        (List.sort compare rows))
-    workloads;
-  Fmt.pr
-    "@.shape: on bound queries the rewritten programs beat whole-relation \
-     bottom-up evaluation (naive/seminaive) as soon as the query's cone is a \
-     fraction of the database; the counting variants with the semijoin \
-     optimization are the fastest bottom-up methods on acyclic chains; the \
-     path-encoded indices avoid overflow but pay term-size costs on deep \
-     derivations; SLD is quick on single-path problems but blows up on shared \
-     subgoals, and the naive-iteration tabling baseline pays heavy \
-     re-evaluation costs.  Plain bottom-up is not applicable (unsafe) to \
-     reverse-20.@."
-
-(* ------------------------------------------------------------------ *)
-(* --json: machine-readable series for P1 and P8, written to           *)
+(* --json: machine-readable series for P1, P8 and OPT, written to      *)
 (* BENCH_engine.json.  The committed baseline records the plan-compiled *)
 (* engine's before/after numbers against the reference semi-naive.     *)
 (* ------------------------------------------------------------------ *)
@@ -416,12 +351,12 @@ let time f =
   let t = Unix.gettimeofday () -. t0 in
   (r, t, Engine.Stats.gc_delta ~before:g0 ~after:(Engine.Stats.gc_now ()))
 
-(* wall clocks are noisy: report the fastest of [repeat] runs, but
-   re-run only while the measurement is fast — noise is relative, and
+(* wall clocks are noisy: report the fastest of two runs, but re-run
+   only while the measurement is fast — noise is relative, and
    repeating multi-second runs would make the smoke invocation crawl;
    --full buys one more repetition of every fast row *)
-let timed ?repeat f =
-  let repeat = match repeat with Some r -> r | None -> if !full then 3 else 2 in
+let timed f =
+  let repeat = if !full then 3 else 2 in
   let result, t0, g0 = time f in
   let best = ref t0 in
   let gc = ref g0 in
@@ -468,56 +403,92 @@ let check_against_reference ~workload ~meth ~ref_ans (r : C.Rewrite.result) =
 
 (* the P1 fact/probe series: the workloads of table P1, timed *)
 let json_p1 () =
-  let rows = ref [] in
-  let case workload meth p q edb ~ref_ans =
-    let r, t, gc = timed (fun () -> run meth p q edb) in
-    check_against_reference ~workload ~meth ~ref_ans r;
-    rows := jresult ~workload ~meth r t gc :: !rows
-  in
-  List.iter
-    (fun n ->
-      let edb = G.db (G.chain ~pred:"p" n) in
-      let q = P.ancestor_query (G.node "n" (n / 2)) in
-      let ref_ans = reference_answers P.ancestor q edb in
-      let methods =
-        if slow_naive ~chain_n:n && not !full then [ "seminaive"; "gms" ]
-        else [ "naive"; "seminaive"; "gms" ]
-      in
-      if List.length methods < 3 then
-        Fmt.pr "p1: skipping naive on chain n=%d (enable with --full)@." n;
-      List.iter
-        (fun m -> case (Fmt.str "chain n=%d, query mid" n) m P.ancestor q edb ~ref_ans)
-        methods)
-    [ 100; 200; 400 ];
-  List.iter
-    (fun (nodes, edges) ->
-      let facts = G.random_graph ~pred:"edge" ~nodes ~edges ~seed:11 () in
-      let edb = G.db facts in
-      let q = P.tc_query (List.hd (List.hd facts).Atom.args) in
-      let ref_ans = reference_answers P.transitive_closure q edb in
-      List.iter
-        (fun m ->
-          case
-            (Fmt.str "random %d nodes %d edges" nodes edges)
-            m P.transitive_closure q edb ~ref_ans)
-        [ "naive"; "seminaive"; "gms" ])
-    [ (200, 300); (400, 600) ];
-  J.arr (List.rev !rows)
+  J.arr
+    (List.concat_map
+       (fun (workload, p, q, edb, slow_naive) ->
+         let ref_ans = reference_answers p q edb in
+         let methods =
+           if slow_naive && not !full then begin
+             Fmt.pr "p1: skipping naive on %s (enable with --full)@." workload;
+             [ "seminaive"; "gms" ]
+           end
+           else [ "naive"; "seminaive"; "gms" ]
+         in
+         List.map
+           (fun meth ->
+             let r, t, gc = timed (fun () -> run meth p q edb) in
+             check_against_reference ~workload ~meth ~ref_ans r;
+             jresult ~workload ~meth r t gc)
+           methods)
+       (p1_workloads ()))
 
-(* the P8 time series: the workloads of table P8, wall-clock timed *)
-let json_p8 () =
-  let rows = ref [] in
-  List.iter
+(* ------------------------------------------------------------------ *)
+(* P8: wall-clock sweep                                                *)
+(* ------------------------------------------------------------------ *)
+
+let p8_workloads () =
+  [
+    ( "ancestor-chain-120-mid",
+      P.ancestor,
+      P.ancestor_query (G.node "n" 60),
+      (* the query's cone has depth 60, within the numeric index range;
+         gc-path measures the price of structured index terms *)
+      G.db (G.chain ~pred:"p" 120),
+      [
+        "naive"; "seminaive"; "sld"; "tabled"; "gms"; "gsms"; "gc"; "gc-sj"; "gc-path";
+      ] );
+    ( "samegen-grid-8x6",
+      P.nonlinear_same_generation,
+      P.same_generation_query (Term.Sym "sg_0_0"),
+      G.db (G.same_generation ~width:8 ~height:6),
+      [ "naive"; "seminaive"; "tabled"; "gms"; "gsms" ] );
+    ( "reverse-20",
+      P.list_reverse,
+      P.reverse_query (G.list_of_ints 20),
+      Engine.Database.create (),
+      [ "sld"; "gms"; "gsms"; "gc"; "gsc" ] );
+  ]
+
+(* every P8 method on every P8 workload, timed and checked against the
+   reference engine: (workload, [(method, result, seconds, gc)]) *)
+let p8_rows () =
+  List.map
     (fun (wname, p, q, edb, methods) ->
       let ref_ans = reference_answers p q edb in
-      List.iter
-        (fun m ->
-          let r, t, gc = timed (fun () -> run ~max_facts:2_000_000 m p q edb) in
-          check_against_reference ~workload:wname ~meth:m ~ref_ans r;
-          rows := jresult ~workload:wname ~meth:m r t gc :: !rows)
-        methods)
-    (p8_workloads ());
-  J.arr (List.rev !rows)
+      ( wname,
+        List.map
+          (fun m ->
+            let r, t, gc = timed (fun () -> run ~max_facts:2_000_000 m p q edb) in
+            check_against_reference ~workload:wname ~meth:m ~ref_ans r;
+            (m, r, t, gc))
+          methods ))
+    (p8_workloads ())
+
+let table_p8 () =
+  header "Table P8 — wall-clock comparison (seconds, fastest of the timed runs)";
+  List.iter
+    (fun (wname, rows) ->
+      Fmt.pr "@.%s:@." wname;
+      List.iter (fun (m, _, t, _) -> Fmt.pr "  %-12s %10.6f s@." m t) rows)
+    (p8_rows ());
+  Fmt.pr
+    "@.shape: on bound queries the rewritten programs beat whole-relation \
+     bottom-up evaluation (naive/seminaive) as soon as the query's cone is a \
+     fraction of the database; the semijoin optimization roughly halves \
+     counting's time on acyclic chains; the path-encoded indices avoid \
+     overflow but pay term-size costs on deep derivations; SLD is quick on \
+     single-path problems but blows up on shared \
+     subgoals, and the naive-iteration tabling baseline pays heavy \
+     re-evaluation costs.  Plain bottom-up is not applicable (unsafe) to \
+     reverse-20.@."
+
+(* the P8 time series: the rows of table P8 *)
+let json_p8 () =
+  J.arr
+    (List.concat_map
+       (fun (workload, rows) ->
+         List.map (fun (meth, r, t, gc) -> jresult ~workload ~meth r t gc) rows)
+       (p8_rows ()))
 
 (* before/after: the uncompiled reference semi-naive engine vs the
    plan-compiled one, on the GMS-rewritten ancestor query over a chain
@@ -572,186 +543,6 @@ let json_engine_speedup () =
       J.field "plan_seminaive" (engine_obj plan_stats plan_gc plan_t);
       J.field "speedup" (Fmt.str "%.2f" (ref_t /. plan_t));
     ]
-
-(* ------------------------------------------------------------------ *)
-(* INCR: incremental maintenance vs from-scratch recomputation.        *)
-(* The standing materialization is free (it already exists); a small   *)
-(* delta is applied by the maintenance engine and, for comparison, by  *)
-(* re-evaluating the updated EDB from scratch.  Divergence between the *)
-(* two is a hard failure (exit 1) — CI runs this with --smoke.         *)
-(* ------------------------------------------------------------------ *)
-
-type incr_case = {
-  ikey : string;  (* short slug for the per-case speedup JSON field *)
-  ilabel : string;
-  (* (method, stats, gc counters, best time, answers) *)
-  irows : (string * Engine.Stats.t * Engine.Stats.gc_counters * float * int) list;
-  ispeedup : float;
-  iconsistent : bool;
-}
-
-(* chain ancestor under a GMS session: delete the tail edge of the
-   query's cone and re-add it.  The repair walks one derivation path
-   (O(n) overdeletions, no rederivations) while a scratch run recomputes
-   the whole cone (O(n^2) facts). *)
-let incr_chain_case () =
-  let n = if !smoke then 300 else 2000 in
-  let edb = G.db (G.chain ~pred:"p" n) in
-  let q = P.ancestor_query (G.node "n" (n / 2)) in
-  let tail = Atom.make "p" [ G.node "n" (n - 1); G.node "n" n ] in
-  let session = Incr.Session.create ~strategy:Incr.Session.GMS P.ancestor q ~edb in
-  let del = [ Incr.Maintain.Delete tail ] and add = [ Incr.Maintain.Insert tail ] in
-  let best_del = ref infinity and best_add = ref infinity in
-  let sdel = ref (Engine.Stats.create ()) and sadd = ref (Engine.Stats.create ()) in
-  let gdel = ref (Engine.Stats.gc_now ()) and gadd = ref (Engine.Stats.gc_now ()) in
-  for _ = 1 to 3 do
-    let s, t, g = time (fun () -> Incr.Session.update session del) in
-    if t < !best_del then (best_del := t; sdel := s; gdel := g);
-    let s, t, g = time (fun () -> Incr.Session.update session add) in
-    if t < !best_add then (best_add := t; sadd := s; gadd := g)
-  done;
-  (* consistency at the deleted state, then at the restored state *)
-  ignore (Incr.Session.update session del);
-  let edb_del = Engine.Database.copy edb in
-  ignore (Engine.Database.remove_fact edb_del tail);
-  let scratch_del = run "gms" P.ancestor q edb_del in
-  let ok_del =
-    sorted_tuples (Incr.Session.answers session)
-    = sorted_tuples scratch_del.C.Rewrite.answers
-  in
-  ignore (Incr.Session.update session add);
-  let scratch, scratch_t, scratch_gc = timed (fun () -> run "gms" P.ancestor q edb) in
-  let answers = Incr.Session.answers session in
-  let ok_restored = sorted_tuples answers = sorted_tuples scratch.C.Rewrite.answers in
-  {
-    ikey = "chain";
-    ilabel = Fmt.str "chain n=%d gms session, tail-edge delete/re-add" n;
-    irows =
-      [
-        ("maintained-delete", !sdel, !gdel, !best_del, List.length answers);
-        ("maintained-insert", !sadd, !gadd, !best_add, List.length answers);
-        ( "scratch-gms",
-          scratch.C.Rewrite.stats,
-          scratch_gc,
-          scratch_t,
-          List.length scratch.C.Rewrite.answers );
-      ];
-    ispeedup = scratch_t /. Float.max !best_del !best_add;
-    iconsistent = ok_del && ok_restored;
-  }
-
-(* transitive closure of a random graph, fully materialized (Original
-   strategy): delete and re-add a pendant edge — a small delta whose
-   affected derivations are the ancestors of one node, while scratch
-   re-evaluates the whole closure.  (Deleting a core edge of a strongly
-   connected graph would make DRed overdelete most of the closure; that
-   regime is the known bad case of deletion maintenance, not the
-   small-delta workload measured here.) *)
-let incr_random_case () =
-  let nodes, edges = if !smoke then (60, 90) else (300, 450) in
-  let base = G.random_graph ~pred:"edge" ~nodes ~edges ~seed:17 () in
-  let pendant = Atom.make "edge" [ G.node "n" 0; G.node "aux" 0 ] in
-  let facts = pendant :: base in
-  let m = Incr.Maintain.create P.transitive_closure ~edb:(G.db facts) in
-  let del = [ Incr.Maintain.Delete pendant ] in
-  let add = [ Incr.Maintain.Insert pendant ] in
-  let best_del = ref infinity and best_add = ref infinity in
-  let sdel = ref (Engine.Stats.create ()) and sadd = ref (Engine.Stats.create ()) in
-  let gdel = ref (Engine.Stats.gc_now ()) and gadd = ref (Engine.Stats.gc_now ()) in
-  for _ = 1 to 3 do
-    let s, t, g = time (fun () -> Incr.Maintain.apply m del) in
-    if t < !best_del then (best_del := t; sdel := s; gdel := g);
-    let s, t, g = time (fun () -> Incr.Maintain.apply m add) in
-    if t < !best_add then (best_add := t; sadd := s; gadd := g)
-  done;
-  let tc_all = Atom.make "tc" [ Term.Var "X"; Term.Var "Y" ] in
-  (* consistency at the deleted state, then timing + consistency restored *)
-  ignore (Incr.Maintain.apply m del);
-  let out_del = Engine.Eval.seminaive P.transitive_closure ~edb:(G.db base) in
-  let ok_del =
-    sorted_tuples (Incr.Maintain.answers m tc_all)
-    = sorted_tuples (Engine.Eval.answers out_del tc_all)
-  in
-  ignore (Incr.Maintain.apply m add);
-  let out, scratch_t, scratch_gc =
-    timed (fun () -> Engine.Eval.seminaive P.transitive_closure ~edb:(G.db facts))
-  in
-  let maintained = Incr.Maintain.answers m tc_all in
-  let ok_restored =
-    sorted_tuples maintained = sorted_tuples (Engine.Eval.answers out tc_all)
-  in
-  {
-    ikey = "random";
-    ilabel = Fmt.str "random %d nodes %d edges tc, pendant delete/re-add" nodes edges;
-    irows =
-      [
-        ("maintained-delete", !sdel, !gdel, !best_del, List.length maintained);
-        ("maintained-insert", !sadd, !gadd, !best_add, List.length maintained);
-        ( "scratch-seminaive",
-          out.Engine.Eval.stats,
-          scratch_gc,
-          scratch_t,
-          List.length maintained );
-      ];
-    ispeedup = scratch_t /. Float.max !best_del !best_add;
-    iconsistent = ok_del && ok_restored;
-  }
-
-let incr_cases () = [ incr_chain_case (); incr_random_case () ]
-
-let check_incr_consistency cases =
-  List.iter
-    (fun c ->
-      if not c.iconsistent then begin
-        Fmt.epr
-          "INCR: maintained state diverges from scratch evaluation on %s@." c.ilabel;
-        exit 1
-      end)
-    cases
-
-let table_incr () =
-  header
-    (Fmt.str "Table INCR — incremental maintenance vs scratch%s"
-       (if !smoke then " (smoke sizes)" else ""));
-  let cases = incr_cases () in
-  Fmt.pr "%-48s %-18s %10s %11s %10s %12s@." "workload" "method" "time_s"
-    "overdeleted" "rederived" "delta_firings";
-  List.iter
-    (fun c ->
-      List.iter
-        (fun (meth, (s : Engine.Stats.t), _, t, _) ->
-          Fmt.pr "%-48s %-18s %10.6f %11d %10d %12d@." c.ilabel meth t
-            s.Engine.Stats.overdeleted s.Engine.Stats.rederived
-            s.Engine.Stats.delta_firings)
-        c.irows;
-      Fmt.pr "%-48s %-18s %9.1fx %11s %10s %12s@." c.ilabel "speedup" c.ispeedup
-        (if c.iconsistent then "ok" else "DIVERGED") "" "")
-    cases;
-  check_incr_consistency cases;
-  Fmt.pr
-    "@.shape: a small delta repairs in time proportional to the affected \
-     derivations, not to the size of the materialization; the repaired state is \
-     checked extensionally equal to a from-scratch evaluation.@."
-
-let json_incr () =
-  let cases = incr_cases () in
-  check_incr_consistency cases;
-  let rows =
-    List.concat_map
-      (fun c ->
-        List.map
-          (fun (meth, stats, gc, t, answers) ->
-            J.result_row ~workload:c.ilabel ~meth ~status:"ok" ~gc stats ~time_s:t
-              ~answers)
-          c.irows)
-      cases
-  in
-  J.obj
-    ([ J.field "rows" (J.arr rows) ]
-    @ List.map
-        (fun c -> J.field (c.ikey ^ "_speedup") (Fmt.str "%.2f" c.ispeedup))
-        cases
-    @ [ J.field "consistent" "true" ])
 
 (* ------------------------------------------------------------------ *)
 (* OPT: cost-based strategy selection vs every hand-picked strategy.   *)
@@ -1027,668 +818,6 @@ let json_opt () =
   in
   J.obj (J.field "rows" (J.arr rows) :: summary)
 
-(* ------------------------------------------------------------------ *)
-(* SERVE: the query-serving daemon under a mixed read/write workload.  *)
-(* [conns] client domains each run a deterministic stream of queries   *)
-(* tc(n_k, Ans) over a warm chain session, interleaved with small edge *)
-(* transactions (insert an auxiliary edge, later delete it again).     *)
-(* Every transaction reply carries the epoch it committed as, and      *)
-(* every answer carries the epoch it was served at — so after the run  *)
-(* the exact EDB state behind each answer is reconstructible (replay   *)
-(* the committed transactions in epoch order), and every single answer *)
-(* set is verified against the reference engine on that state.         *)
-(* ------------------------------------------------------------------ *)
-
-type serve_result = {
-  sr_conns : int;
-  sr_queries : int;
-  sr_txns : int;
-  sr_wall_s : float;
-  sr_qps : float;
-  sr_p50_ms : float;
-  sr_p99_ms : float;
-  sr_cache_hits : int;
-  sr_epoch : int;
-  sr_verified : int;
-}
-
-let serve_sizes () =
-  (* chain length, queries per client, a txn every [te] requests *)
-  if !smoke then (100, 150, 25) else if !full then (300, 1500, 30) else (300, 600, 30)
-
-let serve_trial ~conns =
-  let n, queries_per_client, txn_every = serve_sizes () in
-  let p = P.transitive_closure in
-  let warm_q = P.tc_query (G.node "n" 0) in
-  let base_facts = G.chain n in
-  let sock = Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "magic_serve_bench_%d_%d.sock" (Unix.getpid ()) conns)
-  in
-  let registry =
-    Server.Registry.create ~strategy:Incr.Session.GMS p warm_q
-      ~edb:(G.db base_facts)
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Server.Daemon.run ~jobs:conns (Server.Daemon.Unix_path sock) registry)
-  in
-  let fail fmt = Fmt.kstr (fun m -> Fmt.epr "SERVE: %s@." m; exit 1) fmt in
-  (* one client's request stream; returns its measurements and the
-     epoch-tagged records the verification pass consumes *)
-  let client_work i =
-    let c = Server.Client.unix sock in
-    let rng = G.rng (0x5EED + (31 * i)) in
-    let latencies = ref [] in
-    let queries = ref [] (* (k, epoch, rows) *) in
-    let txns = ref [] (* (epoch, op) *) in
-    let hits = ref 0 in
-    let pending_delete = ref None in
-    for t = 1 to queries_per_client do
-      if txn_every > 0 && t mod txn_every = 0 then begin
-        let op =
-          match !pending_delete with
-          | Some a ->
-            pending_delete := None;
-            Incr.Maintain.Delete a
-          | None ->
-            let j = G.next rng ~bound:n in
-            let aux = Term.Sym (Fmt.str "x_%d_%d" i t) in
-            let a = Atom.make "edge" [ G.node "n" j; aux ] in
-            pending_delete := Some a;
-            Incr.Maintain.Insert a
-        in
-        match Server.Client.request c (Server.Protocol.Txn [ op ]) with
-        | Server.Protocol.Committed { epoch; _ } -> txns := (epoch, op) :: !txns
-        | Server.Protocol.Error { message; _ } -> fail "txn rejected: %s" message
-        | _ -> fail "unexpected reply to txn"
-      end
-      else begin
-        let k = G.next rng ~bound:n in
-        let atom = P.tc_query (G.node "n" k) in
-        let t0 = Unix.gettimeofday () in
-        match Server.Client.request c (Server.Protocol.Query atom) with
-        | Server.Protocol.Answers { epoch; cache_hit; answers; _ } ->
-          latencies := (Unix.gettimeofday () -. t0) :: !latencies;
-          if cache_hit then incr hits;
-          queries := (k, epoch, answers) :: !queries
-        | Server.Protocol.Error { message; _ } -> fail "query rejected: %s" message
-        | _ -> fail "unexpected reply to query"
-      end
-    done;
-    Server.Client.close c;
-    (!latencies, !queries, !txns, !hits)
-  in
-  let t0 = Unix.gettimeofday () in
-  let doms = List.init conns (fun i -> Domain.spawn (fun () -> client_work i)) in
-  let results = List.map Domain.join doms in
-  let wall = Unix.gettimeofday () -. t0 in
-  let ctl = Server.Client.unix sock in
-  (match Server.Client.request ctl Server.Protocol.Shutdown with
-  | Server.Protocol.Shutdown_ack -> ()
-  | _ -> fail "daemon did not acknowledge shutdown");
-  Server.Client.close ctl;
-  Domain.join daemon;
-  (* ---- verification: replay the transactions in epoch order and
-     check every recorded answer set against the reference engine on
-     the EDB state of its epoch ---- *)
-  let all_txns =
-    List.sort
-      (fun (e1, _) (e2, _) -> Int.compare e1 e2)
-      (List.concat_map (fun (_, _, t, _) -> t) results)
-  in
-  let all_queries =
-    List.sort
-      (fun (_, e1, _) (_, e2, _) -> Int.compare e1 e2)
-      (List.concat_map (fun (_, q, _, _) -> q) results)
-  in
-  let state = G.db base_facts in
-  let memo = Hashtbl.create 64 (* (txns applied, k) -> reference rows *) in
-  let applied = ref 0 in
-  let ref_rows k =
-    match Hashtbl.find_opt memo (!applied, k) with
-    | Some rows -> rows
-    | None ->
-      let tuples = reference_answers p (P.tc_query (G.node "n" k)) state in
-      let rows =
-        List.sort
-          (List.compare String.compare)
-          (List.map
-             (fun tu -> List.map Term.to_string (Engine.Tuple.to_list tu))
-             tuples)
-      in
-      Hashtbl.replace memo (!applied, k) rows;
-      rows
-  in
-  let verified = ref 0 in
-  let rec verify txns queries =
-    match (txns, queries) with
-    | _, [] -> ()
-    | (te, op) :: txns', (_, qe, _) :: _ when te <= qe ->
-      (* the answer was served at or after this commit: apply it first *)
-      (match op with
-      | Incr.Maintain.Insert a -> ignore (Engine.Database.add_fact state a)
-      | Incr.Maintain.Delete a -> ignore (Engine.Database.remove_fact state a));
-      incr applied;
-      verify txns' queries
-    | _, (k, _, rows) :: queries' ->
-      if rows <> ref_rows k then
-        fail "answers for tc(n_%d, Ans) diverge from the reference engine" k;
-      incr verified;
-      verify txns queries'
-  in
-  verify all_txns all_queries;
-  let latencies =
-    List.sort Float.compare (List.concat_map (fun (l, _, _, _) -> l) results)
-  in
-  let nq = List.length latencies in
-  let pct p =
-    if nq = 0 then 0.
-    else List.nth latencies (min (nq - 1) (int_of_float (p *. float_of_int nq)))
-  in
-  {
-    sr_conns = conns;
-    sr_queries = nq;
-    sr_txns = List.length all_txns;
-    sr_wall_s = wall;
-    sr_qps = float_of_int nq /. wall;
-    sr_p50_ms = pct 0.50 *. 1e3;
-    sr_p99_ms = pct 0.99 *. 1e3;
-    sr_cache_hits = List.fold_left (fun acc (_, _, _, h) -> acc + h) 0 results;
-    sr_epoch = Server.Registry.epoch registry;
-    sr_verified = !verified;
-  }
-
-let serve_conns = [ 1; 2; 4 ]
-
-(* ---- partitioned workload: two independent subprograms, writes
-   hammer one while queries hit both.  Run once per cache mode: the
-   [Partial] registry keeps every tcb entry (disjoint footprint) and
-   repairs tca entries across insert-only transactions, where the
-   [Full] registry starts both sides cold after every commit. ---- *)
-
-type part_result = {
-  pt_mode : string;  (* "partial" | "full" *)
-  pt_queries : int;
-  pt_txns : int;
-  pt_wall_s : float;
-  pt_qps : float;
-  pt_p50_ms : float;
-  pt_p99_ms : float;
-  pt_hit_rate : float;  (* the daemon's cache_hit_rate counter *)
-  pt_partial_inv : int;
-  pt_full_inv : int;
-  pt_repairs : int;
-  pt_evictions : int;
-  pt_verified : int;
-}
-
-let part_sizes () =
-  (* per-side chain length, requests per client, a txn every [te]
-     requests, query-key pool per side *)
-  if !smoke then (60, 120, 12, 6)
-  else if !full then (150, 800, 12, 6)
-  else (150, 350, 12, 6)
-
-let part_conns = 4
-
-let serve_part_trial mode =
-  let n, per_client, te, pool = part_sizes () in
-  let p = P.partitioned_tc in
-  let base_facts =
-    G.chain ~pred:"ea" ~prefix:"a" n @ G.chain ~pred:"eb" ~prefix:"b" n
-  in
-  let mode_name =
-    match mode with Server.Registry.Partial -> "partial" | Server.Registry.Full -> "full"
-  in
-  let sock = Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "magic_part_bench_%d_%s.sock" (Unix.getpid ()) mode_name)
-  in
-  let registry =
-    Server.Registry.create ~strategy:Incr.Session.Original ~cache_mode:mode p
-      (P.tca_query (G.node "a" 0))
-      ~edb:(G.db base_facts)
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Server.Daemon.run ~jobs:part_conns (Server.Daemon.Unix_path sock) registry)
-  in
-  let fail fmt = Fmt.kstr (fun m -> Fmt.epr "SERVE part: %s@." m; exit 1) fmt in
-  let client_work i =
-    let c = Server.Client.unix sock in
-    let rng = G.rng (0xCAFE + (37 * i)) in
-    let latencies = ref [] in
-    let queries = ref [] (* (on_b, k, epoch, rows) *) in
-    let txns = ref [] (* (epoch, op) *) in
-    let pending_delete = ref None in
-    for t = 1 to per_client do
-      if t mod te = 0 then begin
-        (* every write lands in [ea]; [tcb] never changes *)
-        let op =
-          match !pending_delete with
-          | Some a ->
-            pending_delete := None;
-            Incr.Maintain.Delete a
-          | None ->
-            let j = G.next rng ~bound:n in
-            let aux = Term.Sym (Fmt.str "w_%d_%d" i t) in
-            let a = Atom.make "ea" [ G.node "a" j; aux ] in
-            pending_delete := Some a;
-            Incr.Maintain.Insert a
-        in
-        match Server.Client.request c (Server.Protocol.Txn [ op ]) with
-        | Server.Protocol.Committed { epoch; _ } -> txns := (epoch, op) :: !txns
-        | Server.Protocol.Error { message; _ } -> fail "txn rejected: %s" message
-        | _ -> fail "unexpected reply to txn"
-      end
-      else begin
-        let on_b = G.next rng ~bound:2 = 1 in
-        let k = G.next rng ~bound:pool in
-        let atom =
-          if on_b then P.tcb_query (G.node "b" k) else P.tca_query (G.node "a" k)
-        in
-        let t0 = Unix.gettimeofday () in
-        match Server.Client.request c (Server.Protocol.Query atom) with
-        | Server.Protocol.Answers { epoch; answers; _ } ->
-          latencies := (Unix.gettimeofday () -. t0) :: !latencies;
-          queries := (on_b, k, epoch, answers) :: !queries
-        | Server.Protocol.Error { message; _ } -> fail "query rejected: %s" message
-        | _ -> fail "unexpected reply to query"
-      end
-    done;
-    Server.Client.close c;
-    (!latencies, !queries, !txns)
-  in
-  let t0 = Unix.gettimeofday () in
-  let doms = List.init part_conns (fun i -> Domain.spawn (fun () -> client_work i)) in
-  let results = List.map Domain.join doms in
-  let wall = Unix.gettimeofday () -. t0 in
-  let ctl = Server.Client.unix sock in
-  (match Server.Client.request ctl Server.Protocol.Shutdown with
-  | Server.Protocol.Shutdown_ack -> ()
-  | _ -> fail "daemon did not acknowledge shutdown");
-  Server.Client.close ctl;
-  Domain.join daemon;
-  let stats = Server.Registry.stats_fields registry in
-  let stat name =
-    match List.assoc_opt name stats with
-    | Some v -> v
-    | None -> fail "stats reply lacks the %s counter" name
-  in
-  (* ---- verification: replay the transactions in epoch order and
-     check every answer set against the reference engine on the EDB
-     state of its epoch.  The b side is never written, so its
-     reference rows depend on the key alone. ---- *)
-  let all_txns =
-    List.sort
-      (fun (e1, _) (e2, _) -> Int.compare e1 e2)
-      (List.concat_map (fun (_, _, t) -> t) results)
-  in
-  let all_queries =
-    List.sort
-      (fun (_, _, e1, _) (_, _, e2, _) -> Int.compare e1 e2)
-      (List.concat_map (fun (_, q, _) -> q) results)
-  in
-  let state = G.db base_facts in
-  let memo = Hashtbl.create 64 in
-  let applied = ref 0 in
-  let ref_rows on_b k =
-    let key = if on_b then (-1, k) else (!applied, k) in
-    match Hashtbl.find_opt memo key with
-    | Some rows -> rows
-    | None ->
-      let q =
-        if on_b then P.tcb_query (G.node "b" k) else P.tca_query (G.node "a" k)
-      in
-      let rows =
-        List.sort
-          (List.compare String.compare)
-          (List.map
-             (fun tu -> List.map Term.to_string (Engine.Tuple.to_list tu))
-             (reference_answers p q state))
-      in
-      Hashtbl.replace memo key rows;
-      rows
-  in
-  let verified = ref 0 in
-  let rec verify txns queries =
-    match (txns, queries) with
-    | _, [] -> ()
-    | (te', op) :: txns', (_, _, qe, _) :: _ when te' <= qe ->
-      (match op with
-      | Incr.Maintain.Insert a -> ignore (Engine.Database.add_fact state a)
-      | Incr.Maintain.Delete a -> ignore (Engine.Database.remove_fact state a));
-      incr applied;
-      verify txns' queries
-    | _, (on_b, k, _, rows) :: queries' ->
-      if rows <> ref_rows on_b k then
-        fail "%s mode: answers for %s(%s_%d, Ans) diverge from the reference"
-          mode_name
-          (if on_b then "tcb" else "tca")
-          (if on_b then "b" else "a")
-          k;
-      incr verified;
-      verify txns queries'
-  in
-  verify all_txns all_queries;
-  let latencies =
-    List.sort Float.compare (List.concat_map (fun (l, _, _) -> l) results)
-  in
-  let nq = List.length latencies in
-  let pct pc =
-    if nq = 0 then 0.
-    else List.nth latencies (min (nq - 1) (int_of_float (pc *. float_of_int nq)))
-  in
-  {
-    pt_mode = mode_name;
-    pt_queries = nq;
-    pt_txns = List.length all_txns;
-    pt_wall_s = wall;
-    pt_qps = float_of_int nq /. wall;
-    pt_p50_ms = pct 0.50 *. 1e3;
-    pt_p99_ms = pct 0.99 *. 1e3;
-    pt_hit_rate = float_of_string (stat "cache_hit_rate");
-    pt_partial_inv = int_of_string (stat "partial_invalidations");
-    pt_full_inv = int_of_string (stat "full_invalidations");
-    pt_repairs = int_of_string (stat "cache_repairs");
-    pt_evictions = int_of_string (stat "cache_evictions");
-    pt_verified = !verified;
-  }
-
-(* the acceptance bar for the partitioned workload: the footprint
-   cache must actually hold on to the unwritten side — a hit rate at
-   least 0.5 and above the wipe-everything mode's, with nonzero
-   partial invalidations and nonzero repairs.  (The full-mode registry
-   must conversely never report a partial invalidation or a repair.) *)
-let check_partitioned (pp : part_result) (pf : part_result) =
-  let fail fmt = Fmt.kstr (fun m -> Fmt.epr "SERVE part: %s@." m; exit 1) fmt in
-  if pp.pt_partial_inv = 0 then fail "partial mode performed no partial invalidation";
-  if pp.pt_repairs = 0 then fail "partial mode performed no cache repair";
-  if pp.pt_full_inv > 0 then fail "partial mode fell back to a full wipe";
-  if pf.pt_partial_inv > 0 || pf.pt_repairs > 0 then
-    fail "full mode reported partial-invalidation work";
-  if pp.pt_hit_rate < 0.5 then
-    fail "partial-mode hit rate %.4f below the 0.5 bar" pp.pt_hit_rate;
-  if pp.pt_hit_rate <= pf.pt_hit_rate then
-    fail "partial-mode hit rate %.4f does not beat full mode's %.4f"
-      pp.pt_hit_rate pf.pt_hit_rate
-
-let part_results () =
-  let pp = serve_part_trial Server.Registry.Partial in
-  let pf = serve_part_trial Server.Registry.Full in
-  check_partitioned pp pf;
-  [ pp; pf ]
-
-let table_serve () =
-  header
-    (Fmt.str "Table SERVE — concurrent serving over a warm magic session%s"
-       (if !smoke then " (smoke sizes)" else ""));
-  let n, qpc, te = serve_sizes () in
-  Fmt.pr "chain n=%d, %d requests/client, a 1-op txn every %d requests@.@." n
-    qpc te;
-  Fmt.pr "%5s %8s %6s %10s %9s %9s %7s %7s %9s@." "conns" "queries" "txns"
-    "qps" "p50_ms" "p99_ms" "hits" "epoch" "verified";
-  List.iter
-    (fun conns ->
-      let r = serve_trial ~conns in
-      Fmt.pr "%5d %8d %6d %10.0f %9.3f %9.3f %7d %7d %9d@." r.sr_conns
-        r.sr_queries r.sr_txns r.sr_qps r.sr_p50_ms r.sr_p99_ms r.sr_cache_hits
-        r.sr_epoch r.sr_verified)
-    serve_conns;
-  let n, qpc, te, pool = part_sizes () in
-  Fmt.pr
-    "@.partitioned workload: two independent closures (tca over ea, tcb over \
-     eb), chains n=%d, %d requests/client over %d clients, every write \
-     hits ea, a txn every %d requests, %d query keys per side@.@." n qpc
-    part_conns te pool;
-  Fmt.pr "%8s %8s %6s %10s %9s %9s %9s %8s %8s %8s %9s@." "mode" "queries"
-    "txns" "qps" "p50_ms" "p99_ms" "hit_rate" "part_inv" "full_inv" "repairs"
-    "verified";
-  List.iter
-    (fun r ->
-      Fmt.pr "%8s %8d %6d %10.0f %9.3f %9.3f %9.4f %8d %8d %8d %9d@." r.pt_mode
-        r.pt_queries r.pt_txns r.pt_qps r.pt_p50_ms r.pt_p99_ms r.pt_hit_rate
-        r.pt_partial_inv r.pt_full_inv r.pt_repairs r.pt_verified)
-    (part_results ());
-  Fmt.pr
-    "@.shape: every answer set is verified against the reference engine on \
-     the exact EDB state of the epoch it was served at (the run exits 1 \
-     otherwise).  Reads share epoch-stamped snapshots while transactions \
-     serialize through the write lock; under partial invalidation a commit \
-     evicts only the cache entries whose dependency footprint intersects \
-     the touched relations (repairing insert-only ones in place), so the \
-     partitioned run keeps the unwritten side's entries hot — the run \
-     exits 1 unless its hit rate clears 0.5 and beats the wipe-everything \
-     mode.  Scaling with connections is only visible on a multi-core \
-     container.@."
-
-let json_serve () =
-  let rows =
-    List.map
-      (fun conns ->
-        let r = serve_trial ~conns in
-        J.obj
-          [
-            J.field "conns" (string_of_int r.sr_conns);
-            J.field "queries" (string_of_int r.sr_queries);
-            J.field "txns" (string_of_int r.sr_txns);
-            J.field "wall_s" (Fmt.str "%.6f" r.sr_wall_s);
-            J.field "qps" (Fmt.str "%.1f" r.sr_qps);
-            J.field "p50_ms" (Fmt.str "%.4f" r.sr_p50_ms);
-            J.field "p99_ms" (Fmt.str "%.4f" r.sr_p99_ms);
-            J.field "cache_hits" (string_of_int r.sr_cache_hits);
-            J.field "epoch" (string_of_int r.sr_epoch);
-            J.field "verified" (string_of_int r.sr_verified);
-          ])
-      serve_conns
-  in
-  let parts = part_results () in
-  let part_rows =
-    List.map
-      (fun r ->
-        J.obj
-          [
-            J.field "mode" (J.str r.pt_mode);
-            J.field "conns" (string_of_int part_conns);
-            J.field "queries" (string_of_int r.pt_queries);
-            J.field "txns" (string_of_int r.pt_txns);
-            J.field "wall_s" (Fmt.str "%.6f" r.pt_wall_s);
-            J.field "qps" (Fmt.str "%.1f" r.pt_qps);
-            J.field "p50_ms" (Fmt.str "%.4f" r.pt_p50_ms);
-            J.field "p99_ms" (Fmt.str "%.4f" r.pt_p99_ms);
-            J.field "cache_hit_rate" (Fmt.str "%.4f" r.pt_hit_rate);
-            J.field "partial_invalidations" (string_of_int r.pt_partial_inv);
-            J.field "full_invalidations" (string_of_int r.pt_full_inv);
-            J.field "cache_repairs" (string_of_int r.pt_repairs);
-            J.field "cache_evictions" (string_of_int r.pt_evictions);
-            J.field "verified" (string_of_int r.pt_verified);
-          ])
-      parts
-  in
-  let rate mode =
-    match List.find_opt (fun r -> r.pt_mode = mode) parts with
-    | Some r -> Fmt.str "%.4f" r.pt_hit_rate
-    | None -> "0"
-  in
-  J.obj
-    [
-      J.field "rows" (J.arr rows);
-      J.field "partitioned_rows" (J.arr part_rows);
-      J.field "part_partial_hit_rate" (rate "partial");
-      J.field "part_full_hit_rate" (rate "full");
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* PERSIST: durable sessions.  One GMS chain session is built from     *)
-(* scratch (the price a restart pays without persistence), snapshotted,*)
-(* driven through journaled transactions, and reopened from disk       *)
-(* (snapshot load + WAL replay).  Every row's session answers are      *)
-(* checked against the never-persisted scratch session; at full size   *)
-(* the run fails (exit 1) unless reopening beats scratch warm-up by    *)
-(* at least 10x — the point of the subsystem is that a restart costs   *)
-(* O(file size), not O(evaluation).                                    *)
-(* ------------------------------------------------------------------ *)
-
-type persist_row = { pname : string; ptime : float; panswers : int; pok : bool }
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-type persist_case = {
-  plabel : string;
-  prows : persist_row list;
-  pspeedup : float;  (* scratch warm-up time / reopen time *)
-  psnapshot_bytes : int;
-}
-
-let persist_case () =
-  (* non-linear ancestor: evaluation does O(cone^3) join work for
-     O(cone^2) retained facts, so a restart that re-evaluates pays far
-     more than one that re-reads the materialization — the regime
-     persistence is for.  (Linear chains re-derive about as fast as
-     they re-load; there a snapshot only buys the WAL's durability.) *)
-  let n = if !smoke then 120 else 600 in
-  let program = P.nonlinear_ancestor in
-  let edb = G.db (G.chain ~pred:"p" n) in
-  let q = P.ancestor_query (G.node "n" (n / 2)) in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "magic-persist-bench-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  (* the reference: a never-persisted warm session, answer-checked
-     against the one-shot engine *)
-  let scratch, scratch_t, _ =
-    timed (fun () -> Incr.Session.create ~strategy:Incr.Session.GMS program q ~edb)
-  in
-  let reference = sorted_tuples (Incr.Session.answers scratch) in
-  let nref = List.length reference in
-  let ok_scratch =
-    reference = sorted_tuples (run "gms" program q edb).C.Rewrite.answers
-  in
-  (* the same warm-up, kept durable; checkpoint_every=0 so the WAL is
-     rotated only by the explicit checkpoints below *)
-  let st =
-    Persist.Store.open_or_create ~strategy:Incr.Session.GMS ~checkpoint_every:0
-      ~dir program q ~edb
-  in
-  let check st =
-    sorted_tuples (Incr.Session.answers (Persist.Store.session st)) = reference
-  in
-  let _, ckpt_t, _ = timed (fun () -> Persist.Store.checkpoint st) in
-  let ok_ckpt = check st in
-  (* journaled transactions: delete/re-add the tail edge of the cone —
-     each pair is two maintained updates, each fsynced to the WAL *)
-  let tail = Atom.make "p" [ G.node "n" (n - 1); G.node "n" n ] in
-  let best_txn = ref infinity in
-  for _ = 1 to 3 do
-    let _, t, _ =
-      time (fun () ->
-          ignore (Persist.Store.update st [ Incr.Maintain.Delete tail ]);
-          ignore (Persist.Store.update st [ Incr.Maintain.Insert tail ]))
-    in
-    if t < !best_txn then best_txn := t
-  done;
-  let ok_txn = check st in
-  (* fold the expensive history into the snapshot — the steady state a
-     periodic checkpoint maintains — then journal a handful of small
-     transactions as the WAL suffix the reopen must replay *)
-  Persist.Store.checkpoint st;
-  for i = 1 to 4 do
-    ignore
-      (Persist.Store.update st
-         [
-           Incr.Maintain.Insert
-             (Atom.make "p" [ G.node "aux" i; G.node "aux" (i + 100) ]);
-         ])
-  done;
-  let journaled = 4 in
-  (* reopen from disk — a fresh handle; the live one plays the role of
-     a process that crashed without closing (every record is fsynced) *)
-  let st2, reopen_t, _ =
-    timed (fun () ->
-        Persist.Store.open_or_create ~strategy:Incr.Session.GMS
-          ~checkpoint_every:0 ~dir program q ~edb)
-  in
-  let ok_reopen =
-    check st2 && Persist.Store.restored st2
-    && Persist.Store.replayed st2 = journaled
-  in
-  let snapshot_bytes =
-    try (Unix.stat (Persist.Store.snapshot_path dir)).Unix.st_size with _ -> 0
-  in
-  rm_rf dir;
-  {
-    plabel =
-      Fmt.str "chain n=%d gms session, %d wal records on reopen" n journaled;
-    prows =
-      [
-        { pname = "scratch-create"; ptime = scratch_t; panswers = nref; pok = ok_scratch };
-        { pname = "checkpoint-save"; ptime = ckpt_t; panswers = nref; pok = ok_ckpt };
-        { pname = "wal-append-txn"; ptime = !best_txn /. 2.0; panswers = nref; pok = ok_txn };
-        { pname = "reopen-replay"; ptime = reopen_t; panswers = nref; pok = ok_reopen };
-      ];
-    pspeedup = scratch_t /. reopen_t;
-    psnapshot_bytes = snapshot_bytes;
-  }
-
-let check_persist_case c =
-  List.iter
-    (fun r ->
-      if not r.pok then begin
-        Fmt.epr "PERSIST: %s state diverges from the scratch session on %s@."
-          r.pname c.plabel;
-        exit 1
-      end)
-    c.prows;
-  if (not !smoke) && c.pspeedup < 10.0 then begin
-    Fmt.epr
-      "PERSIST: reopen is only %.1fx faster than scratch warm-up (bar: 10x)@."
-      c.pspeedup;
-    exit 1
-  end
-
-let table_persist () =
-  header
-    (Fmt.str "Table PERSIST — durable sessions: snapshot + WAL%s"
-       (if !smoke then " (smoke sizes)" else ""));
-  let c = persist_case () in
-  Fmt.pr "%-48s %-18s %10s %8s %6s@." "workload" "step" "time_s" "answers" "state";
-  List.iter
-    (fun r ->
-      Fmt.pr "%-48s %-18s %10.6f %8d %6s@." c.plabel r.pname r.ptime r.panswers
-        (if r.pok then "ok" else "DIVERGED"))
-    c.prows;
-  Fmt.pr "%-48s %-18s %9.1fx %8d %6s@." c.plabel "reopen speedup" c.pspeedup
-    c.psnapshot_bytes "bytes";
-  check_persist_case c;
-  Fmt.pr
-    "@.shape: reopening costs O(snapshot bytes) plus a replay of the WAL \
-     suffix — no re-evaluation; the restored answers are checked extensionally \
-     equal to the never-persisted session.@."
-
-let json_persist () =
-  let c = persist_case () in
-  check_persist_case c;
-  let rows =
-    List.map
-      (fun r ->
-        J.result_row ~workload:c.plabel ~meth:r.pname ~status:"ok"
-          (Engine.Stats.create ()) ~time_s:r.ptime ~answers:r.panswers)
-      c.prows
-  in
-  J.obj
-    [
-      J.field "rows" (J.arr rows);
-      J.field "reopen_speedup" (Fmt.str "%.2f" c.pspeedup);
-      J.field "snapshot_bytes" (string_of_int c.psnapshot_bytes);
-      J.field "consistent" "true";
-    ]
-
 let emit_json only =
   let sections =
     match only with
@@ -1696,22 +825,14 @@ let emit_json only =
       [
         ("p1", json_p1 ());
         ("p8", json_p8 ());
-        ("incr", json_incr ());
         ("opt", json_opt ());
-        ("serve", json_serve ());
-        ("persist", json_persist ());
         ("engine_speedup", json_engine_speedup ());
       ]
     | Some "P1" -> [ ("p1", json_p1 ()) ]
     | Some "P8" -> [ ("p8", json_p8 ()) ]
-    | Some "INCR" -> [ ("incr", json_incr ()) ]
     | Some "OPT" -> [ ("opt", json_opt ()) ]
-    | Some "SERVE" -> [ ("serve", json_serve ()) ]
-    | Some "PERSIST" -> [ ("persist", json_persist ()) ]
     | Some id ->
-      Fmt.epr
-        "--json supports tables P1, P8, INCR, OPT, SERVE and PERSIST, not %s@."
-        id;
+      Fmt.epr "--json supports tables P1, P8 and OPT, not %s@." id;
       exit 1
   in
   let doc =
@@ -1743,10 +864,7 @@ let tables =
     ("P6", table_p6);
     ("P7", table_p7);
     ("P8", table_p8);
-    ("INCR", table_incr);
     ("OPT", table_opt);
-    ("SERVE", table_serve);
-    ("PERSIST", table_persist);
   ]
 
 let () =

@@ -1,5 +1,4 @@
-(** Blocking protocol client, used by [magic client], the SERVE bench
-    workers and the tests. *)
+(** Blocking protocol client, used by [magic client] and the tests. *)
 
 type t
 

@@ -290,6 +290,58 @@ let test_session_original () =
     (sorted ans)
 
 (* ------------------------------------------------------------------ *)
+(* one-edge deltas on larger materializations                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Delete one edge and re-add it, twice, on two standing
+   materializations, and compare the maintained answers with a
+   from-scratch evaluation at every deleted and restored state:
+   - a GMS session over a chain of 300 edges, queried at the middle,
+     losing the tail edge of its cone;
+   - the original transitive closure of a random graph (60 nodes, 90
+     edges, seed 17) losing a pendant edge. *)
+let test_edge_delta_equals_scratch () =
+  let module G = Workload.Generate in
+  let module W = Workload.Programs in
+  let chain =
+    let n = 300 in
+    let q = W.ancestor_query (G.node "n" (n / 2)) in
+    let base = G.chain ~pred:"p" n in
+    let s = S.create ~strategy:S.GMS W.ancestor q ~edb:(G.db base) in
+    ( "gms chain n=300",
+      Atom.make "p" [ G.node "n" (n - 1); G.node "n" n ],
+      base,
+      (fun ops -> ignore (S.update s ops)),
+      (fun () -> sorted (S.answers s)),
+      fun facts -> sorted_answers (run_method "gms" W.ancestor q (G.db facts)) )
+  in
+  let random =
+    let pendant = Atom.make "edge" [ G.node "n" 0; G.node "aux" 0 ] in
+    let base = pendant :: G.random_graph ~pred:"edge" ~nodes:60 ~edges:90 ~seed:17 () in
+    let m = M.create W.transitive_closure ~edb:(G.db base) in
+    ( "original tc over a random graph",
+      pendant,
+      base,
+      (fun ops -> ignore (M.apply m ops)),
+      (fun () -> sorted (M.answers m (wildcard "tc" 2))),
+      fun facts -> scratch_pred W.transitive_closure facts "tc" 2 )
+  in
+  List.iter
+    (fun (label, edge, base, apply, maintained, scratch) ->
+      let without = List.filter (fun a -> not (Atom.equal a edge)) base in
+      for round = 1 to 2 do
+        apply [ M.Delete edge ];
+        Alcotest.check tuple_list
+          (Fmt.str "%s, round %d: deleted" label round)
+          (scratch without) (maintained ());
+        apply [ M.Insert edge ];
+        Alcotest.check tuple_list
+          (Fmt.str "%s, round %d: restored" label round)
+          (scratch base) (maintained ())
+      done)
+    [ chain; random ]
+
+(* ------------------------------------------------------------------ *)
 (* the acceptance property: maintained state = scratch evaluation      *)
 (* ------------------------------------------------------------------ *)
 
@@ -488,6 +540,8 @@ let suite =
       test_summary_counting_stratum;
     Alcotest.test_case "session dynamic magic" `Quick test_session_dynamic_magic;
     Alcotest.test_case "session original" `Quick test_session_original;
+    Alcotest.test_case "edge delete/re-add = scratch" `Quick
+      test_edge_delta_equals_scratch;
     prop_maintained_equals_scratch;
     prop_session_equals_scratch;
   ]

@@ -208,6 +208,62 @@ let qcheck_roundtrip_gms =
     (run_differential Session.GMS)
 
 (* ------------------------------------------------------------------ *)
+(* a durable session's life: checkpoint, journal, abandon, reopen      *)
+(* ------------------------------------------------------------------ *)
+
+(* Non-linear ancestor over a chain, a GMS session queried at the
+   middle.  The answers must equal the never-persisted session after a
+   checkpoint, after journaled delete/re-add pairs on the tail edge of
+   the cone, and after a reopen of an abandoned handle — which must
+   report a restore that replayed exactly the WAL suffix written since
+   the last checkpoint. *)
+let test_reopen_replays_suffix () =
+  let module G = Workload.Generate in
+  let module W = Workload.Programs in
+  let n = 120 in
+  let program = W.nonlinear_ancestor in
+  let edb () = G.db (G.chain ~pred:"p" n) in
+  let q = W.ancestor_query (G.node "n" (n / 2)) in
+  let expected =
+    answers_of (Session.create ~strategy:Session.GMS program q ~edb:(edb ()))
+  in
+  Alcotest.check H.tuple_list "session = one-shot gms" expected
+    (H.sorted_answers (H.run_method "gms" program q (edb ())));
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let st =
+        Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program q
+          ~edb:(edb ())
+      in
+      Store.checkpoint st;
+      Alcotest.check H.tuple_list "after checkpoint" expected (store_answers st);
+      let tail = Atom.make "p" [ G.node "n" (n - 1); G.node "n" n ] in
+      for _ = 1 to 3 do
+        ignore (Store.update st [ Incr.Maintain.Delete tail ]);
+        ignore (Store.update st [ Incr.Maintain.Insert tail ])
+      done;
+      Alcotest.check H.tuple_list "after journaled txns" expected (store_answers st);
+      (* fold that history into the snapshot, then journal a suffix of
+         transactions outside the cone *)
+      Store.checkpoint st;
+      let journaled = 4 in
+      for i = 1 to journaled do
+        let aux = Atom.make "p" [ G.node "aux" i; G.node "aux" (i + 100) ] in
+        ignore (Store.update st [ Incr.Maintain.Insert aux ])
+      done;
+      (* [st] is abandoned, not closed: every record is already fsynced *)
+      let st2 =
+        Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program q
+          ~edb:(edb ())
+      in
+      Alcotest.check H.tuple_list "after reopen" expected (store_answers st2);
+      Alcotest.(check bool) "restored" true (Store.restored st2);
+      Alcotest.(check int) "replayed the journaled suffix" journaled (Store.replayed st2);
+      Store.close st2)
+
+(* ------------------------------------------------------------------ *)
 (* fault injection: crash mid-checkpoint                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -580,6 +636,8 @@ let suite =
     Alcotest.test_case "reopen mismatch refused" `Quick test_reopen_mismatch_refused;
     qcheck_roundtrip_original;
     qcheck_roundtrip_gms;
+    Alcotest.test_case "reopen replays the journaled suffix" `Quick
+      test_reopen_replays_suffix;
     Alcotest.test_case "crash mid-checkpoint keeps old snapshot" `Quick
       test_crash_mid_checkpoint;
     Alcotest.test_case "truncated snapshot refused" `Quick

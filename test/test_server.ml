@@ -2,14 +2,18 @@
    paths, the write-preferring RW lock, snapshot stability under
    insertion, the registry's cache/epoch discipline (hits, transaction
    invalidation, monotone seed installs), budget-exhaustion recovery,
-   one socket end-to-end round, and the snapshot-consistency property
-   interleaving transactions with cross-domain reads. *)
+   the partitioned workload's hit-rate gate, socket end-to-end rounds
+   (concurrent connections verified per epoch), and the
+   snapshot-consistency property interleaving transactions with
+   cross-domain reads. *)
 
 open Datalog
 open Helpers
 module C = Magic_core
 module P = Server.Protocol
 module M = Incr.Maintain
+module G = Workload.Generate
+module W = Workload.Programs
 
 let tc_src =
   "path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y)."
@@ -27,6 +31,22 @@ let reference_rows p q edb =
     (List.map
        (fun tu -> List.map Term.to_string (Engine.Tuple.to_list tu))
        (C.Rewritten.answers rw out))
+
+let apply_op db = function
+  | M.Insert a -> ignore (Engine.Database.add_fact db a)
+  | M.Delete a -> ignore (Engine.Database.remove_fact db a)
+
+(* one transaction of a churn stream: insert a [fresh ()] fact, and
+   delete it again at the next call *)
+let churn pending fresh =
+  match !pending with
+  | Some a ->
+    pending := None;
+    M.Delete a
+  | None ->
+    let a = fresh () in
+    pending := Some a;
+    M.Insert a
 
 (* ------------------------------------------------------------------ *)
 (* protocol                                                            *)
@@ -307,13 +327,104 @@ let test_registry_budget_recovery () =
   | _ -> Alcotest.fail "small txn after rebuild must commit"
 
 (* ------------------------------------------------------------------ *)
+(* partitioned workload: the footprint cache keeps the unwritten side  *)
+(* ------------------------------------------------------------------ *)
+
+let counter r name =
+  match List.assoc_opt name (Server.Registry.stats_fields r) with
+  | Some v -> float_of_string v
+  | None -> Alcotest.failf "stats lack the %s counter" name
+
+(* Two independent closures, tca over ea and tcb over eb, on chains of
+   60.  One deterministic stream of 480 requests drives a [Partial] and
+   a [Full] registry side by side: a transaction every 12 requests
+   inserts an ea edge and the next one deletes it again, and the
+   queries draw one of 6 keys on either side.  Every answer of both
+   registries is checked against the reference engine on the current
+   EDB.  Partial mode must then keep the unwritten side hot: a hit rate
+   of at least 0.5 and above full mode's, with partial invalidations
+   and in-place repairs, and no full wipe; full mode must do no partial
+   work. *)
+let test_partitioned_cache () =
+  let n = 60 and requests = 480 and txn_every = 12 and keys = 6 in
+  let p = W.partitioned_tc in
+  let base = G.chain ~pred:"ea" ~prefix:"a" n @ G.chain ~pred:"eb" ~prefix:"b" n in
+  let mk mode =
+    Server.Registry.create ~strategy:Incr.Session.Original ~cache_mode:mode p
+      (W.tca_query (G.node "a" 0)) ~edb:(G.db base)
+  in
+  let rp = mk Server.Registry.Partial and rf = mk Server.Registry.Full in
+  let registries = [ rp; rf ] in
+  let state = G.db base in
+  (* (side, key, txns applied to the a side) -> reference rows; the b
+     side is never written *)
+  let memo = Hashtbl.create 64 in
+  let applied = ref 0 in
+  let reference on_b k q =
+    let key = (on_b, k, if on_b then 0 else !applied) in
+    match Hashtbl.find_opt memo key with
+    | Some rows -> rows
+    | None ->
+      let rows = reference_rows p q (Engine.Database.copy state) in
+      Hashtbl.replace memo key rows;
+      rows
+  in
+  let rng = G.rng 0xCAFE in
+  let pending = ref None in
+  for t = 1 to requests do
+    if t mod txn_every = 0 then begin
+      let op =
+        churn pending (fun () ->
+            Atom.make "ea" [ G.node "a" (G.next rng ~bound:n); Term.Sym (Fmt.str "w_%d" t) ])
+      in
+      List.iter
+        (fun r ->
+          match Server.Registry.transact r [ op ] with
+          | P.Committed _ -> ()
+          | _ -> Alcotest.failf "txn %d refused" t)
+        registries;
+      apply_op state op;
+      incr applied
+    end
+    else begin
+      let on_b = G.next rng ~bound:2 = 1 in
+      let k = G.next rng ~bound:keys in
+      let q = if on_b then W.tcb_query (G.node "b" k) else W.tca_query (G.node "a" k) in
+      let expected = reference on_b k q in
+      List.iter
+        (fun r ->
+          match Server.Registry.query r q with
+          | P.Answers { answers; _ } when answers = expected -> ()
+          | P.Answers _ ->
+            Alcotest.failf "request %d: %a diverges from the reference engine" t
+              Atom.pp q
+          | _ -> Alcotest.failf "request %d: query refused" t)
+        registries
+    end
+  done;
+  Alcotest.(check bool) "partial mode invalidates partially" true
+    (counter rp "partial_invalidations" > 0.);
+  Alcotest.(check bool) "partial mode repairs in place" true
+    (counter rp "cache_repairs" > 0.);
+  Alcotest.(check (float 0.)) "partial mode never wipes" 0.
+    (counter rp "full_invalidations");
+  Alcotest.(check (float 0.)) "full mode: no partial invalidation" 0.
+    (counter rf "partial_invalidations");
+  Alcotest.(check (float 0.)) "full mode: no repair" 0. (counter rf "cache_repairs");
+  let hit_p = counter rp "cache_hit_rate" and hit_f = counter rf "cache_hit_rate" in
+  if hit_p < 0.5 then Alcotest.failf "partial-mode hit rate %.4f below 0.5" hit_p;
+  if hit_p <= hit_f then
+    Alcotest.failf "partial-mode hit rate %.4f does not beat full mode's %.4f" hit_p
+      hit_f
+
+(* ------------------------------------------------------------------ *)
 (* daemon end to end                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* serve [r] on an ephemeral TCP port with two worker domains, run [f]
-   on one client connection, then shut the daemon down over the socket
-   and join it *)
-let with_daemon r f =
+(* serve [r] on an ephemeral TCP port with two worker domains and run
+   [f] on that port; [f] must shut the daemon down over the socket,
+   which is then joined *)
+let with_daemon_port r f =
   let m = Mutex.create () in
   let cv = Condition.create () in
   let port = ref None in
@@ -333,15 +444,24 @@ let with_daemon r f =
     Condition.wait cv m
   done;
   Mutex.unlock m;
-  let c = Server.Client.tcp (Option.get !port) in
-  let out = f c in
-  (match Server.Client.request c P.Shutdown with
-  | P.Shutdown_ack -> ()
-  | _ -> Alcotest.fail "shutdown over the socket");
-  Server.Client.close c;
+  let out = f (Option.get !port) in
   Domain.join daemon;
   Server.Registry.close r;
   out
+
+let shutdown c =
+  (match Server.Client.request c P.Shutdown with
+  | P.Shutdown_ack -> ()
+  | _ -> Alcotest.fail "shutdown over the socket");
+  Server.Client.close c
+
+(* run [f] on one client connection, then shut down over it *)
+let with_daemon r f =
+  with_daemon_port r (fun port ->
+      let c = Server.Client.tcp port in
+      let out = f c in
+      shutdown c;
+      out)
 
 let test_daemon_socket_roundtrip () =
   let p = program tc_src in
@@ -387,6 +507,89 @@ let test_daemon_shutdown_loop () =
           Alcotest.(check int) "served answers" 3 (List.length answers)
         | _ -> Alcotest.fail "query over the socket")
   done
+
+(* Two client domains against one daemon over a GMS chain of 100: each
+   sends 150 requests, tc(n_k, Ans) queries with a one-edge transaction
+   every 25 (insert an auxiliary edge, and delete it at the next).
+   Every reply carries its epoch, so afterwards the EDB behind each
+   answer is rebuilt by replaying the committed transactions in epoch
+   order, and every answer set is checked against the reference engine
+   on that state.  Two clients, not more: each connection pins one of
+   the daemon's two workers until it disconnects. *)
+let test_concurrent_reads_verified () =
+  let n = 100 and per_client = 150 and txn_every = 25 in
+  let p = W.transitive_closure in
+  let base = G.chain n in
+  let r =
+    Server.Registry.create ~strategy:Incr.Session.GMS p (W.tc_query (G.node "n" 0))
+      ~edb:(G.db base)
+  in
+  (* one client's stream: its (epoch, (k, rows)) answers and its
+     (epoch, op) commits *)
+  let client port i =
+    let c = Server.Client.tcp port in
+    Fun.protect
+      ~finally:(fun () -> Server.Client.close c)
+      (fun () ->
+        let rng = G.rng (0x5EED + (31 * i)) in
+        let queries = ref [] and txns = ref [] and pending = ref None in
+        for t = 1 to per_client do
+          if t mod txn_every = 0 then begin
+            let op =
+              churn pending (fun () ->
+                  edge (G.node "n" (G.next rng ~bound:n)) (Term.Sym (Fmt.str "x_%d_%d" i t)))
+            in
+            match Server.Client.request c (P.Txn [ op ]) with
+            | P.Committed { epoch; _ } -> txns := (epoch, op) :: !txns
+            | _ -> Alcotest.fail "txn over the socket"
+          end
+          else begin
+            let k = G.next rng ~bound:n in
+            match Server.Client.request c (P.Query (W.tc_query (G.node "n" k))) with
+            | P.Answers { epoch; answers; _ } -> queries := (epoch, (k, answers)) :: !queries
+            | _ -> Alcotest.fail "query over the socket"
+          end
+        done;
+        (!queries, !txns))
+  in
+  let results =
+    with_daemon_port r (fun port ->
+        let doms = List.init 2 (fun i -> Domain.spawn (fun () -> client port i)) in
+        let joined = List.map (fun d -> try Ok (Domain.join d) with e -> Error e) doms in
+        shutdown (Server.Client.tcp port);
+        List.map (function Ok x -> x | Error e -> raise e) joined)
+  in
+  let by_epoch l = List.stable_sort (fun (e1, _) (e2, _) -> Int.compare e1 e2) l in
+  let txns = by_epoch (List.concat_map snd results) in
+  let queries = by_epoch (List.concat_map fst results) in
+  Alcotest.(check int) "every request answered" (2 * per_client)
+    (List.length txns + List.length queries);
+  let state = G.db base in
+  let memo = Hashtbl.create 64 (* (txns applied, k) -> reference rows *) in
+  let applied = ref 0 in
+  let reference k =
+    match Hashtbl.find_opt memo (!applied, k) with
+    | Some rows -> rows
+    | None ->
+      let rows = reference_rows p (W.tc_query (G.node "n" k)) (Engine.Database.copy state) in
+      Hashtbl.replace memo (!applied, k) rows;
+      rows
+  in
+  let rec verify txns queries =
+    match (txns, queries) with
+    | _, [] -> ()
+    | (te, op) :: txns', (qe, _) :: _ when te <= qe ->
+      (* the answer was served at or after this commit: apply it first *)
+      apply_op state op;
+      incr applied;
+      verify txns' queries
+    | _, (qe, (k, rows)) :: queries' ->
+      if rows <> reference k then
+        Alcotest.failf "tc(n_%d, Ans) served at epoch %d diverges from the reference engine"
+          k qe;
+      verify txns queries'
+  in
+  verify txns queries
 
 (* ------------------------------------------------------------------ *)
 (* daemon restart over a durable store                                 *)
@@ -472,9 +675,7 @@ let prop_serve_consistency =
           | P.Committed _ -> ()
           | P.Error { message; _ } -> Alcotest.failf "txn refused: %s" message
           | _ -> Alcotest.fail "unexpected txn reply");
-          (match op with
-          | M.Insert a -> ignore (Engine.Database.add_fact mirror a)
-          | M.Delete a -> ignore (Engine.Database.remove_fact mirror a));
+          apply_op mirror op;
           (* the read runs on another domain, through the snapshot *)
           let served =
             Domain.join
@@ -580,11 +781,15 @@ let suite =
       test_registry_rejects_derived_op;
     Alcotest.test_case "registry: budget recovery" `Quick
       test_registry_budget_recovery;
+    Alcotest.test_case "registry: partitioned cache beats full wipe" `Quick
+      test_partitioned_cache;
     Alcotest.test_case "daemon: socket roundtrip" `Quick
       test_daemon_socket_roundtrip;
     Alcotest.test_case "daemon: restart over a durable store" `Quick
       test_daemon_restart_durable;
     Alcotest.test_case "daemon: shutdown loop" `Quick test_daemon_shutdown_loop;
+    Alcotest.test_case "daemon: concurrent reads verified per epoch" `Quick
+      test_concurrent_reads_verified;
     prop_serve_consistency;
     prop_partial_equals_full;
   ]
