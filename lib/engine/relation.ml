@@ -180,14 +180,27 @@ let rec iter_bucket ~lo ~hi f = function
       iter_bucket ~lo ~hi f rest
     end
 
+let iter_index idx ~key ~lo ~hi f =
+  let bucket = Ttbl.get idx key in
+  if bucket != Ttbl.dummy idx then iter_bucket ~lo ~hi f !bucket
+
 let iter_matching_in r ~pattern ~key ~lo ~hi f =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.iter_matching_in: pattern arity mismatch";
   if Array.for_all not pattern then iter_in r ~lo ~hi f
+  else iter_index (ensure_index r pattern) ~key ~lo ~hi f
+
+let indexed r pattern =
+  Array.for_all not pattern || Option.is_some (find_index pattern r.indexes)
+
+let probe_in r ~pattern ~key ~lo ~hi f =
+  if Array.length pattern <> r.arity then
+    invalid_arg "Relation.probe_in: pattern arity mismatch";
+  if Array.for_all not pattern then iter_in r ~lo ~hi f
   else
-    let idx = ensure_index r pattern in
-    let bucket = Ttbl.get idx key in
-    if bucket != Ttbl.dummy idx then iter_bucket ~lo ~hi f !bucket
+    match find_index pattern r.indexes with
+    | Some idx -> iter_index idx ~key ~lo ~hi f
+    | None -> invalid_arg "Relation.probe_in: no index prepared for this pattern"
 
 let iter_matching r ~pattern ~key f = iter_matching_in r ~pattern ~key ~lo:0 ~hi:max_int f
 

@@ -80,7 +80,19 @@ val prepare_index : t -> bool array -> unit
     first matching probe — a hidden write.  A writer that hands the
     relation to concurrent readers must call this, under its write lock,
     for every pattern those readers will probe, so that an indexed read
-    never mutates the relation it reads. *)
+    ({!probe_in}) never mutates the relation it reads. *)
+
+val indexed : t -> bool array -> bool
+(** Does a probe on [pattern] need no index construction — the pattern
+    is all-false, or its index exists? *)
+
+val probe_in :
+  t -> pattern:bool array -> key:Tuple.t -> lo:int -> hi:int -> (Tuple.t -> unit) -> unit
+(** {!iter_matching_in} for concurrent readers: it never builds an index,
+    so it never writes to the relation.  An all-false pattern iterates
+    the log range.
+    @raise Invalid_argument if [pattern] is bound and its index was not
+    prepared ({!prepare_index}). *)
 
 val copy : t -> t
 (** A fresh relation with the same tuples, re-stamped in insertion order,

@@ -15,9 +15,12 @@
     The serving layer ({!module:Server}) enforces exactly that with a
     write-preferring reader/writer lock and an epoch counter: readers
     pin the published snapshot under the read lock, writers republish
-    under the write lock.  All snapshot reads are index-free (log
-    iteration, no lazy index construction), so concurrent readers never
-    mutate the relations they share. *)
+    under the write lock.  Bound reads probe the relations' hash
+    indexes, filtered to the [\[0, w)] stamp range; those indexes are
+    built only by {!prepare}, which the publisher calls under its write
+    lock.  A read never builds an index (an unprepared bound pattern
+    raises), so concurrent readers never mutate the relations they
+    share. *)
 
 open Datalog
 
@@ -46,13 +49,30 @@ val mem : t -> Atom.t -> bool
     interned — such a tuple occurs in no relation). *)
 
 val cardinal : t -> Symbol.t -> int
-(** Live tuples below the watermark (counts the view, not the relation). *)
+(** Live tuples below the watermark (counts the view, not the relation),
+    recorded at capture: O(1). *)
 
 val total : t -> int
 (** Sum of {!cardinal} over all captured relations. *)
 
+val prepare : t -> Atom.t -> unit
+(** Build the index {!matching} probes for the atom's binding pattern
+    (its ground arguments are bound) on the captured relation, if it
+    does not exist yet.  This writes to the shared relation: call it
+    only where no reader can be active (the publisher's write lock).
+    A no-op for an all-variable atom or a relation the snapshot lacks. *)
+
+val prepared : t -> Atom.t -> bool
+(** Can {!matching} read the atom without raising — its pattern is
+    prepared, all-variable, or the snapshot lacks the relation? *)
+
 val matching : t -> Atom.t -> Tuple.t list
 (** The snapshot tuples of the atom's predicate whose components match
     the atom's arguments (variables bind, constants must be equal),
-    sorted.  The scan is a log iteration: no index is consulted or
-    built, so it is safe from any number of concurrent readers. *)
+    sorted.  A bound atom probes the index {!prepare} built, with a key
+    looked up without interning, and checks repeated variables and
+    non-ground compound arguments on the bucket only; an all-variable
+    atom iterates the log.  Neither builds an index, so reads are safe
+    from any number of concurrent readers.
+    @raise Invalid_argument if the atom is bound and its pattern was
+    not prepared. *)

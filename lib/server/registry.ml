@@ -46,6 +46,9 @@ type t = {
          rebuild source after a blown budget.  Mutated under the write
          lock, and only after the maintenance transaction succeeded. *)
   mutable snapshot : Engine.Snapshot.t;  (* published under the write lock *)
+  mutable probes : Atom.t list;
+      (* one atom per (predicate, binding pattern) a first miss had to
+         prepare; every publish re-prepares them.  Under the write lock. *)
   mutable epoch : int;
   program : Program.t;
   derived : Symbol.Set.t;  (* of [program]: client txns may not touch these *)
@@ -101,6 +104,23 @@ let maintained_program session =
   | Some rw -> rw.C.Rewritten.program
   | None -> Incr.Session.program session
 
+(* ---- publishing: the one place a snapshot is captured ----
+
+   Under the write lock (or before the registry is shared): capture the
+   session's database, then prepare on the captured relations every
+   binding pattern readers probe — the session's rewritten answer
+   pattern, which every compatible GMS/GSMS query shares, and the
+   patterns first misses registered.  A budget rebuild and a store
+   reopen hand over fresh relations without indexes; preparing at
+   publish covers them too. *)
+let publish ~epoch session probes =
+  let snap = Engine.Snapshot.capture ~epoch (Incr.Session.db session) in
+  Option.iter
+    (fun rw -> Engine.Snapshot.prepare snap rw.C.Rewritten.query)
+    (Incr.Session.rewritten session);
+  List.iter (Engine.Snapshot.prepare snap) probes;
+  snap
+
 let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     ?(cache_mode = Partial) ?db ?checkpoint_every program query ~edb =
   let store =
@@ -134,7 +154,8 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     session;
     store;
     shadow;
-    snapshot = Engine.Snapshot.capture ~epoch (Incr.Session.db session);
+    snapshot = publish ~epoch session [];
+    probes = [];
     epoch;
     program;
     derived = Program.derived program;
@@ -377,7 +398,7 @@ let rebuild t =
     t.session <-
       Incr.Session.create ~strategy:t.strategy ~options:t.options t.program
         t.query0 ~edb);
-  t.snapshot <- Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session);
+  t.snapshot <- publish ~epoch:t.epoch t.session t.probes;
   with_c t (fun c -> c.rebuilds <- c.rebuilds + 1)
 
 let op_atom = function Incr.Maintain.Insert a | Incr.Maintain.Delete a -> a
@@ -413,8 +434,7 @@ let transact t ops =
               ignore (Engine.Database.remove_fact t.shadow a))
           ops;
         t.epoch <- t.epoch + 1;
-        t.snapshot <-
-          Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session);
+        t.snapshot <- publish ~epoch:t.epoch t.session t.probes;
         absorb_maint t stats;
         locked t.cache_m (fun () ->
             apply_summary_locked t t.epoch summary;
@@ -449,8 +469,7 @@ let install_seeds t q =
             rw.C.Rewritten.seeds
         | None -> ());
         t.epoch <- t.epoch + 1;
-        t.snapshot <-
-          Engine.Snapshot.capture ~epoch:t.epoch (Incr.Session.db t.session);
+        t.snapshot <- publish ~epoch:t.epoch t.session t.probes;
         absorb_maint t stats;
         locked t.cache_m (fun () ->
             t.c.seed_installs <- t.c.seed_installs + 1;
@@ -475,6 +494,28 @@ let install_seeds t q =
 
 (* ---- reads ---- *)
 
+(* [read] the published snapshot under the read lock, once [probe]'s
+   binding pattern is prepared there.  The first miss on a new
+   (predicate, pattern) pair — under [Original] any pair; under
+   GMS/GSMS, publish already prepared the one compatible queries share —
+   takes the write lock once to prepare it, records it for later
+   publishes and reads there.  The logical state does not change, so
+   the epoch does not advance. *)
+let read_prepared t probe read =
+  match
+    Rwlock.with_read t.lock (fun () ->
+        if Engine.Snapshot.prepared t.snapshot probe then Some (read t.snapshot)
+        else None)
+  with
+  | Some v -> v
+  | None ->
+    Rwlock.with_write t.lock (fun () ->
+        if not (Engine.Snapshot.prepared t.snapshot probe) then begin
+          Engine.Snapshot.prepare t.snapshot probe;
+          t.probes <- probe :: t.probes
+        end;
+        read t.snapshot)
+
 let answers_response ~t0 ~cache_hit ep rows =
   Protocol.Answers
     { epoch = ep; cache_hit; answers = rows; time_s = now () -. t0 }
@@ -495,8 +536,7 @@ let query t q =
       let pred = Atom.symbol q in
       register_pred t pred;
       let ep, rows =
-        Rwlock.with_read t.lock (fun () ->
-            let snap = t.snapshot in
+        read_prepared t q (fun snap ->
             ( Engine.Snapshot.epoch snap,
               project_rows snap ~query:q ~index_fields:0 ~restore:[] ))
       in
@@ -520,8 +560,7 @@ let query t q =
         let pred = Atom.symbol rw'.C.Rewritten.query in
         register_pred t pred;
         let read () =
-          Rwlock.with_read t.lock (fun () ->
-              let snap = t.snapshot in
+          read_prepared t rw'.C.Rewritten.query (fun snap ->
               let session_rw = Option.get (Incr.Session.rewritten t.session) in
               if
                 not

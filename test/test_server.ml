@@ -130,17 +130,90 @@ let test_rwlock_writes_exclusive () =
 let test_snapshot_stable_under_insert () =
   let edb = Engine.Database.of_facts [ atom "p(a, b)"; atom "p(a, c)" ] in
   let snap = Engine.Snapshot.capture ~epoch:4 edb in
+  Engine.Snapshot.prepare snap (atom "p(a, X)");
   Alcotest.(check int) "epoch" 4 (Engine.Snapshot.epoch snap);
   Alcotest.(check int) "total at capture" 2 (Engine.Snapshot.total snap);
   ignore (Engine.Database.add_fact edb (atom "p(c, d)"));
   ignore (Engine.Database.add_fact edb (atom "q(e)"));
+  (* lands in the probed bucket, past the watermark *)
+  ignore (Engine.Database.add_fact edb (atom "p(a, z)"));
   Alcotest.(check int) "insertions invisible" 2 (Engine.Snapshot.total snap);
   Alcotest.(check bool) "old fact visible" true
     (Engine.Snapshot.mem snap (atom "p(a, b)"));
   Alcotest.(check bool) "new fact invisible" false
     (Engine.Snapshot.mem snap (atom "p(c, d)"));
-  Alcotest.(check int) "matching sees the view" 2
-    (List.length (Engine.Snapshot.matching snap (atom "p(a, X)")))
+  Alcotest.(check (list string)) "indexed matching sees the view"
+    [ "(a, b)"; "(a, c)" ]
+    (List.map Engine.Tuple.to_string
+       (Engine.Snapshot.matching snap (atom "p(a, X)")));
+  Alcotest.(check bool) "unprepared pattern refused" true
+    (match Engine.Snapshot.matching snap (atom "p(X, b)") with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* Indexed [matching] agrees with a brute-force filter of [iter] on
+   every snapshot taken so far, after every step of a random
+   add/remove/re-add sequence on [p/2].  Each capture prepares every
+   bound atom, as the registry's publish does; the atoms cover bound
+   prefixes and suffixes, repeated variables ([p(X, X)]), a constant
+   that was never interned, and the all-variable atom.  Re-adds after a
+   capture land in probed buckets past that snapshot's watermark, so a
+   bucket walk that ignored the stamp range would disagree. *)
+let prop_snapshot_matching_is_filter =
+  let step =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun (a, b) -> `Add (a, b)) (pair (int_bound 3) (int_bound 3));
+          map (fun (a, b) -> `Remove (a, b)) (pair (int_bound 3) (int_bound 3));
+          pure `Capture;
+        ])
+  in
+  let c i = Term.Sym (Fmt.str "snapc%d" i) in
+  let p a b = Atom.make "p" [ a; b ] in
+  let args =
+    [ Term.Var "X"; Term.Var "Y"; c 0; c 1; Term.Sym "snap_never_interned" ]
+  in
+  let atoms = List.concat_map (fun a -> List.map (p a) args) args in
+  let brute snap a =
+    List.sort Engine.Tuple.compare
+      (Engine.Snapshot.fold snap (Atom.symbol a)
+         (fun tu acc ->
+           match
+             Subst.match_list a.Atom.args (Engine.Tuple.to_list tu) Subst.empty
+           with
+           | Some _ -> tu :: acc
+           | None -> acc)
+         [])
+  in
+  qtest ~count:100 "snapshot: indexed matching = filtered iter"
+    QCheck2.Gen.(list_size (int_range 1 40) step)
+    (fun steps ->
+      let db = Engine.Database.create () in
+      let snaps = ref [] in
+      let agree () =
+        List.for_all
+          (fun snap ->
+            List.for_all
+              (fun a ->
+                List.equal Engine.Tuple.equal
+                  (Engine.Snapshot.matching snap a)
+                  (brute snap a))
+              atoms)
+          !snaps
+      in
+      List.for_all
+        (fun st ->
+          (match st with
+          | `Add (a, b) -> ignore (Engine.Database.add_fact db (p (c a) (c b)))
+          | `Remove (a, b) ->
+            ignore (Engine.Database.remove_fact db (p (c a) (c b)))
+          | `Capture ->
+            let snap = Engine.Snapshot.capture ~epoch:0 db in
+            List.iter (Engine.Snapshot.prepare snap) atoms;
+            snaps := snap :: !snaps);
+          agree ())
+        steps)
 
 (* ------------------------------------------------------------------ *)
 (* registry                                                            *)
@@ -321,6 +394,13 @@ let test_registry_budget_recovery () =
   (match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { answers; _ } -> Alcotest.check rows "state rolled back" before answers
   | _ -> Alcotest.fail "query after rollback");
+  (* a miss inside the warm cone reads the rebuilt, index-less session's
+     relations: the republished snapshot must serve it *)
+  (match Server.Registry.query r (path_q (n 1)) with
+  | P.Answers { cache_hit = false; answers; _ } ->
+    Alcotest.check rows "miss after rollback" [ [ "n1"; "n2" ] ] answers
+  | P.Answers _ -> Alcotest.fail "path(n1, _) must miss the cache"
+  | _ -> Alcotest.fail "miss after rollback");
   (* and affordable transactions keep working *)
   match Server.Registry.transact r [ M.Insert (edge (Term.Sym "x0") (Term.Sym "x1")) ] with
   | P.Committed { epoch = 1; _ } -> ()
@@ -636,12 +716,20 @@ let test_daemon_restart_durable () =
       Alcotest.(check (option string)) "restored from disk" (Some "true")
         (List.assoc_opt "persist_restored" (Server.Registry.stats_fields r2));
       with_daemon r2 (fun c ->
+          (* a fresh cache: both reads are misses over the relations
+             the store reopened *)
           (match Server.Client.request c (P.Query (path_q (n 0))) with
-          | P.Answers { epoch = 0; answers; _ } ->
+          | P.Answers { epoch = 0; cache_hit = false; answers; _ } ->
             Alcotest.check rows "state carried across restart"
               [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ]; [ "n0"; "n4" ] ]
               answers
-          | _ -> Alcotest.fail "re-query after restart");
+          | _ -> Alcotest.fail "re-query after restart must miss the cache");
+          (match Server.Client.request c (P.Query (path_q (n 2))) with
+          | P.Answers { epoch = 0; cache_hit = false; answers; _ } ->
+            Alcotest.check rows "miss inside the reopened cone"
+              [ [ "n2"; "n3" ]; [ "n2"; "n4" ] ]
+              answers
+          | _ -> Alcotest.fail "second miss after restart");
           (* the restarted daemon keeps committing from a fresh epoch 0 *)
           match Server.Client.request c (P.Txn [ M.Delete (edge (n 3) (n 4)) ]) with
           | P.Committed { epoch = 1; _ } -> ()
@@ -772,6 +860,7 @@ let suite =
       test_rwlock_writes_exclusive;
     Alcotest.test_case "snapshot: stable under insert" `Quick
       test_snapshot_stable_under_insert;
+    prop_snapshot_matching_is_filter;
     Alcotest.test_case "registry: cache discipline" `Quick test_registry_cache;
     Alcotest.test_case "registry: full mode wipes, partial retains" `Quick
       test_registry_full_mode_wipes;
