@@ -2,7 +2,7 @@
 
     Each predicate gets a [stat]: an estimated fact count plus a
     per-column distinct-value estimate.  Extensional statistics come
-    from a {!Engine.Database.t} when one is available; otherwise
+    from a {!profile} of a database when one is available; otherwise
     symbolic defaults stand in.  Rule bodies are evaluated with
     textbook join/projection arithmetic (a bound column keeps
     [1/distinct] of the relation), and recursive SCCs (Tarjan output,
@@ -22,27 +22,41 @@ type stat = {
 
 type t
 
+(** {1 Extensional profile} *)
+
+type profile
+(** What the analysis reads of a database, counted once over value ids:
+    each relation's {!stat} (live tuples only) and the universe of
+    distinct values, plus the oriented edge arrays and graph shapes
+    {!profile_shape} builds on first use.  A profile caches what it has
+    computed, so it is only valid while its database is not updated:
+    build one per strategy selection. *)
+
+val profile : Engine.Database.t -> profile
+
+val profile_universe : profile -> float
+(** Distinct values across all live tuples (at least 2). *)
+
 val analyze :
-  ?db:Engine.Database.t ->
+  ?profile:profile ->
+  ?seeds:Atom.t list ->
   ?defaults:bool ->
   ?universe:float ->
   ?col_caps:(Symbol.t -> float array option) ->
   ?rounds_bound:float ->
   Program.t ->
   t
-(** [db] supplies extensional statistics (and initial stats for derived
-    predicates seeded with facts, e.g. magic seeds).  [defaults]
-    (default: [db = None]) makes empty-or-missing base relations fall
-    back to symbolic sizes instead of zero.  [universe] overrides the
-    distinct-constant count (measured from [db] by default).
+(** [profile] supplies extensional statistics; [seeds] are ground facts
+    (magic seeds) counted as if added to the profiled database, their
+    arithmetic normalized as {!Engine.Database.add_fact} does.
+    [defaults] (default: [profile = None]) makes empty-or-missing base
+    relations fall back to symbolic sizes instead of zero.  [universe]
+    overrides the distinct-constant count (the profile's by default).
     [col_caps] supplies per-column distinct caps for generated
     predicates whose columns range over something other than the data
     constants (counting indices); unmentioned predicates cap every
     column at the universe.  [rounds_bound] (default: the universe) is
     the round horizon the widening extrapolates to. *)
-
-val universe_of_db : Engine.Database.t -> float
-(** Distinct constants across all facts (at least 2). *)
 
 val universe : t -> float
 val measured : t -> bool
@@ -87,7 +101,16 @@ type shape = {
   reachable : float;  (** nodes reachable from the roots (cyclic included) *)
 }
 
-val graph_shape : edges:(Term.t * Term.t) list -> roots:Term.t list -> shape
-(** Shape of the subgraph reachable from [roots] (roots absent from the
-    graph are ignored; when none remain, in-degree-0 nodes stand in,
-    and failing that every node). *)
+val graph_shape : edges:(int * int) list -> roots:int list -> shape
+(** Shape of the subgraph reachable from [roots], over arbitrary integer
+    node labels (roots absent from the graph are ignored; when none
+    remain, in-degree-0 nodes stand in, and failing that every node).
+    Duplicate edges count once per copy in the path counts. *)
+
+val profile_shape :
+  profile -> orient:(Symbol.t * bool) list -> roots:Term.t list -> shape
+(** {!graph_shape} of the profiled binary relations [orient] names, each
+    read forward ([true]) or reversed, from the values of [roots].
+    Memoized in the profile by the orientation set and the root values,
+    so candidates that walk the same relations from the same seeds
+    share one computation. *)

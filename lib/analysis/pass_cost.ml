@@ -98,10 +98,12 @@ let is_magic naming pred =
    extensional literal with one side bound is a descent step: the
    guards walk its facts in that orientation.  Anything the model
    cannot express (compound arguments, wider extensional joins with
-   several unbound variables) makes the shape opaque. *)
-let descent_shape (rw : C.Rewritten.t) db =
+   several unbound variables) makes the shape opaque.  The shape itself
+   comes from the profile's memo: candidates whose guards walk the same
+   relations from the same seeds share it. *)
+let descent_shape (rw : C.Rewritten.t) profile =
   let derived = Program.derived rw.C.Rewritten.program in
-  let orientations : (Symbol.t * bool, unit) Hashtbl.t = Hashtbl.create 8 in
+  let orient = ref [] in
   let opaque = ref false in
   List.iter
     (fun (r : Rule.t) ->
@@ -123,8 +125,8 @@ let descent_shape (rw : C.Rewritten.t) db =
                 match (var_side x, var_side y) with
                 | Some vx, Some vy -> (
                   match (Hashtbl.mem bound vx, Hashtbl.mem bound vy) with
-                  | true, false -> Hashtbl.replace orientations (sym, true) ()
-                  | false, true -> Hashtbl.replace orientations (sym, false) ()
+                  | true, false -> orient := (sym, true) :: !orient
+                  | false, true -> orient := (sym, false) :: !orient
                   | _ -> ())
                 | _ ->
                   if not (Atom.is_ground a) then opaque := true)
@@ -140,24 +142,12 @@ let descent_shape (rw : C.Rewritten.t) db =
           (Rule.body_atoms r)
       end)
     (Program.rules rw.C.Rewritten.program);
-  let edges =
-    Hashtbl.fold
-      (fun (sym, forward) () acc ->
-        List.fold_left
-          (fun acc (f : Atom.t) ->
-            match f.Atom.args with
-            | [ a; b ] -> (if forward then (a, b) else (b, a)) :: acc
-            | _ -> acc)
-          acc
-          (Engine.Database.facts db sym))
-      orientations []
-  in
   let roots =
     List.concat_map
       (fun (s : Atom.t) -> List.filter Term.is_ground s.Atom.args)
       rw.C.Rewritten.seeds
   in
-  (Pass_card.graph_shape ~edges ~roots, !opaque)
+  (Pass_card.profile_shape profile ~orient:!orient ~roots, !opaque)
 
 (* depth at which the numeric counting indices (Section 6: K*m+i, H*t+j
    per level) overflow a native int, with margin *)
@@ -243,26 +233,20 @@ let viable name method_ ~est_magic card =
 (* round horizon shared by every candidate: the longest path of the
    union graph of the binary extensional relations (plus slack), or the
    universe when the data is cyclic or unmeasured *)
-let rounds_horizon ?db ~universe program =
-  match db with
+let rounds_horizon ?profile ~universe program =
+  match profile with
   | None -> universe
-  | Some db ->
-    let edges =
+  | Some profile ->
+    let orient =
       Symbol.Set.fold
         (fun (sym : Symbol.t) acc ->
-          if sym.Symbol.arity = 2 then
-            List.fold_left
-              (fun acc (f : Atom.t) ->
-                match f.Atom.args with [ a; b ] -> (a, b) :: acc | _ -> acc)
-              acc
-              (Engine.Database.facts db sym)
-          else acc)
+          if sym.Symbol.arity = 2 then (sym, true) :: acc else acc)
         (Program.base program) []
     in
-    if edges = [] then universe
-    else
-      let s = Pass_card.graph_shape ~edges ~roots:[] in
-      if s.Pass_card.acyclic then s.Pass_card.longest +. 2. else universe
+    let s = Pass_card.profile_shape profile ~orient ~roots:[] in
+    if s.Pass_card.reachable = 0. then universe
+    else if s.Pass_card.acyclic then s.Pass_card.longest +. 2.
+    else universe
 
 (* per-column distinct caps for a counting candidate: index columns
    (those receiving arithmetic index terms in heads or seeds) range
@@ -298,45 +282,44 @@ let counting_caps (rw : C.Rewritten.t) ~universe ~idx_cap =
       Some (Array.map (fun idx -> if idx then idx_cap else universe) arr)
     | _ -> None
 
-let score_candidate ~db ~measured ~universe ~rounds_bound program query
-    (name, method_) =
+let score_candidate ~profile ~rewrite ~measured ~universe ~rounds_bound
+    program (name, method_) =
   match method_ with
   | C.Rewrite.Original `Seminaive -> (
     match seminaive_exclusion program with
     | Some why -> excluded name method_ why
     | None ->
       let card =
-        Pass_card.analyze ?db ~defaults:(not measured) ~universe
+        Pass_card.analyze ?profile ~defaults:(not measured) ~universe
           ~rounds_bound program
       in
       viable name method_ ~est_magic:0. card)
   | C.Rewrite.Rewritten_bottom_up (rewriting, options) -> (
-    match C.Rewrite.rewrite ~options rewriting program query with
-    | exception Invalid_argument msg -> inapplicable name method_ msg
-    | exception exn -> inapplicable name method_ (Printexc.to_string exn)
-    | rw -> (
+    match rewrite name rewriting options with
+    | Error (Invalid_argument msg) -> inapplicable name method_ msg
+    | Error exn -> inapplicable name method_ (Printexc.to_string exn)
+    | Ok rw -> (
       let report = C.Safety.analyze rw.C.Rewritten.adorned in
       if not report.C.Safety.magic_safe then
         excluded name method_
           "the binding graph has a non-positive cycle: the rewriting may not \
            terminate (Section 10)"
+      else if
+        List.exists
+          (fun (r : Rule.t) -> Rule.unrestricted_head_vars r <> [])
+          (Program.rules rw.C.Rewritten.program)
+      then
+        excluded name method_
+          "some rewritten rule's head variables are not bound by its positive \
+           body under this sip: bottom-up evaluation is unsafe"
       else
-        let shape = Option.map (fun db -> descent_shape rw db) db in
+        let shape = Option.map (descent_shape rw) profile in
         match
           if is_counting method_ then counting_exclusion report rw shape
           else None
         with
         | Some why -> excluded name method_ why
         | None ->
-          let db' =
-            match db with
-            | Some db -> Engine.Database.copy db
-            | None -> Engine.Database.create ()
-          in
-          List.iter
-            (fun (s : Atom.t) ->
-              if Atom.is_ground s then ignore (Engine.Database.add_fact db' s))
-            rw.C.Rewritten.seeds;
           let index_caps =
             match shape with
             | Some (s, _) when s.Pass_card.acyclic && not s.Pass_card.saturated
@@ -399,8 +382,9 @@ let score_candidate ~db ~measured ~universe ~rounds_bound program query
                    a)
           in
           let card =
-            Pass_card.analyze ~db:db' ~defaults:(not measured) ~universe
-              ~col_caps ~rounds_bound rw.C.Rewritten.program
+            Pass_card.analyze ?profile ~seeds:rw.C.Rewritten.seeds
+              ~defaults:(not measured) ~universe ~col_caps ~rounds_bound
+              rw.C.Rewritten.program
           in
           let est_magic =
             Symbol.Set.fold
@@ -466,18 +450,27 @@ let choose ?db ?only program query =
   let candidates =
     match only with
     | None -> candidates
-    | Some names -> List.filter (fun (n, _) -> List.mem n names) candidates
+    | Some names ->
+      let unknown = List.filter (fun n -> not (List.mem n candidate_names)) names in
+      if names = [] || unknown <> [] then
+        invalid_arg
+          (Fmt.str
+             "Pass_cost.choose: unknown candidates [%s]; ~only takes a \
+              non-empty subset of [%s]"
+             (String.concat ", " unknown)
+             (String.concat ", " candidate_names));
+      List.filter (fun (n, _) -> List.mem n names) candidates
   in
-  let measured =
-    match db with Some d -> Engine.Database.total d > 0 | None -> false
-  in
+  (* the database is read once, into a profile every candidate shares *)
+  let profile = Option.map Pass_card.profile db in
   let edb_facts = match db with Some d -> Engine.Database.total d | None -> 0 in
+  let measured = edb_facts > 0 in
   let universe =
-    match db with
-    | Some d when measured -> Pass_card.universe_of_db d
+    match profile with
+    | Some p when measured -> Pass_card.profile_universe p
     | _ -> 100.
   in
-  let rounds_bound = rounds_horizon ?db ~universe program in
+  let rounds_bound = rounds_horizon ?profile ~universe program in
   if not (Program.is_derived program (Atom.symbol query)) then begin
     (* extensional query: a single scan answers it, nothing to choose *)
     let e =
@@ -507,9 +500,25 @@ let choose ?db ?only program query =
     }
   end
   else begin
+    (* rewrites by candidate name: the near-tie check below reuses the
+       gms candidate's *)
+    let rewrites = Hashtbl.create 16 in
+    let rewrite name rewriting options =
+      match Hashtbl.find_opt rewrites name with
+      | Some r -> r
+      | None ->
+        let r =
+          match C.Rewrite.rewrite ~options rewriting program query with
+          | rw -> Ok rw
+          | exception exn -> Error exn
+        in
+        Hashtbl.replace rewrites name r;
+        r
+    in
     let estimates =
       List.map
-        (score_candidate ~db ~measured ~universe ~rounds_bound program query)
+        (score_candidate ~profile ~rewrite ~measured ~universe ~rounds_bound
+           program)
         candidates
     in
     let ranked = rank (floor_at_counterpart estimates) in
@@ -526,14 +535,14 @@ let choose ?db ?only program query =
        rewriting machinery is pure overhead, and when it would not, the
        restriction is real even if the arithmetic can't see it. *)
     let cone_fraction =
-      match db with
-      | Some d when measured -> (
-        try
-          let rw = C.Rewrite.rewrite C.Rewrite.GMS program query in
-          let shape, opaque = descent_shape rw d in
+      match profile with
+      | Some p when measured -> (
+        match rewrite "gms" C.Rewrite.GMS C.Rewrite.default_options with
+        | Ok rw ->
+          let shape, opaque = descent_shape rw p in
           if opaque then None
           else Some (shape.Pass_card.reachable /. Float.max 1. universe)
-        with _ -> None)
+        | Error _ -> None)
       | _ -> None
     in
     let winner =

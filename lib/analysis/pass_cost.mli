@@ -7,11 +7,11 @@
     and ranks them by [weight * (est_probes + 4 * est_facts)], where
     [weight] prices each strategy's constant per-operation machinery
     (counting's index arithmetic costs 2-3x a plain probe).  Strategies
-    the
-    Section 10 report or the data shape rule out (cyclic data under
+    the Section 10 report or the data shape rule out (cyclic data under
     counting, overflow-deep chains, path-count explosion, unsafe
-    non-Datalog magic, unbound heads under direct evaluation) are
-    excluded with a human-readable reason rather than mis-scored. *)
+    non-Datalog magic, unbound heads under direct evaluation or under a
+    rewrite's sip) are excluded with a human-readable reason rather than
+    mis-scored. *)
 
 open Datalog
 module C := Magic_core
@@ -52,9 +52,12 @@ val choose : ?db:Engine.Database.t -> ?only:string list -> Program.t -> Atom.t -
 (** [choose ?db program query]: [program] must be fact-free (use
     {!Datalog.Parser.split_facts}); [db] holds the extensional facts.
     [only] restricts the candidate set to the named strategies (the
-    session path considers just what it can materialize).  Never raises
-    on analyzable input: candidates whose rewriting fails are marked
-    [Inapplicable].  When the query's predicate is not derived the
+    session path considers just what it can materialize); it must be a
+    non-empty subset of {!candidate_names}, or [Invalid_argument] names
+    the unknown ones.  Otherwise never raises on analyzable input:
+    candidates whose rewriting fails are marked [Inapplicable].  The
+    database is read once, into a {!Pass_card.profile} every candidate
+    shares.  When the query's predicate is not derived the
     trivial semi-naive plan wins outright. *)
 
 val pp_report : t Fmt.t

@@ -12,11 +12,12 @@ type clause_spans = {
   literal_spans : Loc.t list;
 }
 
-type source_map = { clauses : clause_spans list; query_span : Loc.t option }
+type source_map = { clauses : clause_spans array; query_span : Loc.t option }
 
-let empty_map = { clauses = []; query_span = None }
+let empty_map = { clauses = [||]; query_span = None }
 
-let rule_spans map i = List.nth_opt map.clauses i
+let rule_spans map i =
+  if i >= 0 && i < Array.length map.clauses then Some map.clauses.(i) else None
 
 type state = {
   mutable toks : (Lexer.token * Loc.t) list;
@@ -217,7 +218,7 @@ let parse_program_spanned input =
         Ok
           ( Program.make (List.rev rules),
             query,
-            { clauses = List.rev spans; query_span } )
+            { clauses = Array.of_list (List.rev spans); query_span } )
       | _ -> begin
         match parse_clause st with
         | `Rule (r, sp) -> loop (r :: rules) (sp :: spans) query query_span

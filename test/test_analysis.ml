@@ -119,6 +119,31 @@ let test_diagnostic_span () =
     Alcotest.(check (pair int int)) "span start" (2, 23) (line, col)
   | ds -> Alcotest.failf "expected exactly one diagnostic, got %d" (List.length ds)
 
+(* Spans stay exact deep into a large file: E020 on the last of 5,001
+   clauses with its note on the first use, and an adorned-level E003
+   on a rule after 5,000 facts, which reaches its clause through the
+   fact-free program's index map. *)
+let test_spans_at_scale () =
+  let facts pred =
+    String.concat "\n" (List.init 5000 (fun i -> Fmt.str "%s(n%d, n%d)." pred i (i + 1)))
+  in
+  let line (sp : Loc.t) = sp.Loc.start.Loc.line in
+  (match A.check_text (facts "e" ^ "\ne(n0, n1, n2).\n") with
+  | [ d ] ->
+    Alcotest.(check string) "code" "E020" d.A.Diagnostic.code;
+    Alcotest.(check int) "on the last line" 5001 (line d.A.Diagnostic.span);
+    Alcotest.(check (list int)) "note at the first use" [ 1 ]
+      (List.map (fun (_, sp) -> line sp) d.A.Diagnostic.notes)
+  | ds -> Alcotest.failf "expected one E020, got %d diagnostics" (List.length ds));
+  match
+    A.check_text (facts "q" ^ "\np(X, Y) :- q(X, _Z).\n?- p(n0, Y).\n")
+    |> List.filter A.Diagnostic.is_error
+  with
+  | [ d ] ->
+    Alcotest.(check string) "code" "E003" d.A.Diagnostic.code;
+    Alcotest.(check int) "on the rule's line" 5001 (line d.A.Diagnostic.span)
+  | ds -> Alcotest.failf "expected one error, got %d" (List.length ds)
+
 let test_rendering () =
   let src = "move(a, b).\nwin(X) :- move(X, Y), not win(Y).\n?- win(a)." in
   match A.check_text src with
@@ -384,6 +409,7 @@ let suite =
     Alcotest.test_case "warning codes" `Quick test_warning_codes;
     Alcotest.test_case "underscore singletons" `Quick test_underscore_singletons;
     Alcotest.test_case "diagnostic span" `Quick test_diagnostic_span;
+    Alcotest.test_case "spans at scale" `Quick test_spans_at_scale;
     Alcotest.test_case "caret rendering" `Quick test_rendering;
     Alcotest.test_case "Loc.of_offset" `Quick test_loc_of_offset;
     Alcotest.test_case "E030 invalid sip" `Quick test_invalid_sip;

@@ -37,7 +37,7 @@ let verdict_of t name =
 let test_card_measured () =
   let p, q, edb = load (ancestor_src (chain 10) "a(n0, Y)") in
   ignore q;
-  let t = PCa.analyze ~db:edb p in
+  let t = PCa.analyze ~profile:(PCa.profile edb) p in
   Alcotest.(check bool) "measured" true (PCa.measured t);
   let s = PCa.stat t (Symbol.make "p" 2) in
   Alcotest.(check (float 0.01)) "edb card exact" 10. s.PCa.card;
@@ -60,19 +60,157 @@ let test_card_symbolic () =
        (PCa.diagnostics t))
 
 let test_graph_shape () =
-  let e a b = (Term.Sym a, Term.Sym b) in
-  let shape =
-    PCa.graph_shape
-      ~edges:[ e "a" "b"; e "b" "c"; e "a" "c" ]
-      ~roots:[ Term.Sym "a" ]
-  in
+  let shape = PCa.graph_shape ~edges:[ (0, 1); (1, 2); (0, 2) ] ~roots:[ 0 ] in
   Alcotest.(check bool) "acyclic" true shape.PCa.acyclic;
   Alcotest.(check (float 0.01)) "longest" 2. shape.PCa.longest;
   Alcotest.(check (float 0.01)) "reachable" 3. shape.PCa.reachable;
-  let cyc =
-    PCa.graph_shape ~edges:[ e "a" "b"; e "b" "a" ] ~roots:[ Term.Sym "a" ]
-  in
+  let cyc = PCa.graph_shape ~edges:[ (0, 1); (1, 0) ] ~roots:[ 0 ] in
   Alcotest.(check bool) "cyclic detected" false cyc.PCa.acyclic
+
+(* Brute-force reference for [graph_shape]: reachability by BFS, a
+   cycle wherever a reachable node reaches itself, longest paths and
+   path counts by memoized DP over the reachable predecessors, with the
+   analysis' saturation (each node's count capped at 1e6, the total at
+   1e9). *)
+let reference_shape ~edges ~roots =
+  let nodes = List.sort_uniq compare (List.concat_map (fun (u, v) -> [ u; v ]) edges) in
+  if nodes = [] then
+    { PCa.acyclic = true; longest = 0.; total_paths = 1.; saturated = false; reachable = 0. }
+  else begin
+    let succs u = List.filter_map (fun (a, b) -> if a = u then Some b else None) edges in
+    let preds v = List.filter_map (fun (a, b) -> if b = v then Some a else None) edges in
+    let roots =
+      match List.filter (fun r -> List.mem r nodes) roots with
+      | [] -> (
+        match List.filter (fun u -> preds u = []) nodes with [] -> nodes | s -> s)
+      | rs -> List.sort_uniq compare rs
+    in
+    let bfs from =
+      let seen = Hashtbl.create 16 in
+      let q = Queue.create () in
+      List.iter (fun r -> Queue.add r q) from;
+      while not (Queue.is_empty q) do
+        let u = Queue.pop q in
+        if not (Hashtbl.mem seen u) then begin
+          Hashtbl.replace seen u ();
+          List.iter (fun v -> Queue.add v q) (succs u)
+        end
+      done;
+      seen
+    in
+    let reach = bfs roots in
+    let reached = List.filter (Hashtbl.mem reach) nodes in
+    let reachable = float_of_int (List.length reached) in
+    if List.exists (fun v -> Hashtbl.mem (bfs (succs v)) v) reached then
+      { PCa.acyclic = false; longest = 1e18; total_paths = 1e18; saturated = true; reachable }
+    else begin
+      let saturated = ref false in
+      let memo = Hashtbl.create 16 in
+      let rec dp v =
+        match Hashtbl.find_opt memo v with
+        | Some r -> r
+        | None ->
+          let ps = List.filter (Hashtbl.mem reach) (preds v) in
+          let depth = List.fold_left (fun acc u -> Float.max acc (fst (dp u) +. 1.)) 0. ps in
+          let raw =
+            List.fold_left (fun acc u -> acc +. snd (dp u))
+              (if List.mem v roots then 1. else 0.) ps
+          in
+          if raw >= 1e6 then saturated := true;
+          let r = (depth, Float.min 1e6 raw) in
+          Hashtbl.replace memo v r;
+          r
+      in
+      let longest = List.fold_left (fun acc v -> Float.max acc (fst (dp v))) 0. reached in
+      let total =
+        Float.min 1e9 (List.fold_left (fun acc v -> acc +. snd (dp v)) 0. reached)
+      in
+      {
+        PCa.acyclic = true;
+        longest;
+        total_paths = Float.max 1. total;
+        saturated = !saturated || total >= 1e6;
+        reachable;
+      }
+    end
+  end
+
+(* small digraphs, half of them DAGs, with parallel copies of every edge
+   (so path counts can saturate), sparse node labels and roots that may
+   lie outside the graph *)
+let gen_graph =
+  let open QCheck2.Gen in
+  let* n = int_range 1 10 in
+  let* dag = bool in
+  let* mult = int_range 1 6 in
+  let* raw = list_size (int_bound 20) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+  let* roots = list_size (int_bound 3) (int_bound (n + 2)) in
+  let label i = (1000 * i) + 7 in
+  let edges =
+    List.filter_map
+      (fun (a, b) ->
+        if not dag then Some (a, b)
+        else if a < b then Some (a, b)
+        else if b < a then Some (b, a)
+        else None)
+      raw
+    |> List.concat_map (fun (a, b) -> List.init mult (fun _ -> (label a, label b)))
+  in
+  return (edges, List.map label roots)
+
+let prop_graph_shape =
+  qtest ~count:500 "card: graph shape = brute force" gen_graph (fun (edges, roots) ->
+      PCa.graph_shape ~edges ~roots = reference_shape ~edges ~roots)
+
+(* random EDBs over three relations (symbols, integers and a compound
+   term), built by interleaved inserts and deletions so tombstoned and
+   re-added tuples occur *)
+let gen_edb_ops =
+  let open QCheck2.Gen in
+  list_size (int_bound 60)
+    (triple (frequency [ (3, return true); (1, return false) ]) (int_bound 2)
+       (pair (int_bound 4) (int_bound 4)))
+
+let prop_profile =
+  qtest ~count:200 "card: profile = naive count" gen_edb_ops (fun ops ->
+      let v k = if k mod 2 = 0 then Term.Sym (Fmt.str "c%d" k) else Term.Int k in
+      let fact rel (a, b) =
+        match rel with
+        | 0 -> Atom.make "u" [ v a ]
+        | 1 -> Atom.make "e" [ v a; v b ]
+        | _ -> Atom.make "t" [ v a; Term.Int b; Term.App ("f", [ v a ]) ]
+      in
+      let db = Engine.Database.create () in
+      List.iter
+        (fun (add, rel, args) ->
+          let f = fact rel args in
+          ignore
+            (if add then Engine.Database.add_fact db f
+             else Engine.Database.remove_fact db f))
+        ops;
+      let profile = PCa.profile db in
+      let t = PCa.analyze ~profile (Program.make []) in
+      let distinct terms = List.length (List.sort_uniq Term.compare terms) in
+      List.for_all
+        (fun (sym : Symbol.t) ->
+          let facts = Engine.Database.facts db sym in
+          let naive =
+            {
+              PCa.card = float_of_int (List.length facts);
+              distinct =
+                Array.init sym.Symbol.arity (fun i ->
+                    float_of_int
+                      (max 1 (distinct (List.map (fun (a : Atom.t) -> List.nth a.Atom.args i) facts))));
+            }
+          in
+          PCa.stat t sym = naive)
+        (Engine.Database.symbols db)
+      && PCa.profile_universe profile
+         = float_of_int
+             (max 2
+                (distinct
+                   (List.concat_map (fun (a : Atom.t) -> a.Atom.args)
+                      (Engine.Database.all_facts db)))))
 
 (* ------------------------------------------------------------------ *)
 (* Pass_cost verdicts                                                  *)
@@ -165,6 +303,48 @@ let test_counting_floored_at_counterpart () =
   Alcotest.(check bool) "gc facts >= gms facts" true
     ((est "gc").PCo.est_facts >= (est "gms").PCo.est_facts)
 
+let test_unsafe_sip_excluded () =
+  (* under the chain sip append is adorned fbf, and the rewritten
+     [append_fbf(V, [], [V])] derives a non-ground head: the candidate
+     must be excluded, and the winner must evaluate cleanly *)
+  let p, q, edb =
+    load
+      "append(V, [], [V]).\n\
+       append(V, [W|X], [W|Y]) :- append(V, X, Y).\n\
+       reverse([], []).\n\
+       reverse([V|X], Y) :- reverse(X, Z), append(V, Z, Y).\n\
+       ?- reverse([a, b, c], ?)."
+  in
+  let t = PCo.choose ~db:edb p q in
+  List.iter
+    (fun name ->
+      match verdict_of t name with
+      | PCo.Excluded why ->
+        Alcotest.(check bool) "mentions the sip" true (contains ~affix:"sip" why)
+      | _ -> Alcotest.failf "%s must be excluded" name)
+    [ "gms-chain"; "gsms-chain" ];
+  let r = C.Rewrite.run t.PCo.winner.PCo.method_ p q ~edb in
+  Alcotest.(check bool)
+    (Fmt.str "winner %s evaluates" t.PCo.winner.PCo.name)
+    true
+    (r.C.Rewrite.status = C.Rewrite.Ok)
+
+let test_only_unknown () =
+  let p, q, edb = load (ancestor_src (chain 5) "a(n0, Y)") in
+  let message only =
+    match PCo.choose ~db:edb ~only p q with
+    | exception Invalid_argument msg -> msg
+    | _ -> Alcotest.failf "~only:[%s] must be refused" (String.concat "; " only)
+  in
+  Alcotest.(check bool) "names the unknown candidate" true
+    (contains ~affix:"[bogus]" (message [ "bogus" ]));
+  let msg = message [ "gms"; "naive" ] in
+  Alcotest.(check bool) "names only the unknown one" true
+    (contains ~affix:"[naive]" msg);
+  ignore (message []);
+  Alcotest.(check string) "known names still select" "gms"
+    (PCo.choose ~db:edb ~only:[ "gms" ] p q).PCo.winner.PCo.name
+
 let test_report_renders () =
   let t = choose (ancestor_src (chain 20) "a(n10, Y)") in
   let s = Fmt.str "%a" PCo.pp_report t in
@@ -172,6 +352,24 @@ let test_report_renders () =
     (contains ~affix:t.PCo.winner.PCo.name s);
   Alcotest.(check bool) "mentions selected" true
     (contains ~affix:"selected" s)
+
+(* Every corpus and generated case of Cost_cases renders exactly its
+   pinned report: the selector's inputs, numbers and decisions are part
+   of the contract, so a change in any of them must show up here. *)
+let test_reports_unchanged () =
+  let cases = Cost_cases.all ~root:".." in
+  let dir = "cost_reports" in
+  Sys.readdir dir
+  |> Array.iter (fun f ->
+         if not (List.mem_assoc (Filename.remove_extension f) cases) then
+           Alcotest.failf "%s/%s pins no case of Cost_cases" dir f);
+  List.iter
+    (fun (name, report) ->
+      let path = Filename.concat dir (name ^ ".txt") in
+      if not (Sys.file_exists path) then
+        Alcotest.failf "%s: no pinned report %s" name path;
+      Alcotest.(check string) name (Cost_cases.read path) (report ()))
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* session strategy selection                                          *)
@@ -207,6 +405,8 @@ let suite =
     Alcotest.test_case "card: measured chain" `Quick test_card_measured;
     Alcotest.test_case "card: symbolic fallback" `Quick test_card_symbolic;
     Alcotest.test_case "card: graph shape" `Quick test_graph_shape;
+    prop_graph_shape;
+    prop_profile;
     Alcotest.test_case "cost: deep chain excludes counting" `Quick
       test_deep_chain_excludes_counting;
     Alcotest.test_case "cost: cyclic data excludes counting" `Quick
@@ -225,7 +425,11 @@ let suite =
       test_extensional_query_trivial;
     Alcotest.test_case "cost: counting floored at counterpart" `Quick
       test_counting_floored_at_counterpart;
+    Alcotest.test_case "cost: unknown candidates refused" `Quick test_only_unknown;
+    Alcotest.test_case "cost: unsafe sip rewrites excluded" `Quick
+      test_unsafe_sip_excluded;
     Alcotest.test_case "cost: report renders" `Quick test_report_renders;
+    Alcotest.test_case "cost: reports unchanged" `Quick test_reports_unchanged;
     Alcotest.test_case "session: restricted candidates" `Quick test_session_choice;
     Alcotest.test_case "session: auto create" `Quick test_session_auto_create;
   ]
