@@ -476,64 +476,46 @@ let db_arg =
               committed transaction is journaled (fsync) before it is \
               acknowledged.")
 
+(* [f ()], with a store's located corruption diagnostic turned into
+   an error message and exit 1 *)
+let open_db cmd db f =
+  match f () with
+  | v -> v
+  | exception e -> (
+    match Persist.Codec.explain e with
+    | Some msg ->
+      Fmt.epr "magic %s: cannot open db %s: %s@." cmd (Option.value db ~default:"") msg;
+      exit 1
+    | None -> raise e)
+
 let session_cmd =
   let run file script_path (strategy_name, strategy) max_facts json db =
     let program, query, edb = load file in
     let items = load_script script_path in
     let store =
-      match db with
-      | None -> None
-      | Some dir -> (
-        match
-          Persist.Store.open_or_create ~strategy ~max_facts ~dir program query ~edb
-        with
-        | st -> Some st
-        | exception e -> (
-          match Persist.Codec.explain e with
-          | Some msg ->
-            Fmt.epr "magic session: cannot open db %s: %s@." dir msg;
-            exit 1
-          | None -> raise e))
+      open_db "session" db (fun () ->
+          Persist.Store.open_or_create ~strategy ~max_facts ?dir:db program query ~edb)
     in
-    (* the EDB as updated so far, kept alongside the session so that an
-       incompatible query (different binding pattern) can start a fresh
-       session from the current state (the store tracks it on disk) *)
-    let shadow = Engine.Database.copy edb in
     let workload = Filename.basename script_path in
     let rows = ref [] in
-    let session =
-      ref
-        (match store with
-        | Some st -> Persist.Store.session st
-        | None -> Incr.Session.create ~strategy ~max_facts program query ~edb)
-    in
-    (match store with
-    | Some st when not json ->
-      if Persist.Store.restored st then
-        Fmt.pr "%% db %s reopened: %d wal records replayed@."
-          (Option.get db) (Persist.Store.replayed st)
-      else Fmt.pr "%% db %s created@." (Option.get db)
+    (match db with
+    | Some dir when not json ->
+      if Persist.Store.restored store then
+        Fmt.pr "%% db %s reopened: %d wal records replayed@." dir
+          (Persist.Store.replayed store)
+      else Fmt.pr "%% db %s created@." dir
     | _ -> ());
     if (not json) && strategy = Incr.Session.Auto then
       Fmt.pr "%% session strategy=%s (auto)@."
-        (Incr.Session.strategy_to_string (Incr.Session.strategy !session));
+        (Incr.Session.strategy_to_string
+           (Incr.Session.strategy (Persist.Store.session store)));
     let pending = ref [] in
     let flush () =
       match List.rev !pending with
       | [] -> ()
       | ops ->
         pending := [];
-        List.iter
-          (function
-            | Incr.Maintain.Insert a -> ignore (Engine.Database.add_fact shadow a)
-            | Incr.Maintain.Delete a -> ignore (Engine.Database.remove_fact shadow a))
-          ops;
-        let stats, time_s =
-          timed (fun () ->
-              match store with
-              | Some st -> Persist.Store.update st ops
-              | None -> Incr.Session.update ~max_facts !session ops)
-        in
+        let stats, time_s = timed (fun () -> Persist.Store.update store ops) in
         if json then
           rows :=
             Engine.Json_out.result_row ~workload
@@ -546,23 +528,11 @@ let session_cmd =
       flush ();
       let (answers, stats), time_s =
         timed (fun () ->
-            let incompatible () =
+            try Persist.Store.query store q
+            with Incr.Session.Incompatible_query _ ->
               (* the adornment differs: rebuild the session for the new
                  binding pattern over the current EDB state *)
-              match store with
-              | Some st ->
-                session := Persist.Store.reset st q;
-                (Incr.Session.answers !session, Engine.Stats.create ())
-              | None ->
-                session :=
-                  Incr.Session.create ~strategy ~max_facts program q ~edb:shadow;
-                (Incr.Session.answers !session, Engine.Stats.create ())
-            in
-            try
-              match store with
-              | Some st -> Persist.Store.query st q
-              | None -> Incr.Session.query ~max_facts !session q
-            with Incr.Session.Incompatible_query _ -> incompatible ())
+              (Incr.Session.answers (Persist.Store.reset store q), Engine.Stats.create ()))
       in
       if json then
         rows :=
@@ -587,7 +557,7 @@ let session_cmd =
        flush ();
        (* final checkpoint; on the error path below the disk already
           holds every acknowledged commit (journal-after-apply) *)
-       Option.iter Persist.Store.close store
+       Persist.Store.close store
      with Incr.Maintain.Budget_exhausted ->
        Fmt.epr "magic session: fact budget exhausted (see --max-facts)@.";
        exit 1);
@@ -654,15 +624,8 @@ let serve_cmd =
     in
     let program, query, edb = load file in
     let registry =
-      match Server.Registry.create ~strategy ~max_facts ?db program query ~edb with
-      | r -> r
-      | exception e -> (
-        match Persist.Codec.explain e with
-        | Some msg ->
-          Fmt.epr "magic serve: cannot open db %s: %s@."
-            (Option.value db ~default:"") msg;
-          exit 1
-        | None -> raise e)
+      open_db "serve" db (fun () ->
+          Server.Registry.create ~strategy ~max_facts ?db program query ~edb)
     in
     Fmt.pr "%% serve strategy=%s jobs=%d%s@."
       (Incr.Session.strategy_to_string (Server.Registry.session_strategy registry))

@@ -46,31 +46,6 @@ let check_supported ~naming (ar : Adorn.adorned_rule) =
         invalid_arg "Counting: multiple sip arcs into one occurrence are not supported")
     (List.init n Fun.id)
 
-(* Prune cnt literals for tail members implied by another cnt'ed node
-   (the analogue of Proposition 4.2, used by the paper's examples). *)
-let prune_redundant ~sip lits =
-  let cnt_nodes =
-    List.filter_map
-      (fun (origin, _) ->
-        match origin with
-        | Rewritten.Guard -> Some Sip.Head
-        | Rewritten.Tail_magic n -> Some n
-        | Rewritten.Tail_copy _ | Rewritten.Body_copy _ | Rewritten.Sup_lit _ -> None)
-      lits
-  in
-  List.filter
-    (fun (origin, _) ->
-      match origin with
-      | Rewritten.Tail_magic n ->
-        not
-          (List.exists
-             (fun m -> (not (Sip.node_equal m n)) && Rew_util.implies sip m n)
-             cnt_nodes)
-      | Rewritten.Guard | Rewritten.Tail_copy _ | Rewritten.Body_copy _
-      | Rewritten.Sup_lit _ ->
-        true)
-    lits
-
 (* Counting rule for the sip arc into body position [j0] (0-based). *)
 let cnt_rule ~naming ~simplify ~adorned_index ~rule_number ix (ar : Adorn.adorned_rule) j0
     target_info =
@@ -110,7 +85,7 @@ let cnt_rule ~naming ~simplify ~adorned_index ~rule_number ix (ar : Adorn.adorne
         end)
       arc.Sip.tail
   in
-  let lits = if simplify then prune_redundant ~sip:ar.Adorn.sip lits else lits in
+  let lits = if simplify then Rew_util.prune_redundant ~sip:ar.Adorn.sip lits else lits in
   ( Rule.make head (List.map snd lits),
     {
       Rewritten.kind = Rewritten.Magic_def { adorned_index; target = j0 };

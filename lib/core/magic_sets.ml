@@ -31,31 +31,6 @@ let tail_copy (ar : Adorn.adorned_rule) node =
   | Sip.Head -> None
   | Sip.Body j -> Some (List.nth ar.Adorn.rule.Rule.body j)
 
-(* Proposition 4.2: delete a magic literal for node [n] when the same body
-   contains a magic literal for a node [m] with [m => n]. *)
-let prune_redundant_magic ~sip lits =
-  let magic_nodes =
-    List.filter_map
-      (fun (origin, _) ->
-        match origin with
-        | Rewritten.Guard -> Some Sip.Head
-        | Rewritten.Tail_magic n -> Some n
-        | Rewritten.Tail_copy _ | Rewritten.Body_copy _ | Rewritten.Sup_lit _ -> None)
-      lits
-  in
-  List.filter
-    (fun (origin, _) ->
-      match origin with
-      | Rewritten.Tail_magic n ->
-        not
-          (List.exists
-             (fun m -> (not (Sip.node_equal m n)) && Rew_util.implies sip m n)
-             magic_nodes)
-      | Rewritten.Guard | Rewritten.Tail_copy _ | Rewritten.Body_copy _
-      | Rewritten.Sup_lit _ ->
-        true)
-    lits
-
 (* Body of a magic (or label) rule for one arc: the tail's magic literals
    and literal copies, in tail order. *)
 let arc_body ~naming ~simplify (ar : Adorn.adorned_rule) (arc : Sip.arc) =
@@ -81,7 +56,7 @@ let arc_body ~naming ~simplify (ar : Adorn.adorned_rule) (arc : Sip.arc) =
         magic @ copy)
       arc.Sip.tail
   in
-  if simplify then prune_redundant_magic ~sip:ar.Adorn.sip lits else lits
+  if simplify then Rew_util.prune_redundant ~sip:ar.Adorn.sip lits else lits
 
 (* Magic rules for the arcs into body literal [i] of adorned rule [ar]
    (index [adorned_index]).  Single arc: one magic rule.  Several arcs:
@@ -161,7 +136,7 @@ let modified_rule ~naming ~simplify ~adorned_index (ar : Adorn.adorned_rule) =
          ar.Adorn.rule.Rule.body)
   in
   let lits = guard @ body in
-  let lits = if simplify then prune_redundant_magic ~sip:ar.Adorn.sip lits else lits in
+  let lits = if simplify then Rew_util.prune_redundant ~sip:ar.Adorn.sip lits else lits in
   ( Rule.make ar.Adorn.rule.Rule.head (List.map snd lits),
     { Rewritten.kind = Rewritten.Modified adorned_index; origins = List.map fst lits } )
 

@@ -44,6 +44,32 @@ let implies sip p q =
   in
   search [] (step p)
 
+(* Proposition 4.2, and its counting analogue: drop the magic (or cnt)
+   literal of a tail member [n] when the same body carries one for a
+   node [m] with [m => n]. *)
+let prune_redundant ~sip lits =
+  let guarded =
+    List.filter_map
+      (fun (origin, _) ->
+        match origin with
+        | Rewritten.Guard -> Some Sip.Head
+        | Rewritten.Tail_magic n -> Some n
+        | Rewritten.Tail_copy _ | Rewritten.Body_copy _ | Rewritten.Sup_lit _ -> None)
+      lits
+  in
+  List.filter
+    (fun (origin, _) ->
+      match origin with
+      | Rewritten.Tail_magic n ->
+        not
+          (List.exists
+             (fun m -> (not (Sip.node_equal m n)) && implies sip m n)
+             guarded)
+      | Rewritten.Guard | Rewritten.Tail_copy _ | Rewritten.Body_copy _
+      | Rewritten.Sup_lit _ ->
+        true)
+    lits
+
 let last_arc_target (ar : Adorn.adorned_rule) =
   let n = List.length ar.Adorn.rule.Rule.body in
   let rec go i = if i < 0 then None else if Sip.arcs_into ar.Adorn.sip i <> [] then Some i else go (i - 1) in

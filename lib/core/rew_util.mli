@@ -27,6 +27,12 @@ val implies : Sip.t -> Sip.node -> Sip.node -> bool
 (** The paper's [p => q] relation: [p] is in the tail of an arc into [q],
     transitively. *)
 
+val prune_redundant :
+  sip:Sip.t -> (Rewritten.lit_origin * 'a) list -> (Rewritten.lit_origin * 'a) list
+(** Proposition 4.2, shared by the magic and counting rewrites: drop the
+    [Tail_magic] literal of a node [n] when the body also has a [Guard]
+    or [Tail_magic] literal for a node [m <> n] with [m => n]. *)
+
 val last_arc_target : Adorn.adorned_rule -> int option
 (** Index of the last body literal with an incoming sip arc (the paper's
     [q_m]), assuming the body is sip-ordered. *)

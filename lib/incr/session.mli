@@ -22,6 +22,10 @@ exception Incompatible_query of string
 (** A new query's rewritten program differs from the session's (its
     binding pattern adorns differently); a new session is needed. *)
 
+val same_program : Program.t -> Program.t -> bool
+(** Rule-for-rule equality: a query is compatible with a session iff
+    its rewritten program is the [same_program] as the session's. *)
+
 val strategy_of_string : string -> strategy option
 val strategy_to_string : strategy -> string
 

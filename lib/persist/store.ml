@@ -3,15 +3,26 @@ module Db = Engine.Database
 module Rel = Engine.Relation
 module Session = Incr.Session
 
-type t = {
+(* Where the last committed state lives.  On disk: the snapshot plus the
+   WAL written since it.  In memory: the shadow — the EDB with every
+   committed op and installed seed applied — plus the query the session
+   was last created for; re-evaluating the two reproduces the session. *)
+type disk = {
   dir : string;
-  program : Program.t;
   digest : string;
-  max_facts : int option;
   checkpoint_every : int;
-  mutable session : Session.t;
   mutable wal : Wal.writer;
   mutable since_checkpoint : int;
+}
+
+type shadow = { mutable edb : Db.t; mutable query : Atom.t }
+type backing = Disk of disk | Memory of shadow
+
+type t = {
+  program : Program.t;
+  max_facts : int option;
+  backing : backing;
+  mutable session : Session.t;
   mutable appended : int;
   mutable n_checkpoints : int;
   mutable n_replayed : int;
@@ -23,6 +34,7 @@ let wal_path dir = Filename.concat dir "wal.magic"
 let program_digest p = Digest.to_hex (Digest.string (Program.to_string p))
 
 let session t = t.session
+let durable t = match t.backing with Disk _ -> true | Memory _ -> false
 let restored t = t.restored_
 let replayed t = t.n_replayed
 let wal_records t = t.appended
@@ -92,109 +104,148 @@ let load_from_disk ~dir ~program ~digest ~strategy_req ~max_facts =
 (* Checkpointing and journaling                                        *)
 (* ------------------------------------------------------------------ *)
 
-let write_snapshot t =
-  let im = Session.image t.session in
+let write_snapshot d session =
+  let im = Session.image session in
   let meta =
     {
       Snapshot_file.strategy = Session.strategy_to_string im.Session.i_strategy;
       query = Atom.to_string im.Session.i_query;
-      program_digest = t.digest;
+      program_digest = d.digest;
     }
   in
-  Snapshot_file.save ~path:(snapshot_path t.dir) ~meta im.Session.i_maintain
+  Snapshot_file.save ~path:(snapshot_path d.dir) ~meta im.Session.i_maintain
 
 let checkpoint t =
-  write_snapshot t;
-  (* the snapshot now covers everything the WAL held: start a new one *)
-  Wal.close t.wal;
-  t.wal <- Wal.create (wal_path t.dir);
-  t.since_checkpoint <- 0;
-  t.n_checkpoints <- t.n_checkpoints + 1
+  match t.backing with
+  | Memory _ -> ()
+  | Disk d ->
+    write_snapshot d t.session;
+    (* the snapshot now covers everything the WAL held: start a new one *)
+    Wal.close d.wal;
+    d.wal <- Wal.create (wal_path d.dir);
+    d.since_checkpoint <- 0;
+    t.n_checkpoints <- t.n_checkpoints + 1
 
-let bump t =
+let journal t d record =
+  Wal.append d.wal record;
   t.appended <- t.appended + 1;
-  t.since_checkpoint <- t.since_checkpoint + 1;
-  if t.checkpoint_every > 0 && t.since_checkpoint >= t.checkpoint_every then checkpoint t
-
-let journal_txn t ops =
-  if ops <> [] then begin
-    Wal.append t.wal (Wal.Txn ops);
-    bump t
-  end
-
-let journal_install t q =
-  Wal.append t.wal (Wal.Install q);
-  bump t
+  d.since_checkpoint <- d.since_checkpoint + 1;
+  if d.checkpoint_every > 0 && d.since_checkpoint >= d.checkpoint_every then checkpoint t
 
 (* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let open_or_create ?strategy ?max_facts ?(checkpoint_every = 64) ~dir program query ~edb =
-  let digest = program_digest program in
-  if Sys.file_exists (snapshot_path dir) then begin
-    let session, n_replayed =
-      load_from_disk ~dir ~program ~digest ~strategy_req:strategy ~max_facts
-    in
-    let t =
-      {
-        dir;
-        program;
-        digest;
-        max_facts;
-        checkpoint_every;
-        session;
-        wal = Wal.open_append (wal_path dir);
-        since_checkpoint = n_replayed;
-        appended = 0;
-        n_checkpoints = 0;
-        n_replayed;
-        restored_ = true;
-      }
-    in
-    (* fold a long replay into the snapshot now rather than on shutdown *)
-    if t.checkpoint_every > 0 && t.since_checkpoint >= t.checkpoint_every then checkpoint t;
-    t
-  end
-  else begin
-    mkdir_p dir;
-    let strategy = Option.value strategy ~default:Session.Original in
-    let session = Session.create ~strategy ?max_facts program query ~edb in
-    let t =
-      {
-        dir;
-        program;
-        digest;
-        max_facts;
-        checkpoint_every;
-        session;
-        wal = Wal.create (wal_path dir);
-        since_checkpoint = 0;
-        appended = 0;
-        n_checkpoints = 0;
-        n_replayed = 0;
-        restored_ = false;
-      }
-    in
-    write_snapshot t;
-    t.n_checkpoints <- 1;
-    t
-  end
+let open_or_create ?strategy ?options ?max_facts ?(checkpoint_every = 64) ?dir program
+    query ~edb =
+  let make ?(restored_ = false) ?(n_replayed = 0) backing session =
+    {
+      program;
+      max_facts;
+      backing;
+      session;
+      appended = 0;
+      n_checkpoints = 0;
+      n_replayed;
+      restored_;
+    }
+  in
+  match dir with
+  | None ->
+    let session = Session.create ?strategy ?options ?max_facts program query ~edb in
+    make (Memory { edb = Db.copy edb; query }) session
+  | Some _ when options <> None ->
+    invalid_arg "Store.open_or_create: custom rewrite options cannot be persisted"
+  | Some dir ->
+    let digest = program_digest program in
+    if Sys.file_exists (snapshot_path dir) then begin
+      let session, n_replayed =
+        load_from_disk ~dir ~program ~digest ~strategy_req:strategy ~max_facts
+      in
+      let wal = Wal.open_append (wal_path dir) in
+      let d = { dir; digest; checkpoint_every; wal; since_checkpoint = n_replayed } in
+      let t = make ~restored_:true ~n_replayed (Disk d) session in
+      (* fold a long replay into the snapshot now rather than on shutdown *)
+      if checkpoint_every > 0 && n_replayed >= checkpoint_every then checkpoint t;
+      t
+    end
+    else begin
+      mkdir_p dir;
+      let strategy = Option.value strategy ~default:Session.Original in
+      let session = Session.create ~strategy ?max_facts program query ~edb in
+      let wal = Wal.create (wal_path dir) in
+      let d = { dir; digest; checkpoint_every; wal; since_checkpoint = 0 } in
+      write_snapshot d session;
+      let t = make (Disk d) session in
+      t.n_checkpoints <- 1;
+      t
+    end
 
 (* ------------------------------------------------------------------ *)
-(* Session-driving conveniences                                        *)
+(* The commit path                                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Bring back the last committed state: a snapshot load plus WAL replay
+   (a failed apply wrote no record), or an unbounded re-evaluation of
+   the shadow (its fixpoint was live before the failed apply, so it is
+   known to be affordable). *)
+let recover t =
+  match t.backing with
+  | Disk d ->
+    Wal.close d.wal;
+    let session, n =
+      load_from_disk ~dir:d.dir ~program:t.program ~digest:d.digest ~strategy_req:None
+        ~max_facts:t.max_facts
+    in
+    t.session <- session;
+    d.wal <- Wal.open_append (wal_path d.dir);
+    t.n_replayed <- t.n_replayed + n
+  | Memory m ->
+    t.session <-
+      Session.create ~strategy:(Session.strategy t.session)
+        ~options:(Session.options t.session) t.program m.query ~edb:m.edb
+
+(* The one commit rule: apply the change to the live session; on
+   success record it before returning; on a blown budget or a bad op,
+   which may leave the session half-applied, recover and re-raise. *)
+let commit t apply record =
+  match apply t.session with
+  | result ->
+    record result;
+    result
+  | exception ((Incr.Maintain.Budget_exhausted | Invalid_argument _) as e) ->
+    recover t;
+    raise e
 
 let update_delta t ops =
-  let stats, summary = Session.update_delta ?max_facts:t.max_facts t.session ops in
-  journal_txn t ops;
-  (stats, summary)
+  commit t
+    (fun s -> Session.update_delta ?max_facts:t.max_facts s ops)
+    (fun _ ->
+      match t.backing with
+      | Disk d -> if ops <> [] then journal t d (Wal.Txn ops)
+      | Memory m ->
+        List.iter
+          (function
+            | Incr.Maintain.Insert a -> ignore (Db.add_fact m.edb a)
+            | Incr.Maintain.Delete a -> ignore (Db.remove_fact m.edb a))
+          ops)
 
 let update t ops = fst (update_delta t ops)
 
+let query_delta t q =
+  commit t
+    (fun s -> Session.query_delta ?max_facts:t.max_facts s q)
+    (fun (_, _, summary) ->
+      (* an install whose seeds were all present changed no fact: no record *)
+      if summary <> [] then
+        match (t.backing, Session.rewritten t.session) with
+        | Disk d, _ -> journal t d (Wal.Install q)
+        | Memory m, Some rw ->
+          List.iter (fun s -> ignore (Db.add_fact m.edb s)) rw.Magic_core.Rewritten.seeds
+        | Memory _, None -> ())
+
 let query t q =
-  let answers, stats, summary = Session.query_delta ?max_facts:t.max_facts t.session q in
-  if summary <> [] then journal_install t q;
+  let answers, stats, _summary = query_delta t q in
   (answers, stats)
 
 (* The base EDB plus externally asserted facts of the original program's
@@ -228,23 +279,19 @@ let extract_edb session =
 
 let reset t q =
   let edb = extract_edb t.session in
-  let strategy = Session.strategy t.session in
-  let session = Session.create ~strategy ?max_facts:t.max_facts t.program q ~edb in
-  t.session <- session;
-  checkpoint t;
-  session
-
-let recover t =
-  Wal.close t.wal;
-  let session, n =
-    load_from_disk ~dir:t.dir ~program:t.program ~digest:t.digest ~strategy_req:None
-      ~max_facts:t.max_facts
-  in
-  t.session <- session;
-  t.wal <- Wal.open_append (wal_path t.dir);
-  t.n_replayed <- t.n_replayed + n;
-  session
+  t.session <-
+    Session.create ~strategy:(Session.strategy t.session)
+      ~options:(Session.options t.session) ?max_facts:t.max_facts t.program q ~edb;
+  (match t.backing with
+  | Memory m ->
+    m.edb <- edb;
+    m.query <- q
+  | Disk _ -> checkpoint t);
+  t.session
 
 let close t =
-  checkpoint t;
-  Wal.close t.wal
+  match t.backing with
+  | Memory _ -> ()
+  | Disk d ->
+    checkpoint t;
+    Wal.close d.wal

@@ -1,21 +1,28 @@
-(** A durable session: a directory holding one binary snapshot plus a
-    write-ahead log, kept in lockstep with a live {!Incr.Session}.
+(** The one owner of a session's committed state.  A store wraps a live
+    {!Incr.Session} and keeps its last committed state in one of two
+    backings:
+    - {e on disk} ([~dir]): a directory holding one binary snapshot plus
+      a write-ahead log;
+    - {e in memory} (no [dir]): a shadow EDB — the initial EDB with
+      every committed op and installed seed applied.
 
-    Commit protocol — journal-after-apply: a transaction is applied to
-    the in-memory session first; only if it succeeds is a WAL record
-    appended and [fsync]ed, and only then is the commit acknowledged.  A
-    failed transaction (budget blowout, bad op) writes nothing, so the
-    on-disk state is always the last {e successful} commit and recovery
-    never needs rollback.
+    Commit protocol — apply, record, recover.  A transaction or a seed
+    install is applied to the live session first.  Only if it succeeds
+    is it recorded: a WAL record appended and [fsync]ed, or the shadow
+    updated; only then is the commit acknowledged.  If the apply fails
+    with [Budget_exhausted] or [Invalid_argument] the session may be
+    half-applied, so the store recovers the last committed state — a
+    snapshot load plus WAL replay, or an unbounded re-evaluation of the
+    shadow — before re-raising.  A failed apply records nothing.
 
     Checkpointing rewrites the snapshot (atomically: tmp + fsync +
     rename) and starts a fresh WAL; it runs every [checkpoint_every]
     journaled records and at {!close}.  Reopening costs O(snapshot size)
     plus a replay of the WAL suffix — no re-evaluation.
 
-    The store serializes with the default rewrite options; sessions
-    created with custom {!Magic_core.Rewrite.options} are not supported
-    (options shape the rewrite and are not persisted). *)
+    The disk backing serializes with the default rewrite options;
+    custom {!Magic_core.Rewrite.options} are refused there (options
+    shape the rewrite and are not persisted). *)
 
 open Datalog
 
@@ -33,27 +40,36 @@ val program_digest : Program.t -> string
 
 val open_or_create :
   ?strategy:Incr.Session.strategy ->
+  ?options:Magic_core.Rewrite.options ->
   ?max_facts:int ->
   ?checkpoint_every:int ->
-  dir:string ->
+  ?dir:string ->
   Program.t ->
   Atom.t ->
   edb:Engine.Database.t ->
   t
-(** Reopen the store in [dir] if a snapshot exists — [edb] is then
-    ignored; the disk state wins — else create it: materialize a fresh
-    session over [edb], write the initial snapshot and an empty WAL.
-    On reopen the snapshot's program digest must match [program], and
-    [strategy] (unless [Auto]) must match the stored one.  A torn WAL
-    tail is truncated; intact records are replayed onto the loaded
+(** Without [dir], materialize a session over [edb] (strategy defaults
+    to [Original]) and keep a copy of [edb] as the shadow.
+
+    With [dir], reopen the store there if a snapshot exists — [edb] is
+    then ignored; the disk state wins — else create it: materialize a
+    fresh session over [edb], write the initial snapshot and an empty
+    WAL.  On reopen the snapshot's program digest must match [program],
+    and [strategy] (unless [Auto]) must match the stored one.  A torn
+    WAL tail is truncated; intact records are replayed onto the loaded
     snapshot.  [checkpoint_every] (default 64, [0] = never) bounds the
     WAL between checkpoints.
-    @raise Codec.Corrupt on any corruption or mismatch diagnostic. *)
+    @raise Codec.Corrupt on any corruption or mismatch diagnostic.
+    @raise Invalid_argument if [dir] is combined with [options]. *)
 
 val session : t -> Incr.Session.t
-(** The live session.  Callers may drive it directly — e.g. under the
-    serving layer's write lock — provided every successful transaction
-    is then journaled with {!journal_txn}/{!journal_install}. *)
+(** The live session, for reading only: every change must go through
+    {!update_delta}, {!query_delta} or {!reset}, or it is neither
+    recorded nor rolled back.  The value changes after a recovery or a
+    reset; do not keep it across calls. *)
+
+val durable : t -> bool
+(** [true] iff the store is backed by a directory. *)
 
 val restored : t -> bool
 (** [true] iff the store was reopened from disk (vs freshly created). *)
@@ -66,40 +82,37 @@ val wal_records : t -> int
 
 val checkpoints : t -> int
 (** Checkpoints completed by this handle (the initial snapshot of a
-    fresh store counts as one). *)
-
-val journal_txn : t -> Incr.Maintain.op list -> unit
-(** Append a committed transaction's ops (no-op on an empty list), then
-    checkpoint if the interval elapsed.  Call only after the session
-    applied the ops successfully. *)
-
-val journal_install : t -> Atom.t -> unit
-(** Append a seed-install record for a query whose install summary was
-    non-empty.  Replay re-runs the query; installs are idempotent. *)
+    fresh store counts as one).  Always 0 in memory. *)
 
 val checkpoint : t -> unit
-(** Rewrite the snapshot from the live session and truncate the WAL. *)
-
-val update : t -> Incr.Maintain.op list -> Engine.Stats.t
-(** Apply + journal one transaction (journal-after-apply). *)
+(** Rewrite the snapshot from the live session and truncate the WAL.  A
+    no-op in memory. *)
 
 val update_delta : t -> Incr.Maintain.op list -> Engine.Stats.t * Incr.Maintain.summary
+(** Commit one transaction: apply, record, or recover and re-raise.
+    @raise Incr.Maintain.Budget_exhausted past [max_facts], after the
+    last committed state was restored. *)
+
+val update : t -> Incr.Maintain.op list -> Engine.Stats.t
+(** {!update_delta} without the change summary. *)
+
+val query_delta :
+  t -> Atom.t -> Engine.Tuple.t list * Engine.Stats.t * Incr.Maintain.summary
+(** Make the atom the session's query, committing its seed install like
+    a transaction (recorded only if it changed state).
+    @raise Incr.Session.Incompatible_query as the session does, with the
+    state untouched; use {!reset} to adopt the new query. *)
 
 val query : t -> Atom.t -> Engine.Tuple.t list * Engine.Stats.t
-(** Query the session, journaling the seed install if it changed state.
-    @raise Incr.Session.Incompatible_query as the session does; use
-    {!reset} to adopt the new query. *)
+(** {!query_delta} without the change summary. *)
 
 val reset : t -> Atom.t -> Incr.Session.t
 (** Rebuild for a query the current session cannot serve: re-creates
-    the session over the current base EDB (externally asserted facts of
-    the original program's derived predicates are carried; magic seeds
-    are not — the new query plants its own) and checkpoints
-    immediately. *)
-
-val recover : t -> Incr.Session.t
-(** Discard the in-memory session and reload the last durable state
-    (snapshot + WAL replay) — the serving layer's budget-blowout path. *)
+    the session, with the same resolved strategy, over the current base
+    EDB (externally asserted facts of the original program's derived
+    predicates are carried; magic seeds are not — the new query plants
+    its own) and commits it: a checkpoint on disk, a new shadow in
+    memory. *)
 
 val close : t -> unit
-(** Final checkpoint, then release file handles. *)
+(** Final checkpoint, then release file handles.  A no-op in memory. *)

@@ -35,16 +35,9 @@ type entry = {
 
 type t = {
   lock : Rwlock.t;
-  mutable session : Incr.Session.t;  (* replaced only under the write lock *)
-  store : Persist.Store.t option;
-      (* durable backing; journaled under the write lock after every
-         committed transaction, checkpointed on its own cadence and at
-         [close].  When present it replaces the shadow as the rebuild
-         source: the last durable state IS the last committed state. *)
-  shadow : Engine.Database.t;
-      (* committed writes only (EDB ops and installed seeds); the
-         rebuild source after a blown budget.  Mutated under the write
-         lock, and only after the maintenance transaction succeeded. *)
+  store : Persist.Store.t;
+      (* owns the session and its committed state; driven only under
+         the write lock *)
   mutable snapshot : Engine.Snapshot.t;  (* published under the write lock *)
   mutable probes : Atom.t list;
       (* one atom per (predicate, binding pattern) a first miss had to
@@ -52,7 +45,6 @@ type t = {
   mutable epoch : int;
   program : Program.t;
   derived : Symbol.Set.t;  (* of [program]: client txns may not touch these *)
-  query0 : Atom.t;
   strategy : Incr.Session.strategy;  (* resolved: never [Auto] *)
   options : C.Rewrite.options;
   max_facts : int option;
@@ -124,42 +116,19 @@ let publish ~epoch session probes =
 let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     ?(cache_mode = Partial) ?db ?checkpoint_every program query ~edb =
   let store =
-    match db with
-    | None -> None
-    | Some dir ->
-      if options <> None then
-        invalid_arg "Registry.create: custom rewrite options cannot be persisted";
-      Some
-        (Persist.Store.open_or_create ~strategy ?max_facts ?checkpoint_every ~dir
-           program query ~edb)
+    Persist.Store.open_or_create ~strategy ?options ?max_facts ?checkpoint_every
+      ?dir:db program query ~edb
   in
-  let shadow = Engine.Database.copy edb in
-  let session =
-    match store with
-    | Some st -> Persist.Store.session st
-    | None -> Incr.Session.create ~strategy ?options ?max_facts program query ~edb
-  in
-  (* the initial query's seeds are committed state: a rebuild of the
-     shadow must reproduce them (Session.create re-adds its own seeds,
-     so the duplication is harmless) *)
-  (match Incr.Session.rewritten session with
-  | Some rw ->
-    List.iter
-      (fun s -> ignore (Engine.Database.add_fact shadow s))
-      rw.C.Rewritten.seeds
-  | None -> ());
+  let session = Persist.Store.session store in
   let epoch = 0 in
   {
     lock = Rwlock.create ();
-    session;
     store;
-    shadow;
     snapshot = publish ~epoch session [];
     probes = [];
     epoch;
     program;
     derived = Program.derived program;
-    query0 = query;
     strategy = Incr.Session.strategy session;
     options = Incr.Session.options session;
     max_facts;
@@ -369,8 +338,6 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
       t.c.partial_invalidations <- t.c.partial_invalidations + 1
     end
 
-let same_program p1 p2 = List.equal Rule.equal (Program.rules p1) (Program.rules p2)
-
 let err code fmt = Fmt.kstr (fun message -> Protocol.Error { code; message }) fmt
 
 let count_error t resp =
@@ -381,24 +348,15 @@ let count_error t resp =
 
 (* ---- writes ---- *)
 
-let rebuild t =
-  (* under the write lock, after a blown budget left the maintained
-     state unspecified: recreate the last committed state and republish.
-     With a persistent store that state is on disk (journal-after-apply
-     means a failed transaction wrote no record), so recovery is a
-     snapshot load + WAL replay; otherwise it is re-evaluated from the
-     shadow's committed writes (unbounded — the shadow's fixpoint was
-     live a moment ago, so it is known to be affordable).  The epoch
-     does not advance: the logical state is exactly the last committed
-     one, so surviving cache entries stay valid. *)
-  (match t.store with
-  | Some st -> t.session <- Persist.Store.recover st
-  | None ->
-    let edb = Engine.Database.copy t.shadow in
-    t.session <-
-      Incr.Session.create ~strategy:t.strategy ~options:t.options t.program
-        t.query0 ~edb);
-  t.snapshot <- publish ~epoch:t.epoch t.session t.probes;
+let republish t =
+  t.snapshot <- publish ~epoch:t.epoch (Persist.Store.session t.store) t.probes
+
+let rebuilt t =
+  (* under the write lock, after a failed apply: the store has already
+     restored its last committed state.  Republish it at the same epoch:
+     the logical state is exactly the last committed one, so surviving
+     cache entries stay valid. *)
+  republish t;
   with_c t (fun c -> c.rebuilds <- c.rebuilds + 1)
 
 let op_atom = function Incr.Maintain.Insert a | Incr.Maintain.Delete a -> a
@@ -406,8 +364,7 @@ let op_atom = function Incr.Maintain.Insert a | Incr.Maintain.Delete a -> a
 let transact t ops =
   let t0 = now () in
   (* clients update extensional state only: an op on a derived predicate
-     would inject external support the shadow cannot faithfully record,
-     so a later rebuild would silently drop it *)
+     would assert external support for a fact the program itself owns *)
   match
     List.find_opt
       (fun op -> Symbol.Set.mem (Atom.symbol (op_atom op)) t.derived)
@@ -421,20 +378,12 @@ let transact t ops =
          Atom.pp (op_atom op))
   | None ->
   Rwlock.with_write t.lock (fun () ->
-      match Incr.Session.update_delta ?max_facts:t.max_facts t.session ops with
+      (* the store records the commit (a WAL fsync when durable) before
+         it returns, so the commit is acknowledged only once recorded *)
+      match Persist.Store.update_delta t.store ops with
       | stats, summary ->
-        (* journal-after-apply: the transaction succeeded, make it
-           durable (fsync) before acknowledging the commit *)
-        Option.iter (fun st -> Persist.Store.journal_txn st ops) t.store;
-        List.iter
-          (function
-            | Incr.Maintain.Insert a ->
-              ignore (Engine.Database.add_fact t.shadow a)
-            | Incr.Maintain.Delete a ->
-              ignore (Engine.Database.remove_fact t.shadow a))
-          ops;
         t.epoch <- t.epoch + 1;
-        t.snapshot <- publish ~epoch:t.epoch t.session t.probes;
+        republish t;
         absorb_maint t stats;
         locked t.cache_m (fun () ->
             apply_summary_locked t t.epoch summary;
@@ -443,33 +392,22 @@ let transact t ops =
         Protocol.Committed
           { epoch = t.epoch; ops = List.length ops; time_s = now () -. t0 }
       | exception Incr.Maintain.Budget_exhausted ->
-        rebuild t;
+        rebuilt t;
         count_error t
           (err Protocol.Budget
              "transaction exceeded the maintenance budget (max-facts %d); \
               state rolled back"
              (Option.value ~default:0 t.max_facts))
       | exception Invalid_argument msg ->
-        (* e.g. an op on a predicate the program derives; Maintain may
-           have partially applied, so roll back conservatively *)
-        rebuild t;
+        rebuilt t;
         count_error t (err Protocol.Bad_request "%s" msg))
 
 let install_seeds t q =
   Rwlock.with_write t.lock (fun () ->
-      match Incr.Session.query_delta ?max_facts:t.max_facts t.session q with
+      match Persist.Store.query_delta t.store q with
       | _answers, stats, summary ->
-        (* an install that changed nothing needs no journal record *)
-        if summary <> [] then
-          Option.iter (fun st -> Persist.Store.journal_install st q) t.store;
-        (match Incr.Session.rewritten t.session with
-        | Some rw ->
-          List.iter
-            (fun s -> ignore (Engine.Database.add_fact t.shadow s))
-            rw.C.Rewritten.seeds
-        | None -> ());
         t.epoch <- t.epoch + 1;
-        t.snapshot <- publish ~epoch:t.epoch t.session t.probes;
+        republish t;
         absorb_maint t stats;
         locked t.cache_m (fun () ->
             t.c.seed_installs <- t.c.seed_installs + 1;
@@ -485,12 +423,15 @@ let install_seeds t q =
       | exception Incr.Session.Incompatible_query msg ->
         Error (err Protocol.Incompatible "%s" msg)
       | exception Incr.Maintain.Budget_exhausted ->
-        rebuild t;
+        rebuilt t;
         Error
           (err Protocol.Budget
              "installing the query's seeds exceeded the maintenance budget \
               (max-facts %d); state rolled back"
-             (Option.value ~default:0 t.max_facts)))
+             (Option.value ~default:0 t.max_facts))
+      | exception Invalid_argument msg ->
+        rebuilt t;
+        Error (err Protocol.Bad_request "%s" msg))
 
 (* ---- reads ---- *)
 
@@ -561,10 +502,12 @@ let query t q =
         register_pred t pred;
         let read () =
           read_prepared t rw'.C.Rewritten.query (fun snap ->
-              let session_rw = Option.get (Incr.Session.rewritten t.session) in
+              let session_rw =
+                Option.get (Incr.Session.rewritten (Persist.Store.session t.store))
+              in
               if
                 not
-                  (same_program session_rw.C.Rewritten.program
+                  (Incr.Session.same_program session_rw.C.Rewritten.program
                      rw'.C.Rewritten.program)
               then `Incompatible
               else if
@@ -600,11 +543,8 @@ let query t q =
                    "seed installation for %a did not converge" Atom.pp q))))))
 
 let stats_fields t =
-  let ep, snap_total, strategy =
-    Rwlock.with_read t.lock (fun () ->
-        ( t.epoch,
-          Engine.Snapshot.total t.snapshot,
-          Incr.Session.strategy t.session ))
+  let ep, snap_total =
+    Rwlock.with_read t.lock (fun () -> (t.epoch, Engine.Snapshot.total t.snapshot))
   in
   let c, entries =
     locked t.cache_m (fun () ->
@@ -620,7 +560,7 @@ let stats_fields t =
   in
   [
     ("epoch", string_of_int ep);
-    ("strategy", Engine.Json_out.str (Incr.Session.strategy_to_string strategy));
+    ("strategy", Engine.Json_out.str (Incr.Session.strategy_to_string t.strategy));
     ("facts", string_of_int snap_total);
     ("queries", string_of_int c.queries);
     ("txns", string_of_int c.txns);
@@ -641,21 +581,18 @@ let stats_fields t =
     ("maint_firings", string_of_int c.maint_firings);
   ]
   @
-  match t.store with
-  | None -> [ ("persist_enabled", "false") ]
-  | Some st ->
+  if not (Persist.Store.durable t.store) then [ ("persist_enabled", "false") ]
+  else
     Rwlock.with_read t.lock (fun () ->
         [
           ("persist_enabled", "true");
-          ("persist_restored", string_of_bool (Persist.Store.restored st));
-          ("persist_wal_records", string_of_int (Persist.Store.wal_records st));
-          ("persist_checkpoints", string_of_int (Persist.Store.checkpoints st));
-          ("persist_replayed", string_of_int (Persist.Store.replayed st));
+          ("persist_restored", string_of_bool (Persist.Store.restored t.store));
+          ("persist_wal_records", string_of_int (Persist.Store.wal_records t.store));
+          ("persist_checkpoints", string_of_int (Persist.Store.checkpoints t.store));
+          ("persist_replayed", string_of_int (Persist.Store.replayed t.store));
         ])
 
-let close t =
-  Rwlock.with_write t.lock (fun () ->
-      Option.iter Persist.Store.close t.store)
+let close t = Rwlock.with_write t.lock (fun () -> Persist.Store.close t.store)
 
 (* test access: simulate the late [cache_store] of a reader that
    computed rows against an older snapshot ([Original]-shaped entries),

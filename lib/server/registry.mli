@@ -1,6 +1,6 @@
-(** The daemon's shared state: one warm {!Incr.Session}, a published
-    {!Engine.Snapshot}, an adornment-keyed answer cache, and the
-    snapshot-epoch discipline tying them together.
+(** The daemon's shared state: one {!Persist.Store} owning the warm
+    {!Incr.Session}, a published {!Engine.Snapshot}, an adornment-keyed
+    answer cache, and the snapshot-epoch discipline tying them together.
 
     {b Invariant (snapshot epochs).}  Every committed write — an EDB
     transaction or a seed installation for a newly compatible query —
@@ -38,12 +38,16 @@
     installed.  Under negation the installation's change summary goes
     through the same partial pass as a transaction.
 
-    {b Budgets.}  [max_facts] bounds every maintenance transaction (EDB
-    ops and seed installs).  A blown budget leaves the maintained state
-    unspecified, so the registry rebuilds the session from its shadow
-    EDB (which records only committed writes, including installed
-    seeds) and reports a protocol error — the daemon never dies and
-    never serves the half-applied state. *)
+    {b Budgets and the store.}  The session and its committed state
+    belong to one {!Persist.Store}, in memory or on disk; every write
+    goes through it under the write lock.  [max_facts] bounds every
+    maintenance transaction (EDB ops and seed installs).  A blown budget
+    leaves the maintained state unspecified, so the store restores the
+    last committed state (a snapshot load plus WAL replay on disk, an
+    unbounded re-evaluation of the committed EDB in memory); the
+    registry republishes it at the same epoch and reports a protocol
+    error — the daemon never dies and never serves the half-applied
+    state. *)
 
 open Datalog
 
@@ -66,18 +70,17 @@ val create :
   Atom.t ->
   edb:Engine.Database.t ->
   t
-(** Warm up a session for the program and initial query (strategy
+(** Open a {!Persist.Store} for the program and initial query (strategy
     defaults to [Auto]) and publish epoch-0 state.
 
-    With [db] the registry is durable: the directory is opened as a
-    {!Persist.Store} — reusing its snapshot and WAL if present ([edb]
-    is then ignored; the disk state wins), creating them otherwise.
-    Every committed transaction and seed install is journaled (fsync)
-    under the write lock before the commit is acknowledged, the
-    snapshot is rewritten every [checkpoint_every] records, and the
-    budget-blowout rebuild recovers from disk instead of re-evaluating
-    the shadow.  Epochs restart at 0 on reopen — they number commits of
-    one serving process, not of the store's lifetime.
+    Without [db] the store keeps its committed state in memory.  With
+    [db] the registry is durable: the directory is opened as the store's
+    snapshot and WAL — reused if present ([edb] is then ignored; the
+    disk state wins), created otherwise.  Every committed transaction
+    and seed install is journaled (fsync) under the write lock before
+    the commit is acknowledged, and the snapshot is rewritten every
+    [checkpoint_every] records.  Epochs restart at 0 on reopen — they
+    number commits of one serving process, not of the store's lifetime.
     @raise Persist.Codec.Corrupt if the store refuses to load.
     @raise Invalid_argument if [db] is combined with custom [options]
     (options shape the rewrite and are not persisted). *)
@@ -90,10 +93,10 @@ val query : t -> Atom.t -> Protocol.response
 val transact : t -> Incr.Maintain.op list -> Protocol.response
 (** Apply one EDB transaction.  Serialized with all other writes and
     exclusive against readers; on success the epoch advances and a new
-    snapshot is published.  Ops must target extensional relations — an
-    op on a predicate the program derives is refused with a
-    [bad-request] error (it would inject external support the shadow
-    cannot faithfully record across a rebuild). *)
+    snapshot is published; on a blown budget or a bad op the store
+    rolls back to the last committed state and the epoch stays.  Ops
+    must target extensional relations — an op on a predicate the
+    program derives is refused with a [bad-request] error. *)
 
 val stats_fields : t -> (string * string) list
 (** Daemon counters as [(name, json-value)] pairs for the stats reply. *)
@@ -102,9 +105,9 @@ val epoch : t -> int
 (** The currently published epoch (0 right after {!create}). *)
 
 val close : t -> unit
-(** Flush the persistent store, if any: final checkpoint, then release
-    its file handles.  A no-op for in-memory registries.  Call after the
-    daemon's accept loop has exited. *)
+(** Close the store: on disk a final checkpoint, then release its file
+    handles; a no-op in memory.  Call after the daemon's accept loop has
+    exited. *)
 
 val session_strategy : t -> Incr.Session.strategy
 

@@ -144,6 +144,7 @@ let test_reopen_mismatch_refused () =
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: save/reopen is invisible next to a never-persisted session  *)
+(* and next to an in-memory store                                      *)
 (* ------------------------------------------------------------------ *)
 
 let gen_op =
@@ -178,14 +179,18 @@ let run_differential strategy (src, facts, txns, close_before_reopen) =
   let st =
     Store.open_or_create ~strategy ~checkpoint_every:2 ~dir program query ~edb
   in
+  let mem = Store.open_or_create ~strategy program query ~edb in
   List.iter
     (fun ops ->
       ignore (Session.update reference ops);
-      ignore (Store.update st ops))
+      ignore (Store.update st ops);
+      ignore (Store.update mem ops))
     txns;
   let expected = answers_of reference in
   if store_answers st <> expected then
     QCheck2.Test.fail_reportf "live store diverged on %s" src;
+  if store_answers mem <> expected then
+    QCheck2.Test.fail_reportf "in-memory store diverged on %s" src;
   if close_before_reopen then Store.close st;
   (* else: the handle is abandoned mid-life — the crash case; every
      acknowledged commit was fsynced, so reopening must still agree *)
@@ -262,6 +267,83 @@ let test_reopen_replays_suffix () =
       Alcotest.(check bool) "restored" true (Store.restored st2);
       Alcotest.(check int) "replayed the journaled suffix" journaled (Store.replayed st2);
       Store.close st2)
+
+(* ------------------------------------------------------------------ *)
+(* the two backings agree                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One script through an in-memory and an on-disk store: transactions,
+   a compatible query (a seed install), a budget blowout, an
+   incompatible query that forces a reset, and commits after it.  After
+   every step both stores answer the current query alike, and so does
+   the disk store once closed and reopened. *)
+let test_backings_agree () =
+  let program =
+    H.program "path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y)."
+  in
+  let edge a b = H.atom (Fmt.str "edge(%s, %s)" a b) in
+  let chain pfx k =
+    List.init k (fun i -> edge (Fmt.str "%s%d" pfx i) (Fmt.str "%s%d" pfx (i + 1)))
+  in
+  (* short chains from n0 and k0, and a long one outside both cones *)
+  let edb = Engine.Database.of_facts (chain "n" 4 @ chain "k" 3 @ chain "m" 40) in
+  let dir = fresh_dir () in
+  let open_store ?dir () =
+    Store.open_or_create ~strategy:Session.GMS ~max_facts:60 ?dir program
+      (H.atom "path(n0, Y)") ~edb
+  in
+  let mem = open_store () in
+  let disk = ref (open_store ~dir ()) in
+  let current = ref (H.atom "path(n0, Y)") in
+  let answers st =
+    match Store.query st !current with
+    | a, _ -> sorted a
+    | exception Session.Incompatible_query _ ->
+      sorted (Session.answers (Store.reset st !current))
+  in
+  let agree step =
+    let want = answers mem in
+    Alcotest.check H.tuple_list (step ^ ": disk = memory") want (answers !disk);
+    Store.close !disk;
+    disk := open_store ~dir ();
+    Alcotest.check H.tuple_list (step ^ ": reopened disk = memory") want (answers !disk)
+  in
+  let txn step ops =
+    List.iter (fun st -> ignore (Store.update st ops)) [ mem; !disk ];
+    agree step
+  in
+  let blowout step ops =
+    List.iter
+      (fun st ->
+        let facts () = Engine.Database.total (Session.db (Store.session st)) in
+        let before = facts () in
+        match Store.update st ops with
+        | _ -> Alcotest.failf "%s must exceed max-facts 60" step
+        | exception Incr.Maintain.Budget_exhausted ->
+          Alcotest.(check int) (step ^ ": no half-applied fact") before (facts ()))
+      [ mem; !disk ];
+    agree step
+  in
+  let query step q =
+    current := H.atom q;
+    agree step
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.close !disk;
+      rm_rf dir)
+    (fun () ->
+      agree "open";
+      txn "insert" [ Incr.Maintain.Insert (edge "n4" "n5") ];
+      query "compatible query" "path(k0, Y)";
+      txn "delete" [ Incr.Maintain.Delete (edge "n1" "n2") ];
+      (* the installed k0 cone reaches the long chain: quadratic paths *)
+      blowout "budget blowout" [ Incr.Maintain.Insert (edge "k3" "m0") ];
+      txn "re-insert" [ Incr.Maintain.Insert (edge "n1" "n2") ];
+      query "incompatible query" "path(X, n3)";
+      txn "insert after reset" [ Incr.Maintain.Insert (edge "x0" "n0") ];
+      query "compatible after reset" "path(X, n1)";
+      Alcotest.(check int) "x0 reaches n1" 2 (List.length (answers mem)))
 
 (* ------------------------------------------------------------------ *)
 (* fault injection: crash mid-checkpoint                               *)
@@ -638,6 +720,7 @@ let suite =
     qcheck_roundtrip_gms;
     Alcotest.test_case "reopen replays the journaled suffix" `Quick
       test_reopen_replays_suffix;
+    Alcotest.test_case "in-memory and disk stores agree" `Quick test_backings_agree;
     Alcotest.test_case "crash mid-checkpoint keeps old snapshot" `Quick
       test_crash_mid_checkpoint;
     Alcotest.test_case "truncated snapshot refused" `Quick

@@ -367,53 +367,88 @@ let test_registry_rejects_derived_op () =
       answers
   | _ -> Alcotest.fail "query after refused txn"
 
-let test_registry_budget_recovery () =
-  let p = program tc_src in
-  let m i = Term.Sym (Fmt.str "m%d" i) in
-  (* a short warm cone from n0, plus a long chain entirely outside it *)
-  let edb =
-    chain_edb 2 (List.init 40 (fun i -> edge (m i) (m (i + 1))))
-  in
-  let r =
-    Server.Registry.create ~strategy:Incr.Session.GMS ~max_facts:60 p
-      (path_q (n 0)) ~edb
-  in
-  let before =
-    match Server.Registry.query r (path_q (n 0)) with
-    | P.Answers { answers; _ } -> answers
-    | _ -> Alcotest.fail "warm query"
-  in
-  (* bridging the cone into the long chain derives quadratically many
-     paths: past the budget, the reply is a protocol error, not a crash *)
-  (match Server.Registry.transact r [ M.Insert (edge (n 2) (m 0)) ] with
-  | P.Error { code = P.Budget; _ } -> ()
-  | P.Committed _ -> Alcotest.fail "bridge txn must exceed max-facts 60"
-  | _ -> Alcotest.fail "expected a budget error");
-  (* the rebuilt session still serves the last committed state *)
-  Alcotest.(check int) "epoch unchanged" 0 (Server.Registry.epoch r);
-  (match Server.Registry.query r (path_q (n 0)) with
-  | P.Answers { answers; _ } -> Alcotest.check rows "state rolled back" before answers
-  | _ -> Alcotest.fail "query after rollback");
-  (* a miss inside the warm cone reads the rebuilt, index-less session's
-     relations: the republished snapshot must serve it *)
-  (match Server.Registry.query r (path_q (n 1)) with
-  | P.Answers { cache_hit = false; answers; _ } ->
-    Alcotest.check rows "miss after rollback" [ [ "n1"; "n2" ] ] answers
-  | P.Answers _ -> Alcotest.fail "path(n1, _) must miss the cache"
-  | _ -> Alcotest.fail "miss after rollback");
-  (* and affordable transactions keep working *)
-  match Server.Registry.transact r [ M.Insert (edge (Term.Sym "x0") (Term.Sym "x1")) ] with
-  | P.Committed { epoch = 1; _ } -> ()
-  | _ -> Alcotest.fail "small txn after rebuild must commit"
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
-(* ------------------------------------------------------------------ *)
-(* partitioned workload: the footprint cache keeps the unwritten side  *)
-(* ------------------------------------------------------------------ *)
+(* [f dir] over a fresh scratch directory, removed afterwards *)
+let with_scratch_dir name f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Fmt.str "magic-test-%s-%d" name (Unix.getpid ()))
+  in
+  if Sys.file_exists dir then rm_rf dir;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
 
 let counter r name =
   match List.assoc_opt name (Server.Registry.stats_fields r) with
   | Some v -> float_of_string v
   | None -> Alcotest.failf "stats lack the %s counter" name
+
+let answers_exn r q =
+  match Server.Registry.query r q with
+  | P.Answers { answers; _ } -> answers
+  | _ -> Alcotest.failf "query %a drew an error" Atom.pp q
+
+(* A short warm cone from n0, plus a long chain entirely outside it.
+   Past max-facts 60 — by a transaction bridging the cone into the
+   chain, or by installing the seeds of a query at the chain's head,
+   either of which derives quadratically many paths — the reply is a
+   protocol error, not a crash, and the registry serves the last
+   committed state at the same epoch, in memory and on disk alike. *)
+let test_registry_budget_recovery ~durable ~blowout () =
+  let p = program tc_src in
+  let m i = Term.Sym (Fmt.str "m%d" i) in
+  let edb = chain_edb 2 (List.init 40 (fun i -> edge (m i) (m (i + 1)))) in
+  with_scratch_dir "budget-db" (fun dir ->
+      let db = if durable then Some dir else None in
+      let open_registry () =
+        Server.Registry.create ~strategy:Incr.Session.GMS ~max_facts:60 ?db p
+          (path_q (n 0)) ~edb
+      in
+      let r = open_registry () in
+      let before = answers_exn r (path_q (n 0)) in
+      let facts = counter r "facts" in
+      let reply =
+        match blowout with
+        | `Txn -> Server.Registry.transact r [ M.Insert (edge (n 2) (m 0)) ]
+        | `Install -> Server.Registry.query r (path_q (m 0))
+      in
+      (match reply with
+      | P.Error { code = P.Budget; _ } -> ()
+      | _ -> Alcotest.fail "the blowout must draw a budget-exhausted reply");
+      Alcotest.(check int) "epoch unchanged" 0 (Server.Registry.epoch r);
+      Alcotest.(check (float 0.)) "one rebuild" 1. (counter r "rebuilds");
+      Alcotest.(check (float 0.)) "no half-applied fact" facts (counter r "facts");
+      Alcotest.check rows "state rolled back" before (answers_exn r (path_q (n 0)));
+      (* a miss inside the warm cone reads the rebuilt, index-less
+         session's relations: the republished snapshot must serve it *)
+      (match Server.Registry.query r (path_q (n 1)) with
+      | P.Answers { cache_hit = false; answers; _ } ->
+        Alcotest.check rows "miss after rollback" [ [ "n1"; "n2" ] ] answers
+      | P.Answers _ -> Alcotest.fail "path(n1, _) must miss the cache"
+      | _ -> Alcotest.fail "miss after rollback");
+      (* and affordable transactions keep working *)
+      (match
+         Server.Registry.transact r [ M.Insert (edge (Term.Sym "x0") (Term.Sym "x1")) ]
+       with
+      | P.Committed { epoch = 1; _ } -> ()
+      | _ -> Alcotest.fail "small txn after rebuild must commit");
+      if durable then begin
+        Server.Registry.close r;
+        let r2 = open_registry () in
+        Alcotest.check rows "reopened store serves the committed state" before
+          (answers_exn r2 (path_q (n 0)));
+        Server.Registry.close r2
+      end)
+
+(* ------------------------------------------------------------------ *)
+(* partitioned workload: the footprint cache keeps the unwritten side  *)
+(* ------------------------------------------------------------------ *)
 
 (* Two independent closures, tca over ea and tcb over eb, on chains of
    60.  One deterministic stream of 480 requests drives a [Partial] and
@@ -675,24 +710,9 @@ let test_concurrent_reads_verified () =
 (* daemon restart over a durable store                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let test_daemon_restart_durable () =
   let p = program tc_src in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "magic-test-serve-db-%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists dir then rm_rf dir;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-    (fun () ->
+  with_scratch_dir "serve-db" (fun dir ->
       (* first lifetime: serve, commit a transaction, shut down cleanly *)
       let r1 =
         Server.Registry.create ~strategy:Incr.Session.GMS ~db:dir p
@@ -869,7 +889,13 @@ let suite =
     Alcotest.test_case "registry: derived op refused" `Quick
       test_registry_rejects_derived_op;
     Alcotest.test_case "registry: budget recovery" `Quick
-      test_registry_budget_recovery;
+      (test_registry_budget_recovery ~durable:false ~blowout:`Txn);
+    Alcotest.test_case "registry: budget recovery (durable)" `Quick
+      (test_registry_budget_recovery ~durable:true ~blowout:`Txn);
+    Alcotest.test_case "registry: seed-install budget recovery" `Quick
+      (test_registry_budget_recovery ~durable:false ~blowout:`Install);
+    Alcotest.test_case "registry: seed-install budget recovery (durable)" `Quick
+      (test_registry_budget_recovery ~durable:true ~blowout:`Install);
     Alcotest.test_case "registry: partitioned cache beats full wipe" `Quick
       test_partitioned_cache;
     Alcotest.test_case "daemon: socket roundtrip" `Quick
