@@ -9,12 +9,9 @@ open Datalog
 module C = Magic_core
 module T = Cmdliner.Term
 
-let read_source path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* read to end of file rather than sizing the input, so pipes and
+   process substitutions work as well as regular files *)
+let read_source path = In_channel.with_open_bin path In_channel.input_all
 
 let render_diagnostics ~src ~file ds =
   List.iter (fun d -> Fmt.epr "%a@." (Analysis.Diagnostic.render ~src ~file) d) ds
@@ -78,7 +75,9 @@ let json_arg =
   Arg.(
     value & flag
     & info [ "json" ]
-        ~doc:"Emit result rows as JSON, in the row schema of BENCH_engine.json.")
+        ~doc:"Emit result rows as JSON: eval and compare in the row schema of \
+              BENCH_engine.json, session with the maintenance counters of each \
+              transaction and query.")
 
 let status_string = function
   | C.Rewrite.Ok -> "ok"
@@ -476,17 +475,38 @@ let db_arg =
               committed transaction is journaled (fsync) before it is \
               acknowledged.")
 
-(* [f ()], with a store's located corruption diagnostic turned into
-   an error message and exit 1 *)
+(* [f ()], with a store's located corruption diagnostic, or a fact
+   budget the initial fixpoint exceeds, turned into an error message
+   and exit 1 *)
 let open_db cmd db f =
   match f () with
   | v -> v
+  | exception Incr.Maintain.Budget_exhausted ->
+    Fmt.epr "magic %s: fact budget exhausted (see --max-facts)@." cmd;
+    exit 1
   | exception e -> (
     match Persist.Codec.explain e with
     | Some msg ->
       Fmt.epr "magic %s: cannot open db %s: %s@." cmd (Option.value db ~default:"") msg;
       exit 1
     | None -> raise e)
+
+(* a session's JSON row: what a transaction or a seed install cost *)
+let maint_row ~workload ~meth (s : Incr.Maintain.stats) ~time_s ~answers =
+  let open Engine.Json_out in
+  let int k v = field k (string_of_int v) in
+  obj
+    [
+      field "workload" (str workload);
+      field "method" (str meth);
+      field "status" (str "ok");
+      int "probes" s.Incr.Maintain.probes;
+      int "overdeleted" s.Incr.Maintain.overdeleted;
+      int "rederived" s.Incr.Maintain.rederived;
+      int "delta_firings" s.Incr.Maintain.delta_firings;
+      field "time_s" (Fmt.str "%.6f" time_s);
+      int "answers" answers;
+    ]
 
 let session_cmd =
   let run file script_path (strategy_name, strategy) max_facts json db =
@@ -518,11 +538,10 @@ let session_cmd =
         let stats, time_s = timed (fun () -> Persist.Store.update store ops) in
         if json then
           rows :=
-            Engine.Json_out.result_row ~workload
-              ~meth:("txn:" ^ strategy_name)
-              ~status:"ok" stats ~time_s ~answers:(List.length ops)
+            maint_row ~workload ~meth:("txn:" ^ strategy_name) stats ~time_s
+              ~answers:(List.length ops)
             :: !rows
-        else Fmt.pr "%% txn %d ops: %a@." (List.length ops) Engine.Stats.pp stats
+        else Fmt.pr "%% txn %d ops: %a@." (List.length ops) Incr.Maintain.pp_stats stats
     in
     let run_query q =
       flush ();
@@ -532,19 +551,17 @@ let session_cmd =
             with Incr.Session.Incompatible_query _ ->
               (* the adornment differs: rebuild the session for the new
                  binding pattern over the current EDB state *)
-              (Incr.Session.answers (Persist.Store.reset store q), Engine.Stats.create ()))
+              (Incr.Session.answers (Persist.Store.reset store q), Incr.Maintain.no_stats))
       in
       if json then
         rows :=
-          Engine.Json_out.result_row ~workload
-            ~meth:("query:" ^ strategy_name)
-            ~status:"ok" stats ~time_s
+          maint_row ~workload ~meth:("query:" ^ strategy_name) stats ~time_s
             ~answers:(List.length answers)
           :: !rows
       else begin
         List.iter (fun t -> Fmt.pr "%a@." Engine.Tuple.pp t) answers;
         Fmt.pr "%% query %a: %d answers %a@." Atom.pp q (List.length answers)
-          Engine.Stats.pp stats
+          Incr.Maintain.pp_stats stats
       end
     in
     (try

@@ -83,40 +83,14 @@ let run_stratum_naive ~stats ~budget db rules =
   done;
   !diverged
 
-(* Semi-naive with the delta/old/new discipline, over stamp-range views
-   of single stored relations ({!Relation}).  For each stratum-head
-   predicate, two watermarks partition its insertion log:
-
-     old    = [0, o)      facts up to the round before last
-     delta  = [o, d)      facts of the last round
-     new    = [0, d)      their union
-
-   Facts derived during a round are appended beyond [d], so they are
-   invisible to the round's own views; rotating the watermarks
-   ([o := d; d := size]) ends the round — there is nothing to merge, and
-   a budget abort needs no repair since every fact is already in [db].
-
-   For each rule and each delta position [i] (a body position whose
-   predicate grows in this stratum), one plan instance runs with
-   positions [< i] reading old, position [i] reading delta and positions
-   [> i] reading new, so a rule instantiation whose delta-position facts
-   were derived in rounds r_1..r_m, max r_j = k, is enumerated exactly
-   once: by the instance at the first position with r_i = k.  The seed
-   engine read "delta at i, full db elsewhere", which re-derived every
-   instantiation joining two same-round facts once per such position. *)
+(* Semi-naive over {!Fixpoint}: round 0 fires every rule's base
+   (left-to-right) instance against the database as-is — the EDB, lower
+   strata and any seed facts play the role of the delta, and the
+   stratum's own predicates are read up to the watermark; the driver
+   then runs the delta rounds. *)
 let run_stratum_seminaive ~stats ~budget db rules =
   let plans = Plan.compile_stratum rules in
-  let marks =
-    List.map
-      (fun sym ->
-        let rel = Database.relation db sym in
-        (sym, rel, ref 0, ref (Relation.size rel)))
-      (List.sort_uniq Symbol.compare
-         (List.map (fun r -> Atom.symbol r.Rule.head) rules))
-  in
-  let mark_of sym = List.find_opt (fun (s, _, _, _) -> Symbol.equal s sym) marks in
-  let has_delta () = List.exists (fun (_, _, o, d) -> !o <> !d) marks in
-  let rotate () = List.iter (fun (_, rel, o, d) -> o := !d; d := Relation.size rel) marks in
+  let fp = Fixpoint.create db (List.map (fun r -> Atom.symbol r.Rule.head) rules) in
   (* one recorder per plan: the head predicate of every instance of a rule
      is the rule's own head predicate, so its relation can be resolved
      once per stratum *)
@@ -131,72 +105,23 @@ let run_stratum_seminaive ~stats ~budget db rules =
       Stats.record_fact stats sym ~is_new;
       if is_new then spend_fact budget
   in
-  let recorders = List.map (fun plan -> (plan, recorder plan)) plans in
-  let diverged = ref false in
-  if exhausted budget then diverged := true
-  else begin
+  let diverged = ref (exhausted budget) in
+  if not !diverged then begin
     try
-      (* round 0: all rules fire with their base (left-to-right) instance
-         against the database as-is — the EDB, lower strata and any seed
-         facts play the role of the delta; in-round derivations land
-         beyond the [d] watermark and are invisible until rotation *)
       start_round ~stats ~budget;
       let db_src = Plan.db_source db in
       let source0 lit sym =
-        match mark_of sym with
-        | Some (_, rel, _, d) -> [ { Plan.rel; lo = 0; hi = !d } ]
-        | None -> db_src lit sym
+        match Fixpoint.upto fp sym with Some v -> v | None -> db_src lit sym
       in
       List.iter
-        (fun (plan, record) ->
-          Plan.run ~stats ~source:source0 ~neg_source:db_src ~on_fact:record
+        (fun plan ->
+          Plan.run ~stats ~source:source0 ~neg_source:db_src ~on_fact:(recorder plan)
             plan.Plan.base)
-        recorders;
-      rotate ();
-      let continue = ref (has_delta ()) in
-      while !continue do
-        if exhausted budget then begin
-          diverged := true;
-          continue := false
-        end
-        else begin
-          start_round ~stats ~budget;
-          List.iter
-            (fun (plan, record) ->
-              let body = Array.of_list plan.Plan.rule.Rule.body in
-              List.iter
-                (fun (dpos, instance) ->
-                  (* the view a body position reads is fixed for the whole
-                     round: resolve it here, not on every probe *)
-                  let srcs =
-                    Array.mapi
-                      (fun lit lm ->
-                        match lm with
-                        | Rule.Pos a when not (Atom.is_builtin a) -> begin
-                          let sym = Atom.symbol a in
-                          match mark_of sym with
-                          | Some (_, rel, o, d) ->
-                            if lit = dpos then [ { Plan.rel; lo = !o; hi = !d } ]
-                            else if lit < dpos then [ { Plan.rel; lo = 0; hi = !o } ]
-                            else [ { Plan.rel; lo = 0; hi = !d } ]
-                          | None -> db_src lit sym
-                        end
-                        | Rule.Pos _ | Rule.Neg _ -> [])
-                      body
-                  in
-                  let delta_empty =
-                    List.for_all (fun v -> v.Plan.lo >= v.Plan.hi) srcs.(dpos)
-                  in
-                  if not delta_empty then
-                    Plan.run ~stats
-                      ~source:(fun lit _ -> srcs.(lit))
-                      ~neg_source:db_src ~on_fact:record instance)
-                plan.Plan.delta)
-            recorders;
-          rotate ();
-          if not (has_delta ()) then continue := false
-        end
-      done
+        plans;
+      Fixpoint.run ~stats fp plans ~record:recorder ~round:(fun () ->
+          diverged := exhausted budget;
+          if not !diverged then start_round ~stats ~budget;
+          not !diverged)
     with Budget_exhausted | Term.Arithmetic_overflow ->
       (* every recorded fact is already in [db]; nothing to repair *)
       diverged := true

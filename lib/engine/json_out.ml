@@ -15,9 +15,6 @@ let stats_fields (s : Stats.t) ~time_s =
     field "facts" (string_of_int s.Stats.facts);
     field "rederivations" (string_of_int s.Stats.rederivations);
     field "probes" (string_of_int s.Stats.probes);
-    field "overdeleted" (string_of_int s.Stats.overdeleted);
-    field "rederived" (string_of_int s.Stats.rederived);
-    field "delta_firings" (string_of_int s.Stats.delta_firings);
     field "time_s" (Fmt.str "%.6f" time_s);
   ]
 

@@ -19,8 +19,7 @@ val arr_inline : string list -> string
     protocol). *)
 
 val stats_fields : Stats.t -> time_s:float -> string list
-(** The common statistics fields of a result row, including the
-    incremental-maintenance counters. *)
+(** The common statistics fields of a result row. *)
 
 val gc_fields : Stats.gc_counters -> string list
 (** Allocation / collection counter fields of a result row. *)

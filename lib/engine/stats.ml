@@ -7,9 +7,6 @@ type t = {
   mutable rederivations : int;
   mutable probes : int;
   mutable subqueries : int;
-  mutable overdeleted : int;
-  mutable rederived : int;
-  mutable delta_firings : int;
   per_pred : int ref Symbol.Tbl.t;
 }
 
@@ -21,9 +18,6 @@ let create () =
     rederivations = 0;
     probes = 0;
     subqueries = 0;
-    overdeleted = 0;
-    rederived = 0;
-    delta_firings = 0;
     per_pred = Symbol.Tbl.create 16;
   }
 
@@ -79,7 +73,4 @@ let pp_gc ppf g =
 let pp ppf s =
   Fmt.pf ppf
     "iterations=%d firings=%d facts=%d rederivations=%d probes=%d subqueries=%d"
-    s.iterations s.firings s.facts s.rederivations s.probes s.subqueries;
-  if s.overdeleted <> 0 || s.rederived <> 0 || s.delta_firings <> 0 then
-    Fmt.pf ppf " overdeleted=%d rederived=%d delta_firings=%d" s.overdeleted
-      s.rederived s.delta_firings
+    s.iterations s.firings s.facts s.rederivations s.probes s.subqueries

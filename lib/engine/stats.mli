@@ -3,7 +3,8 @@
     The paper's comparisons (Sections 9 and 11, and the performance study
     it cites) are in terms of the number of facts inferred, the number of
     rule firings and the number of subqueries generated; the engine counts
-    all of these. *)
+    all of these.  They describe one evaluation; the work of an
+    incremental repair is counted by [Incr.Maintain.stats]. *)
 
 open Datalog
 
@@ -14,14 +15,6 @@ type t = {
   mutable rederivations : int;  (** firings that produced an already-known fact *)
   mutable probes : int;  (** body-literal match attempts (join probes) *)
   mutable subqueries : int;  (** top-down only: distinct subgoals *)
-  mutable overdeleted : int;
-      (** incremental maintenance: tuples over-deleted by DRed's
-          deletion propagation before rederivation *)
-  mutable rederived : int;
-      (** incremental maintenance: over-deleted tuples restored because
-          an alternative derivation survived the update *)
-  mutable delta_firings : int;
-      (** incremental maintenance: delta-rule firings during repair *)
   per_pred : int ref Symbol.Tbl.t;
       (** distinct facts per predicate; read through {!facts_for} *)
 }

@@ -41,6 +41,25 @@ type op = Insert of Atom.t | Delete of Atom.t
 
 exception Budget_exhausted
 
+type stats = { probes : int; delta_firings : int; overdeleted : int; rederived : int }
+
+let no_stats = { probes = 0; delta_firings = 0; overdeleted = 0; rederived = 0 }
+
+let pp_stats ppf s =
+  Fmt.pf ppf "probes=%d overdeleted=%d rederived=%d delta_firings=%d" s.probes s.overdeleted
+    s.rederived s.delta_firings
+
+(* a transaction's running {!stats}; the plan executor counts probes
+   in [eng] *)
+type counters = {
+  eng : Stats.t;
+  mutable delta_firings : int;
+  mutable overdeleted : int;
+  mutable rederived : int;
+}
+
+let fired stats = stats.delta_firings <- stats.delta_firings + 1
+
 (* Per-transaction change summary: the net effect on every touched
    relation (base and derived alike), built from the repair state the
    delta passes compute anyway.  [d_added] materializes the inserted
@@ -227,6 +246,22 @@ let dminus_views changes sym =
   | Some c when Rel.cardinal c.dminus > 0 -> [ Plan.full c.dminus ]
   | _ -> []
 
+(* Run [f i dviews inst] for every delta instance of [rules] whose delta
+   position [i] reads a predicate outside [unit]: [dviews] is [pos sym]
+   for a positive literal over [sym], [neg q] for a negated one over
+   [q] (the tuples leaving or entering [q] flip the literal's truth). *)
+let iter_deltas ?(unit = Symbol.Set.empty) rules ~pos ~neg f =
+  List.iter
+    (fun mr ->
+      List.iter
+        (fun (i, inst) ->
+          match body_pred mr.body.(i) with
+          | Some sym when not (Symbol.Set.mem sym unit) -> f i (pos sym) inst
+          | Some _ | None -> ())
+        mr.plan.Plan.delta;
+      List.iter (fun (i, q, inst) -> f i (neg q) inst) mr.neg_deltas)
+    rules
+
 (* ------------------------------------------------------------------ *)
 (* Counting maintenance (non-recursive predicates)                     *)
 (* ------------------------------------------------------------------ *)
@@ -264,36 +299,16 @@ let run_counting_pass t ~stats ~changes ~pass rules ~on =
   in
   let run_with dpos dviews inst =
     if dviews <> [] then
-      Plan.run ~stats ~source:(source_for dpos dviews) ~neg_source:(neg_source_for dpos)
+      Plan.run ~stats:stats.eng ~source:(source_for dpos dviews)
+        ~neg_source:(neg_source_for dpos)
         ~on_fact:(fun _ tuple ->
-          stats.Stats.delta_firings <- stats.Stats.delta_firings + 1;
+          fired stats;
           on tuple)
         inst
   in
-  List.iter
-    (fun mr ->
-      List.iter
-        (fun (i, inst) ->
-          let sym =
-            match body_pred mr.body.(i) with Some s -> s | None -> assert false
-          in
-          let dviews =
-            match pass with
-            | `Lost -> dminus_views changes sym
-            | `Gained -> dplus_views t changes sym
-          in
-          run_with i dviews inst)
-        mr.plan.Plan.delta;
-      List.iter
-        (fun (i, q, inst) ->
-          let dviews =
-            match pass with
-            | `Lost -> dplus_views t changes q
-            | `Gained -> dminus_views changes q
-          in
-          run_with i dviews inst)
-        mr.neg_deltas)
-    rules
+  match pass with
+  | `Lost -> iter_deltas rules ~pos:(dminus_views changes) ~neg:(dplus_views t changes) run_with
+  | `Gained -> iter_deltas rules ~pos:(dplus_views t changes) ~neg:(dminus_views changes) run_with
 
 let counts_for t p =
   match Symbol.Tbl.find_opt t.counts p with
@@ -303,13 +318,16 @@ let counts_for t p =
     Symbol.Tbl.add t.counts p tbl;
     tbl
 
-let external_for t p =
-  match Symbol.Tbl.find_opt t.external_ p with
+(* [p]'s relation in a per-predicate table, created empty if absent *)
+let rel_in tbl p =
+  match Symbol.Tbl.find_opt tbl p with
   | Some r -> r
   | None ->
     let r = Rel.create p.Symbol.arity in
-    Symbol.Tbl.add t.external_ p r;
+    Symbol.Tbl.add tbl p r;
     r
+
+let external_for t p = rel_in t.external_ p
 
 let spend budget =
   match budget with
@@ -321,11 +339,16 @@ let spend budget =
 let process_counting t ~stats ~changes ~ext_ops ~budget u =
   let p = match u.syms with [ p ] -> p | _ -> assert false in
   let prel = Db.relation t.db p in
+  (* [order] keeps first-touch order, so the tally is read back
+     independently of hash order *)
   let tally = Tup.Tbl.create 16 in
+  let order = ref [] in
   let bump tuple d =
     match Tup.Tbl.find_opt tally tuple with
     | Some r -> r := !r + d
-    | None -> Tup.Tbl.add tally tuple (ref d)
+    | None ->
+      Tup.Tbl.add tally tuple (ref d);
+      order := tuple :: !order
   in
   (* external assertions carry one unit of support each *)
   (match Symbol.Tbl.find_opt ext_ops p with
@@ -339,8 +362,9 @@ let process_counting t ~stats ~changes ~ext_ops ~budget u =
   let counts = counts_for t p in
   let dminus = Rel.create (Rel.arity prel) in
   let enters = ref [] in
-  Tup.Tbl.iter
-    (fun tuple d ->
+  List.iter
+    (fun tuple ->
+      let d = Tup.Tbl.find tally tuple in
       if !d <> 0 then begin
         let c0 = match Tup.Tbl.find_opt counts tuple with Some n -> !n | None -> 0 in
         let c1 = c0 + !d in
@@ -352,7 +376,7 @@ let process_counting t ~stats ~changes ~ext_ops ~budget u =
         end
         else if c0 <= 0 && c1 > 0 then enters := tuple :: !enters
       end)
-    tally;
+    (List.rev !order);
   let w = Rel.size prel in
   List.iter
     (fun tuple ->
@@ -381,10 +405,11 @@ let derivable t ~stats checks sym tuple =
     ignore (Rel.add goal tuple);
     let run = function
       | Goal inst ->
-        Plan.run ~stats
+        Plan.run ~stats:stats.eng
           ~source:(fun lit s -> if lit = 0 then [ Plan.full goal ] else db_views lit s)
           ~neg_source:db_views ~on_fact inst
-      | Enumerate inst -> Plan.run ~stats ~source:db_views ~neg_source:db_views ~on_fact inst
+      | Enumerate inst ->
+        Plan.run ~stats:stats.eng ~source:db_views ~neg_source:db_views ~on_fact inst
     in
     List.exists
       (fun c ->
@@ -400,31 +425,14 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
   let in_u sym = Symbol.Set.mem sym usyms in
   let rel_of sym = Db.relation t.db sym in
   (* ---- phase 1: overdeletion (nothing is physically removed yet, so
-     every non-delta literal reads the old state in place) ---- *)
-  let over = Symbol.Tbl.create 4 in
-  let over_tbl sym =
-    match Symbol.Tbl.find_opt over sym with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Tup.Tbl.create 16 in
-      Symbol.Tbl.add over sym tbl;
-      tbl
-  in
-  let next = Symbol.Tbl.create 4 in
+     every non-delta literal reads the old state in place); the
+     overdeleted sets are relations, so later phases read them in
+     marking order, not hash order ---- *)
+  let over = Symbol.Tbl.create 4 and next = Symbol.Tbl.create 4 in
+  let over_rel = rel_in over in
   let mark sym tuple =
-    let tbl = over_tbl sym in
-    if (not (Tup.Tbl.mem tbl tuple)) && Rel.mem (rel_of sym) tuple then begin
-      Tup.Tbl.add tbl tuple ();
-      let r =
-        match Symbol.Tbl.find_opt next sym with
-        | Some r -> r
-        | None ->
-          let r = Rel.create (Rel.arity (rel_of sym)) in
-          Symbol.Tbl.add next sym r;
-          r
-      in
-      ignore (Rel.add r tuple)
-    end
+    if Rel.mem (rel_of sym) tuple && Rel.add (over_rel sym) tuple then
+      ignore (Rel.add (rel_in next sym) tuple)
   in
   (* external retractions lose their unit of support; rederivation
      restores the tuple if some rule still proves it *)
@@ -439,28 +447,17 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
   let old_v _ sym = if in_u sym then full_views t.db sym else old_views t changes sym in
   let overdelete_with dpos dviews inst =
     if dviews <> [] then
-      Plan.run ~stats
+      Plan.run ~stats:stats.eng
         ~source:(fun lit sym -> if lit = dpos then dviews else old_v lit sym)
         ~neg_source:(fun _ sym -> old_views t changes sym)
         ~on_fact:(fun sym tuple ->
-          stats.Stats.delta_firings <- stats.Stats.delta_firings + 1;
+          fired stats;
           mark sym tuple)
         inst
   in
   (* seed round: deltas of already-repaired lower units *)
-  List.iter
-    (fun mr ->
-      List.iter
-        (fun (i, inst) ->
-          let sym =
-            match body_pred mr.body.(i) with Some s -> s | None -> assert false
-          in
-          if not (in_u sym) then overdelete_with i (dminus_views changes sym) inst)
-        mr.plan.Plan.delta;
-      List.iter
-        (fun (i, q, inst) -> overdelete_with i (dplus_views t changes q) inst)
-        mr.neg_deltas)
-    u.rules;
+  iter_deltas ~unit:usyms u.rules ~pos:(dminus_views changes) ~neg:(dplus_views t changes)
+    overdelete_with;
   (* propagate through the unit's own predicates to fixpoint *)
   let continue = ref (Symbol.Tbl.length next > 0) in
   while !continue do
@@ -482,14 +479,12 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
       u.rules;
     continue := Symbol.Tbl.length next > 0
   done;
-  Symbol.Tbl.iter
-    (fun _ tbl -> stats.Stats.overdeleted <- stats.Stats.overdeleted + Tup.Tbl.length tbl)
-    over;
   (* ---- phase 2: apply the overdeletions ---- *)
   Symbol.Tbl.iter
-    (fun sym tbl ->
+    (fun sym r ->
+      stats.overdeleted <- stats.overdeleted + Rel.cardinal r;
       let rel = rel_of sym in
-      Tup.Tbl.iter (fun tu () -> ignore (Rel.remove rel tu)) tbl)
+      Rel.iter (fun tu -> ignore (Rel.remove rel tu)) r)
     over;
   (* ---- phase 3: rederivation worklist — a tuple comes back iff it is
      externally supported or some rule proves it from what remains;
@@ -498,21 +493,21 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
   while !progress do
     progress := false;
     Symbol.Tbl.iter
-      (fun sym tbl ->
+      (fun sym r ->
         let rel = rel_of sym in
         let checks =
           match List.find_opt (fun (p, _) -> Symbol.equal p sym) u.checks with
           | Some (_, cs) -> cs
           | None -> []
         in
-        Tup.Tbl.iter
-          (fun tu () ->
+        Rel.iter
+          (fun tu ->
             if (not (Rel.mem rel tu)) && derivable t ~stats checks sym tu then begin
               ignore (Rel.add rel tu);
-              stats.Stats.rederived <- stats.Stats.rederived + 1;
+              stats.rederived <- stats.rederived + 1;
               progress := true
             end)
-          tbl)
+          r)
       over
   done;
   (* external assertions of tuples that were just overdeleted restore
@@ -523,10 +518,10 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
       match Symbol.Tbl.find_opt ext_ops p with
       | Some (_, adds) ->
         let ext = external_for t p in
-        let tbl = over_tbl p in
+        let over_p = over_rel p in
         List.iter
           (fun tu ->
-            if Tup.Tbl.mem tbl tu then begin
+            if Rel.mem over_p tu then begin
               ignore (Rel.add ext tu);
               ignore (Rel.add (rel_of p) tu)
             end)
@@ -534,15 +529,14 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
       | None -> ())
     u.syms;
   (* ---- phase 4: watermarks, net deletions, external insertions ---- *)
+  let fp = Engine.Fixpoint.create t.db u.syms in
   let marks =
     List.map
       (fun p ->
         let rel = rel_of p in
-        let w = Rel.size rel in
         let dminus = Rel.create (Rel.arity rel) in
-        let tbl = over_tbl p in
-        Tup.Tbl.iter (fun tu () -> if not (Rel.mem rel tu) then ignore (Rel.add dminus tu)) tbl;
-        (p, rel, w, dminus, ref w, ref w))
+        Rel.iter (fun tu -> if not (Rel.mem rel tu) then ignore (Rel.add dminus tu)) (over_rel p);
+        (p, rel, Rel.size rel, dminus))
       u.syms
   in
   List.iter
@@ -558,79 +552,37 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
           adds
       | None -> ())
     u.syms;
-  List.iter
-    (fun (p, _, w, dminus, _, _) -> Symbol.Tbl.replace changes p { dminus; w })
-    marks;
+  List.iter (fun (p, _, w, dminus) -> Symbol.Tbl.replace changes p { dminus; w }) marks;
   (* ---- phase 5: semi-naive insertion fixpoint ---- *)
-  let mark_of sym = List.find_opt (fun (s, _, _, _, _, _) -> Symbol.equal s sym) marks in
   let record sym tuple =
-    stats.Stats.delta_firings <- stats.Stats.delta_firings + 1;
+    fired stats;
     if Rel.add (rel_of sym) tuple then spend budget
-  in
-  let rotate () =
-    List.iter (fun (_, rel, _, _, o, d) -> o := !d; d := Rel.size rel) marks
   in
   (* seed round: insertion deltas of lower units, with the unit's own
      predicates read up to the watermark; external insertions and seed
      derivations both land beyond it and form the first delta window *)
   let seed_with dpos dviews inst =
     if dviews <> [] then
-      Plan.run ~stats
+      Plan.run ~stats:stats.eng
         ~source:(fun lit sym ->
           if lit = dpos then dviews
           else
-            match mark_of sym with
-            | Some (_, rel, _, _, _, d) -> [ { Plan.rel; lo = 0; hi = !d } ]
-            | None ->
-              if lit < dpos then new_views t sym else mid_views t changes sym)
+            match Engine.Fixpoint.upto fp sym with
+            | Some v -> v
+            | None -> if lit < dpos then new_views t sym else mid_views t changes sym)
         ~neg_source:(fun lit sym ->
           if lit < dpos then new_views t sym else neg_mid_views t changes sym)
         ~on_fact:record inst
   in
-  List.iter
-    (fun mr ->
-      List.iter
-        (fun (i, inst) ->
-          let sym =
-            match body_pred mr.body.(i) with Some s -> s | None -> assert false
-          in
-          if not (in_u sym) then seed_with i (dplus_views t changes sym) inst)
-        mr.plan.Plan.delta;
-      List.iter
-        (fun (i, q, inst) -> seed_with i (dminus_views changes q) inst)
-        mr.neg_deltas)
-    u.rules;
-  rotate ();
-  let has_delta () = List.exists (fun (_, _, _, _, o, d) -> !o <> !d) marks in
-  while has_delta () do
-    List.iter
-      (fun mr ->
-        List.iter
-          (fun (dpos, inst) ->
-            let sym =
-              match body_pred mr.body.(dpos) with Some s -> s | None -> assert false
-            in
-            match mark_of sym with
-            | None -> ()
-            | Some (_, rel, _, _, o, d) ->
-              if !o <> !d then
-                Plan.run ~stats
-                  ~source:(fun lit s ->
-                    match mark_of s with
-                    | Some (_, rel', _, _, o', d') ->
-                      if lit = dpos then [ { Plan.rel; lo = !o; hi = !d } ]
-                      else if lit < dpos then [ { Plan.rel = rel'; lo = 0; hi = !o' } ]
-                      else [ { Plan.rel = rel'; lo = 0; hi = !d' } ]
-                    | None -> new_views t s)
-                  ~neg_source:(fun _ s -> new_views t s)
-                  ~on_fact:record inst)
-          mr.plan.Plan.delta)
-      u.rules;
-    rotate ()
-  done;
+  iter_deltas ~unit:usyms u.rules ~pos:(dplus_views t changes) ~neg:(dminus_views changes)
+    seed_with;
+  Engine.Fixpoint.run ~stats:stats.eng fp
+    (List.map (fun mr -> mr.plan) u.rules)
+    ~record:(fun _ -> record)
+    ~round:(fun () -> true);
   (* drop entries that turned out to be no-ops *)
   List.iter
-    (fun (p, rel, w, dminus, _, _) ->
+    (fun (p, rel, w, dminus) ->
       if Rel.cardinal dminus = 0 && Rel.size rel = w then Symbol.Tbl.remove changes p)
     marks
 
@@ -646,19 +598,25 @@ let tuple_of_atom a =
 (* Net effect of an ordered op list per predicate: a tuple is deleted if
    it was present before the transaction and absent after, inserted if
    the reverse; delete-then-reinsert (and vice versa) cancels out, so
-   delta relations and stamp ranges never carry spurious churn. *)
+   delta relations and stamp ranges never carry spurious churn.  Tuples
+   come out in op order, not hash order: stamp order, and with it the
+   work of every later transaction, must not depend on value ids. *)
 let net_ops mem0 ops =
   let state = Tup.Tbl.create 8 in
   List.iter
     (fun (ins, tu) -> Tup.Tbl.replace state tu ins)
     ops;
-  Tup.Tbl.fold
-    (fun tu desired (dels, adds) ->
-      let was = mem0 tu in
-      if was && not desired then (tu :: dels, adds)
-      else if (not was) && desired then (dels, tu :: adds)
-      else (dels, adds))
-    state ([], [])
+  List.fold_left
+    (fun (dels, adds) (_, tu) ->
+      match Tup.Tbl.find_opt state tu with
+      | None -> (dels, adds)
+      | Some desired ->
+        Tup.Tbl.remove state tu;
+        let was = mem0 tu in
+        if was && not desired then (tu :: dels, adds)
+        else if (not was) && desired then (dels, tu :: adds)
+        else (dels, adds))
+    ([], []) ops
 
 (* summarize the transaction's net effect from the repair state: the
    deleted-tuple relations are carried in [changes] and the inserted
@@ -691,7 +649,7 @@ let summarize t changes =
   List.sort (fun a b -> Symbol.compare a.d_pred b.d_pred) deltas
 
 let apply_delta ?max_facts t ops =
-  let stats = Stats.create () in
+  let stats = { eng = Stats.create (); delta_firings = 0; overdeleted = 0; rederived = 0 } in
   let budget = Option.map ref max_facts in
   let changes = Symbol.Tbl.create 8 in
   let ext_ops = Symbol.Tbl.create 4 in
@@ -739,7 +697,9 @@ let apply_delta ?max_facts t ops =
       | Counting -> process_counting t ~stats ~changes ~ext_ops ~budget u
       | DRed -> process_dred t ~stats ~changes ~ext_ops ~budget u)
     t.units;
-  (stats, summarize t changes)
+  let { eng; delta_firings; overdeleted; rederived } = stats in
+  ( ({ probes = eng.Stats.probes; delta_firings; overdeleted; rederived } : stats),
+    summarize t changes )
 
 let apply ?max_facts t ops = fst (apply_delta ?max_facts t ops)
 

@@ -61,16 +61,28 @@ type summary = delta list
 val touched : summary -> Symbol.Set.t
 val has_deletions : summary -> bool
 
-val apply : ?max_facts:int -> t -> op list -> Engine.Stats.t
+type stats = {
+  probes : int;  (** body-literal match attempts, rederivation checks included *)
+  delta_firings : int;  (** delta-rule firings *)
+  overdeleted : int;  (** tuples DRed over-deleted before rederivation *)
+  rederived : int;  (** over-deleted tuples restored by a surviving proof *)
+}
+(** The work of one transaction; evaluation counts are {!Engine.Stats.t}. *)
+
+val no_stats : stats
+val pp_stats : stats Fmt.t
+
+val apply : ?max_facts:int -> t -> op list -> stats
 (** Apply one transaction: all ops take effect atomically (a tuple
     deleted and re-inserted in the same transaction does not churn),
     then every derived relation is repaired.  Ops on base predicates
     update the EDB; ops on derived predicates assert or retract
-    external support.  Returns the transaction's maintenance statistics
-    ([overdeleted], [rederived], [delta_firings], [probes]).
+    external support.  Recursive units finish with the semi-naive
+    insertion fixpoint of {!Engine.Fixpoint}, the driver evaluation
+    uses.  Returns the transaction's maintenance statistics.
     @raise Invalid_argument on a non-ground atom. *)
 
-val apply_delta : ?max_facts:int -> t -> op list -> Engine.Stats.t * summary
+val apply_delta : ?max_facts:int -> t -> op list -> stats * summary
 (** {!apply}, also returning the transaction's change summary — which
     relations changed and by how much.  This is the information partial
     cache invalidation feeds on; building it costs O(delta). *)

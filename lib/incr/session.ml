@@ -98,7 +98,7 @@ let query_delta ?max_facts t q =
   match t.strategy with
   | Original | Auto ->
     t.query <- q;
-    (answers t, Engine.Stats.create (), [])
+    (answers t, Maintain.no_stats, [])
   | GMS | GSMS ->
     let rw = Option.get t.rw in
     let rw' = C.Rewrite.rewrite ~options:t.options (rewriting t.strategy) t.program q in

@@ -44,17 +44,17 @@ val create :
     session then behaves exactly as if created with the resolved
     strategy (see {!strategy}). *)
 
-val update : ?max_facts:int -> t -> Maintain.op list -> Engine.Stats.t
+val update : ?max_facts:int -> t -> Maintain.op list -> Maintain.stats
 (** Apply one transaction of EDB insertions/deletions and repair all
     derived (including magic and supplementary) relations. *)
 
 val update_delta :
-  ?max_facts:int -> t -> Maintain.op list -> Engine.Stats.t * Maintain.summary
+  ?max_facts:int -> t -> Maintain.op list -> Maintain.stats * Maintain.summary
 (** {!update}, also surfacing the transaction's change summary (which
     relations changed, by how much, and the inserted tuples) for
     consumers that invalidate or repair derived views selectively. *)
 
-val query : ?max_facts:int -> t -> Atom.t -> Engine.Tuple.t list * Engine.Stats.t
+val query : ?max_facts:int -> t -> Atom.t -> Engine.Tuple.t list * Maintain.stats
 (** Make the atom the session's current query and return its answers
     with the maintenance statistics incurred (seed installation under a
     magic strategy; zero-cost under [Original]).
@@ -65,7 +65,7 @@ val query_delta :
   ?max_facts:int ->
   t ->
   Atom.t ->
-  Engine.Tuple.t list * Engine.Stats.t * Maintain.summary
+  Engine.Tuple.t list * Maintain.stats * Maintain.summary
 (** {!query}, also surfacing the change summary of the seed-install
     transaction (empty under [Original], which installs nothing). *)
 

@@ -88,22 +88,22 @@ val checkpoint : t -> unit
 (** Rewrite the snapshot from the live session and truncate the WAL.  A
     no-op in memory. *)
 
-val update_delta : t -> Incr.Maintain.op list -> Engine.Stats.t * Incr.Maintain.summary
+val update_delta : t -> Incr.Maintain.op list -> Incr.Maintain.stats * Incr.Maintain.summary
 (** Commit one transaction: apply, record, or recover and re-raise.
     @raise Incr.Maintain.Budget_exhausted past [max_facts], after the
     last committed state was restored. *)
 
-val update : t -> Incr.Maintain.op list -> Engine.Stats.t
+val update : t -> Incr.Maintain.op list -> Incr.Maintain.stats
 (** {!update_delta} without the change summary. *)
 
 val query_delta :
-  t -> Atom.t -> Engine.Tuple.t list * Engine.Stats.t * Incr.Maintain.summary
+  t -> Atom.t -> Engine.Tuple.t list * Incr.Maintain.stats * Incr.Maintain.summary
 (** Make the atom the session's query, committing its seed install like
     a transaction (recorded only if it changed state).
     @raise Incr.Session.Incompatible_query as the session does, with the
     state untouched; use {!reset} to adopt the new query. *)
 
-val query : t -> Atom.t -> Engine.Tuple.t list * Engine.Stats.t
+val query : t -> Atom.t -> Engine.Tuple.t list * Incr.Maintain.stats
 (** {!query_delta} without the change summary. *)
 
 val reset : t -> Atom.t -> Incr.Session.t

@@ -77,11 +77,8 @@ let locked m f =
 let with_c t f = locked t.cache_m (fun () -> f t.c)
 let now () = Unix.gettimeofday ()
 
-let absorb_maint t (stats : Engine.Stats.t) =
-  with_c t (fun c ->
-      c.maint_firings <-
-        c.maint_firings + stats.Engine.Stats.firings
-        + stats.Engine.Stats.delta_firings)
+let absorb_maint t (stats : Incr.Maintain.stats) =
+  with_c t (fun c -> c.maint_firings <- c.maint_firings + stats.Incr.Maintain.delta_firings)
 
 let has_negation program =
   List.exists

@@ -1,22 +1,30 @@
-(* The programs whose cost reports are pinned by the "cost: reports
-   unchanged" test: the corpus ([examples/*.dl] without the update
-   scripts, and [data/*.dl]) plus generated families at smoke sizes.
-   Each case renders [Analysis.Pass_cost.pp_report] for the program's
-   query over its facts; the expected text lives in
+(* The programs whose cost reports and evaluation counters are pinned
+   by the "cost: reports unchanged" and "counters: eval unchanged"
+   tests: the corpus ([examples/*.dl] without the update scripts, and
+   [data/*.dl]) plus generated families at smoke sizes.  A case is a
+   program, its query and its facts; [report] renders
+   [Analysis.Pass_cost.pp_report] for it, with the expected text in
    [test/cost_reports/NAME.txt]. *)
 
 open Datalog
 module G = Workload.Generate
 module P = Workload.Programs
 
-let report ?only program query edb =
+type case = {
+  name : string;
+  only : string list option;  (* the cost report's candidate restriction *)
+  input : unit -> Program.t * Atom.t * Engine.Database.t;
+}
+
+let report case =
+  let program, query, edb = case.input () in
   Fmt.str "%a" Analysis.Pass_cost.pp_report
-    (Analysis.Pass_cost.choose ~db:edb ?only program query)
+    (Analysis.Pass_cost.choose ~db:edb ?only:case.only program query)
 
 let of_source src =
   let p, q = Parser.parse_program src in
   let p, facts = Parser.split_facts p in
-  report p (Option.get q) (Engine.Database.of_facts facts)
+  (p, Option.get q, Engine.Database.of_facts facts)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
@@ -30,8 +38,11 @@ let corpus ~root =
              && not (String.starts_with ~prefix:"updates_" f))
       |> List.sort String.compare
       |> List.map (fun f ->
-             ( dir ^ "_" ^ Filename.chop_suffix f ".dl",
-               fun () -> of_source (read (Filename.concat root (Filename.concat dir f))) )))
+             {
+               name = dir ^ "_" ^ Filename.chop_suffix f ".dl";
+               only = None;
+               input = (fun () -> of_source (read (Filename.concat root (Filename.concat dir f))));
+             }))
     [ "examples"; "data" ]
 
 (* layered DAG: [degree] successors per node in the next layer, drawn
@@ -54,56 +65,52 @@ let generated =
       (G.chain n
       @ List.init 3 (fun i -> Atom.make "spoke" [ G.node "h" 0; G.node "n" ((3 * n / 4) + i) ]))
   in
+  let case ?only name input = { name; only; input } in
   [
-    ("chain_root", fun () -> report P.ancestor (anc (G.node "n" 0)) (G.db (G.chain ~pred:"p" 30)));
-    ("chain_mid", fun () -> report P.ancestor (anc (G.node "n" 150)) (G.db (G.chain ~pred:"p" 300)));
-    ( "tree_ancestor",
-      fun () ->
-        report P.ancestor (anc (G.node "n" 0))
-          (G.db (G.tree ~pred:"p" ~branching:3 ~depth:6 ())) );
-    ( "tree_tc",
-      fun () ->
-        report P.transitive_closure (tc (G.node "n" 0))
-          (G.db (G.tree ~pred:"edge" ~branching:3 ~depth:5 ())) );
+    case "chain_root" (fun () -> (P.ancestor, anc (G.node "n" 0), G.db (G.chain ~pred:"p" 30)));
+    case "chain_mid" (fun () ->
+        (P.ancestor, anc (G.node "n" 150), G.db (G.chain ~pred:"p" 300)));
+    case "tree_ancestor" (fun () ->
+        ( P.ancestor,
+          anc (G.node "n" 0),
+          G.db (G.tree ~pred:"p" ~branching:3 ~depth:6 ()) ));
+    case "tree_tc" (fun () ->
+        ( P.transitive_closure,
+          tc (G.node "n" 0),
+          G.db (G.tree ~pred:"edge" ~branching:3 ~depth:5 ()) ));
     (* 9,840 edges: the OPT table's full-size tree *)
-    ( "tree_tc_large",
-      fun () ->
-        report P.transitive_closure (tc (G.node "n" 0))
-          (G.db (G.tree ~pred:"edge" ~branching:3 ~depth:8 ())) );
-    ( "samegen_towers",
-      fun () ->
-        report P.same_generation_linear
-          (P.same_generation_query (Term.Sym "sg_3_0"))
-          (G.db (G.same_generation ~width:8 ~height:8)) );
-    ( "samegen_bushy",
-      fun () ->
-        report P.same_generation_linear
-          (P.same_generation_query (G.node "bsg" 1))
-          (G.db (G.bushy_same_generation ~branching:3 ~depth:4 ())) );
-    ( "nonlinear_chain",
-      fun () -> report P.nonlinear_ancestor (anc (G.node "n" 0)) (G.db (G.chain ~pred:"p" 40)) );
-    ( "dag_tc",
-      fun () ->
-        report P.transitive_closure (tc (Term.Sym "l_0_3"))
-          (G.db (layered_dag ~layers:8 ~width:12 ~degree:2 ~seed:5)) );
-    ( "dag_ancestor",
-      fun () ->
+    case "tree_tc_large" (fun () ->
+        ( P.transitive_closure,
+          tc (G.node "n" 0),
+          G.db (G.tree ~pred:"edge" ~branching:3 ~depth:8 ()) ));
+    case "samegen_towers" (fun () ->
+        ( P.same_generation_linear,
+          P.same_generation_query (Term.Sym "sg_3_0"),
+          G.db (G.same_generation ~width:8 ~height:8) ));
+    case "samegen_bushy" (fun () ->
+        ( P.same_generation_linear,
+          P.same_generation_query (G.node "bsg" 1),
+          G.db (G.bushy_same_generation ~branching:3 ~depth:4 ()) ));
+    case "nonlinear_chain" (fun () ->
+        (P.nonlinear_ancestor, anc (G.node "n" 0), G.db (G.chain ~pred:"p" 40)));
+    case "dag_tc" (fun () ->
+        ( P.transitive_closure,
+          tc (Term.Sym "l_0_3"),
+          G.db (layered_dag ~layers:8 ~width:12 ~degree:2 ~seed:5) ));
+    case "dag_ancestor" (fun () ->
         let edges = layered_dag ~layers:6 ~width:10 ~degree:3 ~seed:9 in
         let p = List.map (fun (a : Atom.t) -> Atom.make "p" a.Atom.args) edges in
-        report P.ancestor (anc (Term.Sym "l_0_0")) (G.db p) );
-    ( "random_tc",
-      fun () ->
+        (P.ancestor, anc (Term.Sym "l_0_0"), G.db p));
+    case "random_tc" (fun () ->
         let facts = G.random_graph ~pred:"edge" ~nodes:120 ~edges:180 ~seed:11 () in
-        report P.transitive_closure (tc (List.hd (List.hd facts).Atom.args)) (G.db facts) );
-    ( "grid_tc",
-      fun () ->
-        report P.transitive_closure (tc (Term.Sym "g_0_0"))
-          (G.db (G.grid ~width:12 ~height:12 ())) );
-    ("hub", fun () -> report P.hub (P.hub_query (G.node "h" 0)) (hub_edb 100));
-    ( "hub_session",
-      fun () -> report ~only:[ "gms"; "gsms" ] P.hub (P.hub_query (G.node "h" 0)) (hub_edb 100) );
-    ( "ancestor_symbolic",
-      fun () -> report P.ancestor (anc (G.node "n" 0)) (Engine.Database.create ()) );
+        (P.transitive_closure, tc (List.hd (List.hd facts).Atom.args), G.db facts));
+    case "grid_tc" (fun () ->
+        (P.transitive_closure, tc (Term.Sym "g_0_0"), G.db (G.grid ~width:12 ~height:12 ())));
+    case "hub" (fun () -> (P.hub, P.hub_query (G.node "h" 0), hub_edb 100));
+    case "hub_session" ~only:[ "gms"; "gsms" ] (fun () ->
+        (P.hub, P.hub_query (G.node "h" 0), hub_edb 100));
+    case "ancestor_symbolic" (fun () ->
+        (P.ancestor, anc (G.node "n" 0), Engine.Database.create ()));
   ]
 
 let all ~root = corpus ~root @ generated

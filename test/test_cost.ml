@@ -361,14 +361,18 @@ let test_reports_unchanged () =
   let dir = "cost_reports" in
   Sys.readdir dir
   |> Array.iter (fun f ->
-         if not (List.mem_assoc (Filename.remove_extension f) cases) then
-           Alcotest.failf "%s/%s pins no case of Cost_cases" dir f);
+         if
+           not
+             (List.exists
+                (fun c -> c.Cost_cases.name = Filename.remove_extension f)
+                cases)
+         then Alcotest.failf "%s/%s pins no case of Cost_cases" dir f);
   List.iter
-    (fun (name, report) ->
-      let path = Filename.concat dir (name ^ ".txt") in
+    (fun (case : Cost_cases.case) ->
+      let path = Filename.concat dir (case.name ^ ".txt") in
       if not (Sys.file_exists path) then
-        Alcotest.failf "%s: no pinned report %s" name path;
-      Alcotest.(check string) name (Cost_cases.read path) (report ()))
+        Alcotest.failf "%s: no pinned report %s" case.name path;
+      Alcotest.(check string) case.name (Cost_cases.read path) (Cost_cases.report case))
     cases
 
 (* ------------------------------------------------------------------ *)

@@ -77,8 +77,8 @@ let test_dred_rederives () =
   (* deleting e(b,c) overdeletes tc(b,c) and tc(a,c); the latter has the
      alternative proof through e(a,c) and must be rederived *)
   let stats = M.apply m [ M.Delete (atom "e(b, c)") ] in
-  Alcotest.(check bool) "overdeleted >= 2" true (stats.Engine.Stats.overdeleted >= 2);
-  Alcotest.(check bool) "rederived >= 1" true (stats.Engine.Stats.rederived >= 1);
+  Alcotest.(check bool) "overdeleted >= 2" true (stats.M.overdeleted >= 2);
+  Alcotest.(check bool) "rederived >= 1" true (stats.M.rederived >= 1);
   let facts' = [ atom "e(a, b)"; atom "e(a, c)" ] in
   Alcotest.(check tuple_list)
     "equal to scratch" (scratch_pred tc facts' "tc" 2)
@@ -108,7 +108,7 @@ let test_dred_cycle () =
 let check_rederives name p facts del preds =
   let m = M.create p ~edb:(Engine.Database.of_facts facts) in
   let stats = M.apply m [ M.Delete (atom del) ] in
-  Alcotest.(check bool) (name ^ ": rederived >= 1") true (stats.Engine.Stats.rederived >= 1);
+  Alcotest.(check bool) (name ^ ": rederived >= 1") true (stats.M.rederived >= 1);
   let facts = List.filter (fun a -> a <> atom del) facts in
   List.iter
     (fun (pred, arity) ->
@@ -186,7 +186,7 @@ let delete_probes seeds =
   Alcotest.(check bool)
     (Fmt.str "%d seeds: rederived >= 1" seeds)
     true
-    (stats.Engine.Stats.rederived >= 1);
+    (stats.M.rederived >= 1);
   let ans, _ = S.query s q in
   Alcotest.(check tuple_list)
     (Fmt.str "%d seeds: answers equal scratch" seeds)
@@ -194,7 +194,7 @@ let delete_probes seeds =
        (run_method "gms" hub q
           (Engine.Database.of_facts (List.filter (fun a -> a <> del) hub_facts))))
     (sorted ans);
-  stats.Engine.Stats.probes
+  stats.M.probes
 
 let test_delete_cost_independent_of_seeds () =
   let few = delete_probes 10 in

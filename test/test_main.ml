@@ -31,6 +31,7 @@ let () =
       ("random-programs", Test_random_programs.suite);
       ("analysis", Test_analysis.suite);
       ("cost", Test_cost.suite);
+      ("counters", Test_counters.suite);
       ("incr", Test_incr.suite);
       ("persist", Test_persist.suite);
       ("server", Test_server.suite);
