@@ -26,12 +26,6 @@ type t = {
   restore : (int * Term.t) list;
 }
 
-let strip_indices t atom =
-  if t.index_fields = 0 then atom
-  else
-    let rec drop n xs = if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r in
-    { atom with Atom.args = drop t.index_fields atom.Atom.args }
-
 let run ?(engine = `Seminaive) ?max_iterations ?max_facts t ~edb =
   let edb' = Engine.Database.copy edb in
   List.iter (fun seed -> ignore (Engine.Database.add_fact edb' seed)) t.seeds;
@@ -41,46 +35,36 @@ let run ?(engine = `Seminaive) ?max_iterations ?max_facts t ~edb =
   | `Seminaive_reference ->
     Engine.Eval.seminaive_reference ?max_iterations ?max_facts t.program ~edb:edb'
 
-(* re-insert dropped constants at their original positions *)
-let restore_tuple restore args =
+let rec drop n xs = if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r
+
+(* drop the index fields, then re-insert the dropped constants at their
+   original positions *)
+let project ~index_fields ~restore args =
+  let rec weave pos ins rest =
+    match (ins, rest) with
+    | (p, c) :: ins', _ when p = pos -> c :: weave (pos + 1) ins' rest
+    | _, [] -> List.map snd ins
+    | _, x :: rest' -> x :: weave (pos + 1) ins rest'
+  in
+  let args = drop index_fields args in
   if restore = [] then args
-  else begin
-    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) restore in
-    let rec weave pos ins rest =
-      match ins with
-      | (p, c) :: ins' when p = pos -> c :: weave (pos + 1) ins' rest
-      | _ -> begin
-        match rest with
-        | [] -> List.map snd ins
-        | x :: rest' -> x :: weave (pos + 1) ins rest'
-      end
-    in
-    weave 0 sorted args
-  end
+  else weave 0 (List.sort (fun (a, _) (b, _) -> Int.compare a b) restore) args
+
+let strip_indices t atom =
+  { atom with Atom.args = project ~index_fields:t.index_fields ~restore:[] atom.Atom.args }
 
 let answers t outcome =
   match Engine.Database.find outcome.Engine.Eval.db (Atom.symbol t.query) with
   | None -> []
   | Some rel ->
-    let keep tuple =
-      Option.is_some
-        (Subst.match_list t.query.Atom.args (Engine.Tuple.to_list tuple) Subst.empty)
+    let add tuple acc =
+      let args = Engine.Tuple.to_list tuple in
+      if Option.is_none (Subst.match_list t.query.Atom.args args Subst.empty) then acc
+      else
+        let row = project ~index_fields:t.index_fields ~restore:t.restore args in
+        Engine.Tuple.Set.add (Engine.Tuple.of_list row) acc
     in
-    let projected =
-      Engine.Relation.fold
-        (fun tuple acc ->
-          if keep tuple then
-            let args =
-              let rec drop n xs =
-                if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r
-              in
-              drop t.index_fields (Engine.Tuple.to_list tuple)
-            in
-            Engine.Tuple.Set.add (Engine.Tuple.of_list (restore_tuple t.restore args)) acc
-          else acc)
-        rel Engine.Tuple.Set.empty
-    in
-    Engine.Tuple.Set.elements projected
+    Engine.Tuple.Set.elements (Engine.Relation.fold add rel Engine.Tuple.Set.empty)
 
 let pp ppf t =
   Fmt.pf ppf "%a@\n%a@\n?- %a." Program.pp t.program

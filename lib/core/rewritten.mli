@@ -42,6 +42,12 @@ type t = {
           optimization has dropped the query predicate's bound arguments *)
 }
 
+val project :
+  index_fields:int -> restore:(int * Term.t) list -> Term.t list -> Term.t list
+(** The answer projection: drop the first [index_fields] arguments, then
+    re-insert each [restore] constant at its position.  {!answers},
+    {!strip_indices} and the serving layer's snapshot reads all use it. *)
+
 val strip_indices : t -> Atom.t -> Atom.t
 (** Drop the leading index arguments of an indexed predicate's atom (no-op
     when [index_fields = 0]). *)

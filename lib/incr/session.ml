@@ -165,5 +165,6 @@ let db t = Maintain.db t.maintain
 let current_query t = t.query
 let strategy t = t.strategy
 let rewritten t = t.rw
+let maintained_program t = match t.rw with Some rw -> rw.C.Rewritten.program | None -> t.program
 let options t = t.options
 let program t = t.program

@@ -82,10 +82,11 @@ val strategy : t -> strategy
     this is never [Auto]. *)
 
 val rewritten : t -> C.Rewritten.t option
-(** The rewritten program the session maintains; [None] under
-    [Original].  The serving layer uses it to decide, without touching
-    the session, whether a candidate query adorns to the same program
-    and whether its seeds are already installed. *)
+(** The rewriting of the current query; [None] under [Original]. *)
+
+val maintained_program : t -> Program.t
+(** The program the session maintains: the rewritten program under a
+    magic strategy, the original one under [Original]. *)
 
 val options : t -> C.Rewrite.options
 val program : t -> Program.t

@@ -5,8 +5,8 @@ module Session = Incr.Session
 
 (* Where the last committed state lives.  On disk: the snapshot plus the
    WAL written since it.  In memory: the shadow — the EDB with every
-   committed op and installed seed applied — plus the query the session
-   was last created for; re-evaluating the two reproduces the session. *)
+   committed op and installed seed applied — plus the current query;
+   re-evaluating the two reproduces the session. *)
 type disk = {
   dir : string;
   digest : string;
@@ -235,14 +235,17 @@ let update t ops = fst (update_delta t ops)
 let query_delta t q =
   commit t
     (fun s -> Session.query_delta ?max_facts:t.max_facts s q)
-    (fun (_, _, summary) ->
-      (* an install whose seeds were all present changed no fact: no record *)
-      if summary <> [] then
-        match (t.backing, Session.rewritten t.session) with
-        | Disk d, _ -> journal t d (Wal.Install q)
-        | Memory m, Some rw ->
-          List.iter (fun s -> ignore (Db.add_fact m.edb s)) rw.Magic_core.Rewritten.seeds
-        | Memory _, None -> ())
+    (fun _ ->
+      (* recorded even when it changed no fact: its seeds became external
+         support and [q] the current query, both committed state *)
+      match t.backing with
+      | Disk d -> journal t d (Wal.Install q)
+      | Memory m ->
+        Option.iter
+          (fun rw ->
+            List.iter (fun s -> ignore (Db.add_fact m.edb s)) rw.Magic_core.Rewritten.seeds)
+          (Session.rewritten t.session);
+        m.query <- q)
 
 let query t q =
   let answers, stats, _summary = query_delta t q in
@@ -254,12 +257,7 @@ let query t q =
    plants its own seeds. *)
 let extract_edb session =
   let db = Session.db session in
-  let maintained =
-    match Session.rewritten session with
-    | Some rw -> rw.Magic_core.Rewritten.program
-    | None -> Session.program session
-  in
-  let derived = Program.derived maintained in
+  let derived = Program.derived (Session.maintained_program session) in
   let orig_derived = Program.derived (Session.program session) in
   let edb = Db.create () in
   List.iter

@@ -4,7 +4,8 @@
     - {e on disk} ([~dir]): a directory holding one binary snapshot plus
       a write-ahead log;
     - {e in memory} (no [dir]): a shadow EDB — the initial EDB with
-      every committed op and installed seed applied.
+      every committed op and installed seed applied — and the current
+      query.
 
     Commit protocol — apply, record, recover.  A transaction or a seed
     install is applied to the live session first.  Only if it succeeds
@@ -13,7 +14,10 @@
     with [Budget_exhausted] or [Invalid_argument] the session may be
     half-applied, so the store recovers the last committed state — a
     snapshot load plus WAL replay, or an unbounded re-evaluation of the
-    shadow — before re-raising.  A failed apply records nothing.
+    shadow — before re-raising.  A failed apply records nothing.  Every
+    successful seed install is recorded, even one whose seeds were
+    already derived: it still asserts them as external support and makes
+    its query the current one, and both are committed state.
 
     Checkpointing rewrites the snapshot (atomically: tmp + fsync +
     rename) and starts a fresh WAL; it runs every [checkpoint_every]
@@ -99,7 +103,8 @@ val update : t -> Incr.Maintain.op list -> Incr.Maintain.stats
 val query_delta :
   t -> Atom.t -> Engine.Tuple.t list * Incr.Maintain.stats * Incr.Maintain.summary
 (** Make the atom the session's query, committing its seed install like
-    a transaction (recorded only if it changed state).
+    a transaction (always recorded: a WAL record on disk, the seeds and
+    the current query in memory).
     @raise Incr.Session.Incompatible_query as the session does, with the
     state untouched; use {!reset} to adopt the new query. *)
 

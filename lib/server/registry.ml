@@ -20,18 +20,20 @@ type counters = {
   mutable maint_firings : int;
 }
 
-(* One cached answer set, remembering enough of its projection to be
-   repaired in place: the backing answer predicate, the atom its tuples
-   are matched against, and the index-stripping/constant-restoring
-   shape of the rewriting (trivial under [Original]). *)
-type entry = {
-  e_pred : Symbol.t;
-  e_match : Atom.t;
-  e_index_fields : int;
-  e_restore : (int * Term.t) list;
-  mutable e_epoch : int;
-  mutable e_rows : string list list;
+(* How a query reads the published snapshot: the atom its tuples
+   match, the shape of {!C.Rewritten.project} that turns them into
+   answer rows, and the magic seeds that must be present first.  Under
+   [Original] the atom is the query itself, the projection trivial and
+   the seed list empty. *)
+type plan = {
+  atom : Atom.t;
+  index_fields : int;
+  restore : (int * Term.t) list;
+  seeds : Atom.t list;
 }
+
+(* One cached answer set, with the plan that repairs it in place *)
+type entry = { plan : plan; mutable e_epoch : int; mutable e_rows : string list list }
 
 type t = {
   lock : Rwlock.t;
@@ -44,6 +46,7 @@ type t = {
          prepare; every publish re-prepares them.  Under the write lock. *)
   mutable epoch : int;
   program : Program.t;
+  maintained : Program.t;  (* of the session, which the registry never resets *)
   derived : Symbol.Set.t;  (* of [program]: client txns may not touch these *)
   strategy : Incr.Session.strategy;  (* resolved: never [Auto] *)
   options : C.Rewrite.options;
@@ -54,19 +57,7 @@ type t = {
   cache_mode : cache_mode;
   cache_m : Mutex.t;
   cache : (string, entry) Hashtbl.t;
-  fp_index : Footprint.index;  (* of the maintained program; under [cache_m] *)
-  fps : Footprint.t Symbol.Tbl.t;
-      (* footprints of every predicate that has been (or is being)
-         cached — the set a commit must bump watermarks for.  A reader
-         registers here {e before} computing rows, so a commit racing
-         with it always sees the predicate.  Under [cache_m]. *)
-  valid_from : int Symbol.Tbl.t;
-      (* per-predicate validity watermark: entries for [p] computed
-         against an epoch below [valid_from(p)] may be stale and must
-         not enter the cache.  Bumped by every commit whose change
-         summary intersects [p]'s footprint; [cache_valid_from] is the
-         global floor used by full wipes.  Under [cache_m]. *)
-  mutable cache_valid_from : int;  (* under [cache_m] *)
+  fp_index : Footprint.index;  (* of [maintained]; memoizing, so under [cache_m] *)
   c : counters;  (* under [cache_m] *)
 }
 
@@ -87,11 +78,6 @@ let has_negation program =
         (function Rule.Neg _ -> true | Rule.Pos _ -> false)
         r.Rule.body)
     (Program.rules program)
-
-let maintained_program session =
-  match Incr.Session.rewritten session with
-  | Some rw -> rw.C.Rewritten.program
-  | None -> Incr.Session.program session
 
 (* ---- publishing: the one place a snapshot is captured ----
 
@@ -117,6 +103,7 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
       ?dir:db program query ~edb
   in
   let session = Persist.Store.session store in
+  let maintained = Incr.Session.maintained_program session in
   let epoch = 0 in
   {
     lock = Rwlock.create ();
@@ -125,18 +112,16 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     probes = [];
     epoch;
     program;
+    maintained;
     derived = Program.derived program;
     strategy = Incr.Session.strategy session;
     options = Incr.Session.options session;
     max_facts;
-    monotone = not (has_negation (maintained_program session));
+    monotone = not (has_negation maintained);
     cache_mode;
     cache_m = Mutex.create ();
     cache = Hashtbl.create 64;
-    fp_index = Footprint.index (maintained_program session);
-    fps = Symbol.Tbl.create 16;
-    valid_from = Symbol.Tbl.create 16;
-    cache_valid_from = 0;
+    fp_index = Footprint.index maintained;
     c =
       {
         queries = 0;
@@ -170,91 +155,33 @@ let cache_key (a : Atom.t) =
     (Atom.vars a);
   Atom.to_string (Atom.rename (fun v -> Hashtbl.find tbl v) a)
 
-(* ---- footprints and validity watermarks (all under [cache_m]) ---- *)
+(* ---- the cache (under [cache_m]) ----
 
-let footprint_locked t pred =
-  match Symbol.Tbl.find_opt t.fps pred with
-  | Some fp -> fp
-  | None ->
-    let fp = Footprint.of_pred t.fp_index pred in
-    Symbol.Tbl.add t.fps pred fp;
-    fp
+   Rows are stored while the snapshot they were read from is pinned —
+   under the read lock, or the write lock on the prepare path — so no
+   commit can fall between reading them and storing them: every entry
+   is exact at its epoch, and every later commit sees it. *)
 
-(* announce that answers backed by [pred] are being computed, so a
-   commit racing with the computation bumps [pred]'s watermark and the
-   late {!cache_store} is rejected.  Must run before the read lock is
-   taken (see the ordering argument at [transact]). *)
-let register_pred t pred = locked t.cache_m (fun () -> ignore (footprint_locked t pred))
-
-let valid_from_locked t pred =
-  max t.cache_valid_from
-    (Option.value ~default:0 (Symbol.Tbl.find_opt t.valid_from pred))
-
+(* count the lookup and return the entry's epoch and rows on a hit *)
 let cache_find t key =
   locked t.cache_m (fun () ->
+      t.c.queries <- t.c.queries + 1;
       match Hashtbl.find_opt t.cache key with
-      | Some e when e.e_epoch >= valid_from_locked t e.e_pred ->
+      | Some e ->
+        t.c.cache_hits <- t.c.cache_hits + 1;
         Some (e.e_epoch, e.e_rows)
-      | _ -> None)
+      | None ->
+        t.c.cache_misses <- t.c.cache_misses + 1;
+        None)
 
-let cache_store t key ~pred ~match_atom ~index_fields ~restore ep rows =
+let cache_store t key plan ep rows =
   locked t.cache_m (fun () ->
-      ignore (footprint_locked t pred);
-      (* a commit may have invalidated [pred] while we computed against
-         the older snapshot: never re-insert a stale entry *)
-      if ep >= valid_from_locked t pred then
-        Hashtbl.replace t.cache key
-          {
-            e_pred = pred;
-            e_match = match_atom;
-            e_index_fields = index_fields;
-            e_restore = restore;
-            e_epoch = ep;
-            e_rows = rows;
-          })
+      Hashtbl.replace t.cache key { plan; e_epoch = ep; e_rows = rows })
 
-let full_invalidate_locked t new_epoch =
-  (* under [cache_m] *)
-  Hashtbl.reset t.cache;
-  t.cache_valid_from <- new_epoch;
-  Symbol.Tbl.reset t.valid_from;
-  t.c.full_invalidations <- t.c.full_invalidations + 1
-
-(* ---- answer projection from a snapshot, mirroring
-   [Rewritten.answers] without interning any tuple (the read path must
-   not write to the shared pools) ---- *)
-
-let rec drop n xs =
-  if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r
-
-let weave restore args =
-  if restore = [] then args
-  else begin
-    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) restore in
-    let rec go pos ins rest =
-      match ins with
-      | (p, c) :: ins' when p = pos -> c :: go (pos + 1) ins' rest
-      | _ -> begin
-        match rest with
-        | [] -> List.map snd ins
-        | x :: rest' -> x :: go (pos + 1) ins rest'
-      end
-    in
-    go 0 sorted args
-  end
-
-let row_of_tuple ~index_fields ~restore tu =
-  let args = drop index_fields (Engine.Tuple.to_list tu) in
-  List.map Term.to_string (weave restore args)
-
-let project_rows snap ~query ~index_fields ~restore =
-  let tuples = Engine.Snapshot.matching snap query in
-  let rows = List.map (row_of_tuple ~index_fields ~restore) tuples in
-  List.sort_uniq (List.compare String.compare) rows
-
-let rows_for_rewritten snap (rw : C.Rewritten.t) =
-  project_rows snap ~query:rw.C.Rewritten.query
-    ~index_fields:rw.C.Rewritten.index_fields ~restore:rw.C.Rewritten.restore
+let row plan tu =
+  List.map Term.to_string
+    (C.Rewritten.project ~index_fields:plan.index_fields ~restore:plan.restore
+       (Engine.Tuple.to_list tu))
 
 (* ---- partial invalidation and in-place repair ----
 
@@ -273,13 +200,8 @@ let repair_entry e added new_epoch =
   let extra =
     List.filter_map
       (fun tu ->
-        match
-          Subst.match_list e.e_match.Atom.args (Engine.Tuple.to_list tu)
-            Subst.empty
-        with
-        | Some _ ->
-          Some
-            (row_of_tuple ~index_fields:e.e_index_fields ~restore:e.e_restore tu)
+        match Subst.match_list e.plan.atom.Atom.args (Engine.Tuple.to_list tu) Subst.empty with
+        | Some _ -> Some (row e.plan tu)
         | None -> None)
       added
   in
@@ -292,7 +214,9 @@ let repair_entry e added new_epoch =
 let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
   (* under [cache_m] *)
   match t.cache_mode with
-  | Full -> full_invalidate_locked t new_epoch
+  | Full ->
+    Hashtbl.reset t.cache;
+    t.c.full_invalidations <- t.c.full_invalidations + 1
   | Partial ->
     let touched = Incr.Maintain.touched summary in
     if Symbol.Set.is_empty touched then ()
@@ -307,22 +231,16 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
         | None -> Some []  (* untouched answer relation: rows unchanged *)
         | Some d -> d.Incr.Maintain.d_added  (* None above the cap *)
       in
-      (* watermarks first: every predicate a reader may be computing
-         right now, cached entry or not *)
-      Symbol.Tbl.iter
-        (fun pred fp ->
-          if Footprint.intersects fp touched then
-            Symbol.Tbl.replace t.valid_from pred new_epoch)
-        t.fps;
       let evict = ref [] in
       Hashtbl.iter
         (fun key e ->
-          let fp = footprint_locked t e.e_pred in
+          let pred = Atom.symbol e.plan.atom in
+          let fp = Footprint.of_pred t.fp_index pred in
           if not (Footprint.intersects fp touched) then
             (* untouched footprint: rows invariant under this commit *)
             e.e_epoch <- new_epoch
           else if repairable && Footprint.neg_free fp then begin
-            match added_of e.e_pred with
+            match added_of pred with
             | Some added ->
               repair_entry e added new_epoch;
               t.c.cache_repairs <- t.c.cache_repairs + 1
@@ -409,12 +327,11 @@ let install_seeds t q =
         locked t.cache_m (fun () ->
             t.c.seed_installs <- t.c.seed_installs + 1;
             (* cone growth is answer-preserving for monotone programs:
-               every cached entry (and every in-flight read) stays
-               exact, so skip even the summary pass.  Under negation a
-               lower-stratum gain can retract a higher-stratum fact, so
-               run the selective pass (entries whose footprint avoids
-               the install, or is negation-free over an insert-only
-               summary, still survive). *)
+               every cached entry stays exact, so skip even the summary
+               pass.  Under negation a lower-stratum gain can retract a
+               higher-stratum fact, so run the selective pass (entries
+               whose footprint avoids the install, or is negation-free
+               over an insert-only summary, still survive). *)
             if not t.monotone then apply_summary_locked t t.epoch summary);
         Ok ()
       | exception Incr.Session.Incompatible_query msg ->
@@ -454,90 +371,63 @@ let read_prepared t probe read =
         end;
         read t.snapshot)
 
-let answers_response ~t0 ~cache_hit ep rows =
-  Protocol.Answers
-    { epoch = ep; cache_hit; answers = rows; time_s = now () -. t0 }
+(* Outside any lock: the identity plan under [Original]; under GMS/GSMS
+   the query's rewrite, which must be the maintained program *)
+let plan t q =
+  match t.strategy with
+  | Original | Auto -> Ok { atom = q; index_fields = 0; restore = []; seeds = [] }
+  | GMS | GSMS -> (
+    let kind = if t.strategy = GMS then C.Rewrite.GMS else C.Rewrite.GSMS in
+    match C.Rewrite.rewrite ~options:t.options kind t.program q with
+    | exception e ->
+      Error
+        (err Protocol.Parse_error "cannot rewrite %a: %s" Atom.pp q (Printexc.to_string e))
+    | rw when not (Incr.Session.same_program t.maintained rw.C.Rewritten.program) ->
+      Error
+        (err Protocol.Incompatible
+           "query %a adorns to a different rewritten program than the session's" Atom.pp q)
+    | rw ->
+      Ok
+        {
+          atom = rw.C.Rewritten.query;
+          index_fields = rw.C.Rewritten.index_fields;
+          restore = rw.C.Rewritten.restore;
+          seeds = rw.C.Rewritten.seeds;
+        })
+
+(* The plan's rows at the pinned snapshot, cached before it is released;
+   [None] while some seed is missing *)
+let read t key plan =
+  read_prepared t plan.atom (fun snap ->
+      if not (List.for_all (Engine.Snapshot.mem snap) plan.seeds) then None
+      else begin
+        let ep = Engine.Snapshot.epoch snap in
+        let tuples = Engine.Snapshot.matching snap plan.atom in
+        let rows = List.sort_uniq (List.compare String.compare) (List.map (row plan) tuples) in
+        cache_store t key plan ep rows;
+        Some (ep, rows)
+      end)
 
 let query t q =
   let t0 = now () in
-  with_c t (fun c -> c.queries <- c.queries + 1);
   let key = cache_key q in
+  let answers ~cache_hit (epoch, rows) =
+    Protocol.Answers { epoch; cache_hit; answers = rows; time_s = now () -. t0 }
+  in
   match cache_find t key with
-  | Some (ep, rows) ->
-    with_c t (fun c -> c.cache_hits <- c.cache_hits + 1);
-    answers_response ~t0 ~cache_hit:true ep rows
+  | Some hit -> answers ~cache_hit:true hit
   | None -> (
-    with_c t (fun c -> c.cache_misses <- c.cache_misses + 1);
-    match t.strategy with
-    | Original | Auto ->
-      (* full materialization: every predicate is in the snapshot *)
-      let pred = Atom.symbol q in
-      register_pred t pred;
-      let ep, rows =
-        read_prepared t q (fun snap ->
-            ( Engine.Snapshot.epoch snap,
-              project_rows snap ~query:q ~index_fields:0 ~restore:[] ))
-      in
-      cache_store t key ~pred ~match_atom:q ~index_fields:0 ~restore:[] ep rows;
-      answers_response ~t0 ~cache_hit:false ep rows
-    | GMS | GSMS -> (
-      (* the rewrite is purely symbolic: do it outside any lock *)
-      match
-        C.Rewrite.rewrite ~options:t.options
-          (match t.strategy with
-          | GMS -> C.Rewrite.GMS
-          | GSMS -> C.Rewrite.GSMS
-          | Original | Auto -> assert false)
-          t.program q
-      with
-      | exception e ->
-        count_error t
-          (err Protocol.Parse_error "cannot rewrite %a: %s" Atom.pp q
-             (Printexc.to_string e))
-      | rw' -> (
-        let pred = Atom.symbol rw'.C.Rewritten.query in
-        register_pred t pred;
-        let read () =
-          read_prepared t rw'.C.Rewritten.query (fun snap ->
-              let session_rw =
-                Option.get (Incr.Session.rewritten (Persist.Store.session t.store))
-              in
-              if
-                not
-                  (Incr.Session.same_program session_rw.C.Rewritten.program
-                     rw'.C.Rewritten.program)
-              then `Incompatible
-              else if
-                List.for_all (Engine.Snapshot.mem snap) rw'.C.Rewritten.seeds
-              then `Rows (Engine.Snapshot.epoch snap, rows_for_rewritten snap rw')
-              else `Install)
-        in
-        let finish ep rows =
-          cache_store t key ~pred ~match_atom:rw'.C.Rewritten.query
-            ~index_fields:rw'.C.Rewritten.index_fields
-            ~restore:rw'.C.Rewritten.restore ep rows;
-          answers_response ~t0 ~cache_hit:false ep rows
-        in
-        match read () with
-        | `Rows (ep, rows) -> finish ep rows
-        | `Incompatible ->
-          count_error t
-            (err Protocol.Incompatible
-               "query %a adorns to a different rewritten program than the \
-                session's"
-               Atom.pp q)
-        | `Install -> (
-          (* dynamic magic sets: grow the cone, then serve from the
-             republished snapshot *)
-          match install_seeds t q with
-          | Error resp -> count_error t resp
-          | Ok () -> (
-            match read () with
-            | `Rows (ep, rows) -> finish ep rows
-            | `Incompatible | `Install ->
-              count_error t
-                (err Protocol.Internal
-                   "seed installation for %a did not converge" Atom.pp q))))))
+    (* dynamic magic sets: while a seed is missing, grow the cone and
+       read the republished snapshot again (a commit in between may have
+       deleted a seed: clients may write magic relations) *)
+    let rec serve plan =
+      match read t key plan with
+      | Some r -> Ok r
+      | None -> Result.bind (install_seeds t q) (fun () -> serve plan)
+    in
+    match Result.bind (plan t q) serve with
+    | Ok r -> answers ~cache_hit:false r
+    | Error resp -> count_error t resp)
 
 let stats_fields t =
   let ep, snap_total =
@@ -590,18 +480,3 @@ let stats_fields t =
         ])
 
 let close t = Rwlock.with_write t.lock (fun () -> Persist.Store.close t.store)
-
-(* test access: simulate the late [cache_store] of a reader that
-   computed rows against an older snapshot ([Original]-shaped entries),
-   and inspect what the cache currently holds for an atom *)
-module Internal = struct
-  let store_projection t q ~epoch ~rows =
-    cache_store t (cache_key q) ~pred:(Atom.symbol q) ~match_atom:q
-      ~index_fields:0 ~restore:[] epoch rows
-
-  let peek t q =
-    locked t.cache_m (fun () ->
-        match Hashtbl.find_opt t.cache (cache_key q) with
-        | Some e -> Some (e.e_epoch, e.e_rows)
-        | None -> None)
-end

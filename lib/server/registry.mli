@@ -13,7 +13,9 @@
     transaction.
 
     {b Cache.}  Keyed by the query atom normalized up to variable
-    renaming; each entry carries the answer predicate backing it.  In
+    renaming; each entry carries the plan it was read by — the answer
+    atom its tuples match and their {!Magic_core.Rewritten.project}
+    shape — so it can be repaired in place.  In
     the default [Partial] mode a committed transaction is applied to
     the cache through its {!Incr.Maintain.summary}: entries whose
     dependency footprint ({!Analysis.Footprint}) is disjoint from the
@@ -24,13 +26,10 @@
     In [Full] mode (the pre-partial behavior, kept for differential
     testing) every transaction clears the whole cache.
 
-    Staleness is fenced per predicate: a reader registers its answer
-    predicate {e before} pinning a snapshot, every commit bumps the
-    validity watermark of each registered predicate whose footprint it
-    touches, and a store below the watermark is dropped — so a reader
-    that computed answers against a pre-transaction snapshot can never
-    re-insert a stale entry, while readers of untouched predicates keep
-    populating the cache across commits.
+    A miss stores its rows while the snapshot they were read from is
+    still pinned, before the read lock is released: no commit falls
+    between reading rows and caching them, so every entry is exact at
+    its epoch and every later commit's pass sees it.
 
     A seed installation keeps the cache when the maintained program is
     monotone: growing the magic cone adds support for {e new} queries
@@ -110,13 +109,3 @@ val close : t -> unit
     exited. *)
 
 val session_strategy : t -> Incr.Session.strategy
-
-(** Test access for the staleness fence: simulate the late store of a
-    reader that computed rows against an older snapshot, and inspect
-    the raw cached entry for an atom.  Not part of the serving API. *)
-module Internal : sig
-  val store_projection :
-    t -> Atom.t -> epoch:int -> rows:string list list -> unit
-
-  val peek : t -> Atom.t -> (int * string list list) option
-end

@@ -346,6 +346,68 @@ let test_backings_agree () =
       Alcotest.(check int) "x0 reaches n1" 2 (List.length (answers mem)))
 
 (* ------------------------------------------------------------------ *)
+(* an install of already-derived seeds is committed state              *)
+(* ------------------------------------------------------------------ *)
+
+(* what recovery must reproduce: every fact, the external support, and
+   the current query *)
+let image_of st =
+  let session = Store.session st in
+  let im = Session.image session in
+  let external_ =
+    List.concat_map
+      (fun (sym, tus) -> List.map (fun tu -> Fmt.str "%a%a" Symbol.pp sym Engine.Tuple.pp tu) tus)
+      im.Session.i_maintain.Incr.Maintain.im_external
+  in
+  ( List.sort compare (List.map Atom.to_string (Engine.Database.all_facts (Session.db session))),
+    List.sort compare external_,
+    Atom.to_string im.Session.i_query )
+
+(* GMS ancestor over p(n0, n1) … p(n9, n10).  Asking a(n5, Y) after
+   a(n0, Y) installs a seed that is already derived: no fact changes,
+   but the seed becomes external support and a(n5, Y) the current
+   query.  Deleting p(n2, n3) then cuts n5's cone off from n0's, and the
+   live session keeps it: 36 facts, 5 answers.  Recovering the committed
+   state — after a blown budget in memory, by reopening over an
+   abandoned handle on disk — must bring back that same image. *)
+let test_derived_seed_install_recovered ~durable () =
+  let module G = Workload.Generate in
+  let module W = Workload.Programs in
+  let q i = W.ancestor_query (G.node "n" i) in
+  let p i j = Atom.make "p" [ G.node "n" i; G.node "n" j ] in
+  let dir = fresh_dir () in
+  let open_store () =
+    Store.open_or_create ~strategy:Session.GMS ~max_facts:100
+      ?dir:(if durable then Some dir else None)
+      W.ancestor (q 0) ~edb:(G.db (G.chain ~pred:"p" 10))
+  in
+  let image = Alcotest.(triple (list string) (list string) string) in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let st = open_store () in
+      ignore (Store.query st (q 0));
+      ignore (Store.query st (q 5));
+      ignore (Store.update st [ Incr.Maintain.Delete (p 2 3) ]);
+      let ((facts, _, query) as live) = image_of st in
+      Alcotest.(check int) "live facts" 36 (List.length facts);
+      Alcotest.(check string) "live query" (Atom.to_string (q 5)) query;
+      Alcotest.(check int) "live answers" 5 (List.length (store_answers st));
+      let recovered =
+        if durable then open_store ()
+        else begin
+          (* closing the chain into a cycle puts every node in the cone *)
+          (match Store.update st Incr.Maintain.[ Insert (p 2 3); Insert (p 10 0) ] with
+          | _ -> Alcotest.fail "the cycle must exceed max-facts 100"
+          | exception Incr.Maintain.Budget_exhausted -> ());
+          st
+        end
+      in
+      Alcotest.check image "recovered image = live image" live (image_of recovered);
+      Alcotest.(check int) "recovered answers" 5 (List.length (store_answers recovered));
+      Store.close recovered)
+
+(* ------------------------------------------------------------------ *)
 (* fault injection: crash mid-checkpoint                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -721,6 +783,10 @@ let suite =
     Alcotest.test_case "reopen replays the journaled suffix" `Quick
       test_reopen_replays_suffix;
     Alcotest.test_case "in-memory and disk stores agree" `Quick test_backings_agree;
+    Alcotest.test_case "derived-seed install survives recovery (memory)" `Quick
+      (test_derived_seed_install_recovered ~durable:false);
+    Alcotest.test_case "derived-seed install survives recovery (disk)" `Quick
+      (test_derived_seed_install_recovered ~durable:true);
     Alcotest.test_case "crash mid-checkpoint keeps old snapshot" `Quick
       test_crash_mid_checkpoint;
     Alcotest.test_case "truncated snapshot refused" `Quick

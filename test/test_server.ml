@@ -304,51 +304,71 @@ let test_registry_full_mode_wipes () =
   Alcotest.(check bool) "partial mode: unrelated entry survives" true
     (probe (mk Server.Registry.Partial))
 
-let test_registry_stale_store_fenced () =
-  (* the install/invalidate race from the PR 8 review: a reader that
-     computed rows against an older snapshot must not overwrite the
-     repaired/invalidated entry for a touched predicate — but readers
-     of untouched predicates must keep populating the cache across
-     commits *)
-  let p =
-    program
-      (tc_src ^ "\nreach(X, Y) :- link(X, Y).\nreach(X, Y) :- link(X, Z), reach(Z, Y).")
-  in
-  let edb = chain_edb 3 [ Atom.make "link" [ Term.Sym "u0"; Term.Sym "u1" ] ] in
+(* Two reader domains loop over a fixed set of queries (misses, hits and
+   seed installs) while the main domain commits 40 transactions that cut
+   and re-join the chain and add fresh edges.  After each commit
+   returns, every query the main domain asks must answer at that
+   commit's epoch or later, with the reference engine's answers over
+   that commit's EDB: rows a reader read before the commit must not
+   reach the cache after it. *)
+let test_reads_after_commit () =
+  let len = 24 and commits = 40 and keys = [ 0; 4; 8; 12; 16; 20 ] in
+  let p = W.transitive_closure in
+  let base = G.chain len in
   let r =
-    Server.Registry.create ~strategy:Incr.Session.Original p (path_q (n 0)) ~edb
+    Server.Registry.create ~strategy:Incr.Session.GMS p (W.tc_query (G.node "n" 0))
+      ~edb:(G.db base)
   in
-  let stale =
-    match Server.Registry.query r (path_q (n 0)) with
-    | P.Answers { answers; _ } -> answers
-    | _ -> Alcotest.fail "warm query"
+  let stop = Atomic.make false in
+  let reader i () =
+    let rng = G.rng (0xBEEF + i) and errors = ref 0 in
+    while not (Atomic.get stop) do
+      let k = List.nth keys (G.next rng ~bound:(List.length keys)) in
+      match Server.Registry.query r (W.tc_query (G.node "n" k)) with
+      | P.Answers _ -> ()
+      | _ -> incr errors
+    done;
+    !errors
   in
-  (match Server.Registry.transact r [ M.Insert (edge (n 3) (n 4)) ] with
-  | P.Committed { epoch = 1; _ } -> ()
-  | _ -> Alcotest.fail "txn");
-  (* late stale write-back for the touched predicate: must be dropped *)
-  Server.Registry.Internal.store_projection r (path_q (n 0)) ~epoch:0 ~rows:stale;
-  (match Server.Registry.Internal.peek r (path_q (n 0)) with
-  | Some (ep, rows_now) ->
-    Alcotest.(check int) "entry kept at the commit epoch" 1 ep;
-    Alcotest.(check bool) "stale rows rejected" true (rows_now <> stale)
-  | None -> Alcotest.fail "repaired entry must still be cached");
-  (match Server.Registry.query r (path_q (n 0)) with
-  | P.Answers { cache_hit = true; answers; _ } ->
-    Alcotest.check rows "served rows include the new edge"
-      [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ]; [ "n0"; "n4" ] ]
-      answers
-  | _ -> Alcotest.fail "read after stale store");
-  (* late write-back for an untouched predicate: epoch 0 rows are still
-     exact, so the store must be accepted *)
-  let reach_q = Atom.make "reach" [ Term.Sym "u0"; Term.Var "Ans" ] in
-  Server.Registry.Internal.store_projection r reach_q ~epoch:0
-    ~rows:[ [ "u0"; "u1" ] ];
-  match Server.Registry.query r reach_q with
-  | P.Answers { cache_hit = true; answers; _ } ->
-    Alcotest.check rows "untouched-predicate store accepted" [ [ "u0"; "u1" ] ]
-      answers
-  | _ -> Alcotest.fail "untouched-predicate entry must hit"
+  let readers = List.init 2 (fun i -> Domain.spawn (reader i)) in
+  let reader_errors = ref [] in
+  let state = G.db base in
+  let rng = G.rng 0xC0FFEE in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      reader_errors := List.map Domain.join readers)
+    (fun () ->
+      for t = 1 to commits do
+        let k = G.next rng ~bound:len in
+        let op =
+          if t mod 3 = 0 then M.Insert (edge (G.node "n" k) (G.node "x" t))
+          else
+            let e = edge (G.node "n" k) (G.node "n" (k + 1)) in
+            if Engine.Database.mem state e then M.Delete e else M.Insert e
+        in
+        let committed =
+          match Server.Registry.transact r [ op ] with
+          | P.Committed { epoch; _ } -> epoch
+          | _ -> Alcotest.failf "txn %d refused" t
+        in
+        apply_op state op;
+        List.iter
+          (fun k ->
+            let q = W.tc_query (G.node "n" k) in
+            match Server.Registry.query r q with
+            | P.Answers { epoch; cache_hit; answers; _ } ->
+              let how = if cache_hit then "hit" else "miss" in
+              if epoch < committed then
+                Alcotest.failf "txn %d: %a (%s) served at epoch %d, before the commit's %d" t
+                  Atom.pp q how epoch committed;
+              if answers <> reference_rows p q (Engine.Database.copy state) then
+                Alcotest.failf "txn %d: %a (%s) diverges from the reference engine" t Atom.pp
+                  q how
+            | _ -> Alcotest.failf "txn %d: %a refused" t Atom.pp q)
+          keys
+      done);
+  Alcotest.(check (list int)) "reader errors" [ 0; 0 ] !reader_errors
 
 let test_registry_rejects_derived_op () =
   let p = program tc_src in
@@ -884,8 +904,8 @@ let suite =
     Alcotest.test_case "registry: cache discipline" `Quick test_registry_cache;
     Alcotest.test_case "registry: full mode wipes, partial retains" `Quick
       test_registry_full_mode_wipes;
-    Alcotest.test_case "registry: stale store fenced per predicate" `Quick
-      test_registry_stale_store_fenced;
+    Alcotest.test_case "registry: reads after a commit see it" `Quick
+      test_reads_after_commit;
     Alcotest.test_case "registry: derived op refused" `Quick
       test_registry_rejects_derived_op;
     Alcotest.test_case "registry: budget recovery" `Quick
