@@ -3,23 +3,13 @@
    A {!t} holds a materialized database (EDB plus every derived
    relation) for one program, and {!apply} repairs the derived relations
    under a batch of insertions and deletions instead of recomputing them.
-   The algorithm is chosen per dependency unit — the strongly connected
-   components of the predicate dependency graph, processed callees-first
-   (a refinement of the stratification, so negated predicates are always
-   fully repaired before their readers):
-
-   - {e counting} for non-recursive predicates: a per-tuple support
-     count (number of distinct rule-body valuations deriving the tuple,
-     plus one if it is externally asserted) is maintained exactly, so a
-     tuple is deleted precisely when its last derivation disappears.
-     Lost and gained valuations are enumerated exactly once by a
-     two-pass delta discipline over stamp-range views (see
-     [run_counting_pass]);
-
-   - {e DRed} (delete-and-rederive) for recursive units, where counts
-     are not finite-maintainable: over-delete everything reachable from
-     the deleted tuples, rederive what has an alternative proof in the
-     remaining state, then run a semi-naive insertion fixpoint.
+   Every dependency unit — a strongly connected component of the
+   predicate dependency graph, processed callees-first (a refinement of
+   the stratification, so negated predicates are always fully repaired
+   before their readers), recursive or not — is repaired by DRed
+   (delete-and-rederive): over-delete everything reachable from the
+   deleted tuples, rederive what has an alternative proof in the
+   remaining state, then run a semi-naive insertion fixpoint.
 
    Relations are updated in place using the deletion discipline of
    {!Engine.Relation}: removing a tuple tombstones its log slot, so a
@@ -109,13 +99,10 @@ type mrule = {
    runs the [Enumerate]d base instance and compares every emitted tuple. *)
 type check = Goal of Plan.instance | Enumerate of Plan.instance
 
-type kind = Counting | DRed
-
 type unit_ = {
   syms : Symbol.t list;
-  kind : kind;
   rules : mrule list;
-  checks : (Symbol.t * check list) list;  (* per head predicate; DRed only *)
+  checks : (Symbol.t * check list) list;  (* per head predicate *)
 }
 
 (* The per-transaction repair state of one updated relation: its deleted
@@ -127,10 +114,9 @@ type t = {
   db : Db.t;
   derived : Symbol.Set.t;
   units : unit_ list;
-  counts : int ref Tup.Tbl.t Symbol.Tbl.t;  (* counting predicates only *)
   external_ : Rel.t Symbol.Tbl.t;
       (* externally asserted tuples of derived predicates (e.g. magic
-         seeds): one unit of support not due to any rule *)
+         seeds): a proof not due to any rule, until retracted *)
 }
 
 let db t = t.db
@@ -250,7 +236,7 @@ let dminus_views changes sym =
    position [i] reads a predicate outside [unit]: [dviews] is [pos sym]
    for a positive literal over [sym], [neg q] for a negated one over
    [q] (the tuples leaving or entering [q] flip the literal's truth). *)
-let iter_deltas ?(unit = Symbol.Set.empty) rules ~pos ~neg f =
+let iter_deltas ~unit rules ~pos ~neg f =
   List.iter
     (fun mr ->
       List.iter
@@ -263,60 +249,8 @@ let iter_deltas ?(unit = Symbol.Set.empty) rules ~pos ~neg f =
     rules
 
 (* ------------------------------------------------------------------ *)
-(* Counting maintenance (non-recursive predicates)                     *)
+(* DRed maintenance                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Enumerate, exactly once each, the rule-body valuations lost
-   ([`Lost]: hold in the old state but not the new) or gained
-   ([`Gained]: hold in the new state but not the old) under the
-   transaction recorded in [changes].  The discipline is the standard
-   telescoping decomposition with per-literal "mid" = old ∩ new:
-
-     lost    position i reads Δ⁻(bᵢ), j < i read mid, j > i read old
-     gained  position i reads Δ⁺(bᵢ), j < i read new, j > i read mid
-
-   where for a positive literal Δ⁻/Δ⁺ are the relation's net deleted /
-   inserted tuples, and for a negated literal [not q] they are the
-   tuples {e entering} / {e leaving} q (a valuation stops passing
-   [not q] when its tuple appears).  Every lost or gained valuation is
-   enumerated at exactly one position — its first differing literal —
-   so applying -1/+1 per enumeration maintains exact support counts. *)
-let run_counting_pass t ~stats ~changes ~pass rules ~on =
-  let source_for dpos dviews lit sym =
-    if lit = dpos then dviews
-    else
-      match pass with
-      | `Lost -> if lit < dpos then mid_views t changes sym else old_views t changes sym
-      | `Gained -> if lit < dpos then new_views t sym else mid_views t changes sym
-  in
-  let neg_source_for dpos lit sym =
-    if lit = dpos then assert false
-    else
-      match pass with
-      | `Lost ->
-        if lit < dpos then neg_mid_views t changes sym else old_views t changes sym
-      | `Gained -> if lit < dpos then new_views t sym else neg_mid_views t changes sym
-  in
-  let run_with dpos dviews inst =
-    if dviews <> [] then
-      Plan.run ~stats:stats.eng ~source:(source_for dpos dviews)
-        ~neg_source:(neg_source_for dpos)
-        ~on_fact:(fun _ tuple ->
-          fired stats;
-          on tuple)
-        inst
-  in
-  match pass with
-  | `Lost -> iter_deltas rules ~pos:(dminus_views changes) ~neg:(dplus_views t changes) run_with
-  | `Gained -> iter_deltas rules ~pos:(dplus_views t changes) ~neg:(dminus_views changes) run_with
-
-let counts_for t p =
-  match Symbol.Tbl.find_opt t.counts p with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Tup.Tbl.create 32 in
-    Symbol.Tbl.add t.counts p tbl;
-    tbl
 
 (* [p]'s relation in a per-predicate table, created empty if absent *)
 let rel_in tbl p =
@@ -335,59 +269,6 @@ let spend budget =
   | Some left ->
     decr left;
     if !left < 0 then raise Budget_exhausted
-
-let process_counting t ~stats ~changes ~ext_ops ~budget u =
-  let p = match u.syms with [ p ] -> p | _ -> assert false in
-  let prel = Db.relation t.db p in
-  (* [order] keeps first-touch order, so the tally is read back
-     independently of hash order *)
-  let tally = Tup.Tbl.create 16 in
-  let order = ref [] in
-  let bump tuple d =
-    match Tup.Tbl.find_opt tally tuple with
-    | Some r -> r := !r + d
-    | None ->
-      Tup.Tbl.add tally tuple (ref d);
-      order := tuple :: !order
-  in
-  (* external assertions carry one unit of support each *)
-  (match Symbol.Tbl.find_opt ext_ops p with
-  | Some (dels, adds) ->
-    let ext = external_for t p in
-    List.iter (fun tu -> if Rel.remove ext tu then bump tu (-1)) dels;
-    List.iter (fun tu -> if Rel.add ext tu then bump tu 1) adds
-  | None -> ());
-  run_counting_pass t ~stats ~changes ~pass:`Lost u.rules ~on:(fun tu -> bump tu (-1));
-  run_counting_pass t ~stats ~changes ~pass:`Gained u.rules ~on:(fun tu -> bump tu 1);
-  let counts = counts_for t p in
-  let dminus = Rel.create (Rel.arity prel) in
-  let enters = ref [] in
-  List.iter
-    (fun tuple ->
-      let d = Tup.Tbl.find tally tuple in
-      if !d <> 0 then begin
-        let c0 = match Tup.Tbl.find_opt counts tuple with Some n -> !n | None -> 0 in
-        let c1 = c0 + !d in
-        if c1 > 0 then Tup.Tbl.replace counts tuple (ref c1)
-        else Tup.Tbl.remove counts tuple;
-        if c0 > 0 && c1 <= 0 then begin
-          ignore (Rel.remove prel tuple);
-          ignore (Rel.add dminus tuple)
-        end
-        else if c0 <= 0 && c1 > 0 then enters := tuple :: !enters
-      end)
-    (List.rev !order);
-  let w = Rel.size prel in
-  List.iter
-    (fun tuple ->
-      if Rel.add prel tuple then spend budget)
-    !enters;
-  if Rel.cardinal dminus > 0 || Rel.size prel > w then
-    Symbol.Tbl.replace changes p { dminus; w }
-
-(* ------------------------------------------------------------------ *)
-(* DRed maintenance (recursive units)                                  *)
-(* ------------------------------------------------------------------ *)
 
 (* Does any of [checks] (the rules for [sym]) derive [tuple] in the
    database's current state?  Used by the rederivation step.  A [Goal]
@@ -434,7 +315,7 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
     if Rel.mem (rel_of sym) tuple && Rel.add (over_rel sym) tuple then
       ignore (Rel.add (rel_in next sym) tuple)
   in
-  (* external retractions lose their unit of support; rederivation
+  (* a retracted assertion loses its external support; rederivation
      restores the tuple if some rule still proves it *)
   List.iter
     (fun p ->
@@ -691,12 +572,7 @@ let apply_delta ?max_facts t ops =
           Symbol.Tbl.replace changes sym { dminus; w }
       end)
     (List.rev !order);
-  List.iter
-    (fun u ->
-      match u.kind with
-      | Counting -> process_counting t ~stats ~changes ~ext_ops ~budget u
-      | DRed -> process_dred t ~stats ~changes ~ext_ops ~budget u)
-    t.units;
+  List.iter (process_dred t ~stats ~changes ~ext_ops ~budget) t.units;
   let { eng; delta_firings; overdeleted; rederived } = stats in
   ( ({ probes = eng.Stats.probes; delta_firings; overdeleted; rederived } : stats),
     summarize t changes )
@@ -717,28 +593,20 @@ let compile_units program =
       let own =
         List.filter (fun r -> Symbol.Set.mem (Atom.symbol r.Rule.head) symset) rules
       in
-      let kind =
-        match syms with
-        | [ s ] when not (Program.is_recursive program s) -> Counting
-        | _ -> DRed
-      in
       let rules = List.map compile_mrule own in
       let checks =
-        match kind with
-        | Counting -> []
-        | DRed ->
-          List.map
-            (fun p ->
-              ( p,
-                List.filter_map
-                  (fun mr ->
-                    if Symbol.equal (Atom.symbol mr.rule.Rule.head) p then
-                      Some (compile_check mr)
-                    else None)
-                  rules ))
-            syms
+        List.map
+          (fun p ->
+            ( p,
+              List.filter_map
+                (fun mr ->
+                  if Symbol.equal (Atom.symbol mr.rule.Rule.head) p then
+                    Some (compile_check mr)
+                  else None)
+                rules ))
+          syms
       in
-      { syms; kind; rules; checks })
+      { syms; rules; checks })
     (Program.sccs program)
 
 let create ?max_facts program ~edb =
@@ -757,78 +625,30 @@ let create ?max_facts program ~edb =
       | Some r when Rel.cardinal r > 0 -> Symbol.Tbl.add external_ sym (Rel.copy r)
       | _ -> ())
     derived;
-  let t = { db; derived; units; counts = Symbol.Tbl.create 8; external_ } in
-  (* initial support counts for the counting predicates: one per
-     rule-body valuation in the fixpoint, plus one per external fact *)
-  List.iter
-    (fun u ->
-      match (u.kind, u.syms) with
-      | Counting, [ p ] ->
-        let tbl = counts_for t p in
-        let bump tu =
-          match Tup.Tbl.find_opt tbl tu with
-          | Some n -> incr n
-          | None -> Tup.Tbl.add tbl tu (ref 1)
-        in
-        (match Symbol.Tbl.find_opt external_ p with
-        | Some ext -> Rel.iter bump ext
-        | None -> ());
-        List.iter
-          (fun mr ->
-            Plan.run ~source:(Plan.db_source db) ~neg_source:(Plan.db_source db)
-              ~on_fact:(fun _ tu -> bump tu)
-              mr.plan.Plan.base)
-          u.rules
-      | _ -> ())
-    units;
-  t
+  { db; derived; units; external_ }
 
 (* ------------------------------------------------------------------ *)
 (* Persistence images                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type image = {
-  im_db : Db.t;
-  im_counts : (Symbol.t * (Tup.t * int) list) list;
-  im_external : (Symbol.t * Tup.t list) list;
-}
+type image = { im_db : Db.t; im_external : (Symbol.t * Tup.t list) list }
 
 (* Deterministic ordering so the same state serializes to the same
-   bytes: predicates by symbol, entries structurally. *)
+   bytes: predicates by symbol, tuples structurally. *)
 let image t =
-  let by_sym compare_entry l =
-    List.sort
-      (fun (a, _) (b, _) -> Symbol.compare a b)
-      (List.map (fun (sym, entries) -> (sym, List.sort compare_entry entries)) l)
-  in
-  let counts =
-    Symbol.Tbl.fold
-      (fun sym tbl acc ->
-        let entries = Tup.Tbl.fold (fun tu n acc -> (tu, !n) :: acc) tbl [] in
-        if entries = [] then acc else (sym, entries) :: acc)
-      t.counts []
-    |> by_sym (fun (a, _) (b, _) -> Tup.compare a b)
-  in
   let external_ =
     Symbol.Tbl.fold
       (fun sym r acc ->
-        match Rel.to_list r with [] -> acc | tus -> (sym, tus) :: acc)
+        match Rel.to_list r with [] -> acc | tus -> (sym, List.sort Tup.compare tus) :: acc)
       t.external_ []
-    |> by_sym Tup.compare
+    |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
   in
-  { im_db = t.db; im_counts = counts; im_external = external_ }
+  { im_db = t.db; im_external = external_ }
 
 let of_image program im =
   (match Program.stratify program with
   | Error e -> invalid_arg ("Incr.Maintain.of_image: " ^ e)
   | Ok _ -> ());
-  let counts = Symbol.Tbl.create 8 in
-  List.iter
-    (fun (sym, entries) ->
-      let tbl = Tup.Tbl.create (max 16 (List.length entries)) in
-      List.iter (fun (tu, n) -> Tup.Tbl.replace tbl tu (ref n)) entries;
-      Symbol.Tbl.add counts sym tbl)
-    im.im_counts;
   let external_ = Symbol.Tbl.create 8 in
   List.iter
     (fun (sym, tus) ->
@@ -840,7 +660,6 @@ let of_image program im =
     db = im.im_db;
     derived = Program.derived program;
     units = compile_units program;
-    counts;
     external_;
   }
 
@@ -848,17 +667,3 @@ let answers t query =
   Engine.Eval.answers
     { Engine.Eval.db = t.db; stats = Stats.create (); diverged = false }
     query
-
-let support_count t sym tuple =
-  match Symbol.Tbl.find_opt t.counts sym with
-  | None -> None
-  | Some tbl -> (
-    match Tup.Tbl.find_opt tbl tuple with Some n -> Some !n | None -> Some 0)
-
-let kind_of t sym =
-  List.find_map
-    (fun u ->
-      if List.exists (Symbol.equal sym) u.syms then
-        Some (match u.kind with Counting -> `Counting | DRed -> `DRed)
-      else None)
-    t.units

@@ -2,19 +2,12 @@
     program's fixpoint up to date under transactions of fact insertions
     and deletions, without recomputing from scratch.
 
-    Each dependency unit (strongly connected component of the predicate
+    Every dependency unit (strongly connected component of the predicate
     dependency graph, repaired callees-first — a refinement of the
     stratification, so negation is always over fully-repaired
-    predicates) is maintained by:
-
-    - {e counting}, for non-recursive predicates: exact per-tuple
-      support counts (number of rule-body valuations deriving the
-      tuple, plus one if externally asserted), maintained by a two-pass
-      delta-rule discipline that enumerates every lost and gained
-      valuation exactly once;
-    - {e DRed} (delete-and-rederive), for recursive units:
-      overdeletion, rederivation of tuples with surviving alternative
-      proofs, then a semi-naive insertion fixpoint.
+    predicates), recursive or not, is maintained by {e DRed}
+    (delete-and-rederive): overdeletion, rederivation of tuples with
+    surviving alternative proofs, then a semi-naive insertion fixpoint.
 
     All three relation versions a delta rule needs ("old", "mid",
     "new") are expressed as unions of stamp-range views over the single
@@ -36,8 +29,8 @@ val create : ?max_facts:int -> Program.t -> edb:Engine.Database.t -> t
 (** Materialize the program's fixpoint over a copy of [edb] (the input
     database is not modified).  Tuples of derived predicates already
     present in [edb] — e.g. magic seed facts — are recorded as
-    {e externally asserted}: they carry one unit of support that no rule
-    accounts for, and persist until retracted.
+    {e externally asserted}: they stay supported whatever the rules
+    derive, and persist until retracted.
     @raise Invalid_argument if the program is not stratifiable. *)
 
 type delta = {
@@ -77,7 +70,7 @@ val apply : ?max_facts:int -> t -> op list -> stats
     deleted and re-inserted in the same transaction does not churn),
     then every derived relation is repaired.  Ops on base predicates
     update the EDB; ops on derived predicates assert or retract
-    external support.  Recursive units finish with the semi-naive
+    external support.  Every unit finishes with the semi-naive
     insertion fixpoint of {!Engine.Fixpoint}, the driver evaluation
     uses.  Returns the transaction's maintenance statistics.
     @raise Invalid_argument on a non-ground atom. *)
@@ -95,11 +88,9 @@ type image = {
   im_db : Engine.Database.t;
       (** the maintained database; shared, not copied — the snapshot
           writer reads it under the caller's lock *)
-  im_counts : (Symbol.t * (Engine.Tuple.t * int) list) list;
-      (** support counts of the counting-maintained predicates, sorted
-          by predicate then tuple *)
   im_external : (Symbol.t * Engine.Tuple.t list) list;
-      (** externally asserted tuples (magic seeds), sorted likewise *)
+      (** externally asserted tuples (magic seeds), sorted by predicate
+          then tuple *)
 }
 (** Everything of the maintained state that is not recomputable in O(1)
     from the program: the serialization boundary for {!module:Persist}. *)
@@ -111,16 +102,10 @@ val image : t -> image
 val of_image : Program.t -> image -> t
 (** Rebuild a maintained state from an {!image} without re-evaluating:
     units are recompiled from the program (cheap, symbolic) and the
-    database, counts and external support are adopted as-is — the image
+    database and external support are adopted as-is — the image
     must come from {!image} of a state maintained for the same program.
     Takes ownership of [im_db].
     @raise Invalid_argument if the program is not stratifiable. *)
 
 val answers : t -> Atom.t -> Engine.Tuple.t list
 (** The current tuples matching a query atom, sorted. *)
-
-val support_count : t -> Symbol.t -> Engine.Tuple.t -> int option
-(** [Some n] for a counting-maintained predicate ([n = 0] if absent);
-    [None] for recursive (DRed) predicates, which carry no counts. *)
-
-val kind_of : t -> Symbol.t -> [ `Counting | `DRed ] option

@@ -74,22 +74,6 @@ let rels_payload db =
     syms;
   Buffer.contents b
 
-let cnts_payload counts =
-  let b = Buffer.create 1024 in
-  Codec.u32 b (List.length counts);
-  List.iter
-    (fun ((sym : Symbol.t), entries) ->
-      Codec.str b sym.Symbol.name;
-      Codec.u32 b sym.Symbol.arity;
-      Codec.u32 b (List.length entries);
-      List.iter
-        (fun (tu, n) ->
-          tuple b tu;
-          Codec.u32 b n)
-        entries)
-    counts;
-  Buffer.contents b
-
 let exts_payload external_ =
   let b = Buffer.create 1024 in
   Codec.u32 b (List.length external_);
@@ -108,7 +92,8 @@ let write sink ~meta (image : Incr.Maintain.image) =
   write_section sink "META" (meta_payload meta);
   write_section sink "VALS" (vals_payload ());
   write_section sink "RELS" (rels_payload image.Incr.Maintain.im_db);
-  write_section sink "CNTS" (cnts_payload image.Incr.Maintain.im_counts);
+  (* format v1 keeps the support-count section of older builds: empty *)
+  write_section sink "CNTS" (u32_string 0);
   write_section sink "EXTS" (exts_payload image.Incr.Maintain.im_external);
   write_section sink "END!" ""
 
@@ -205,24 +190,6 @@ let load_rels r remap =
   Codec.expect_end r;
   db
 
-let load_cnts r remap =
-  let dummy = Value.intern (Term.Int 0) in
-  let npreds = Codec.ru32 r in
-  let out = ref [] in
-  for _ = 1 to npreds do
-    let sym = load_symbol r in
-    let n = Codec.ru32 r in
-    let entries = ref [] in
-    for _ = 1 to n do
-      let tu = load_tuple r ~dummy remap sym.Symbol.arity in
-      let c = Codec.ru32 r in
-      entries := (tu, c) :: !entries
-    done;
-    out := (sym, List.rev !entries) :: !out
-  done;
-  Codec.expect_end r;
-  List.rev !out
-
 let load_exts r remap =
   let dummy = Value.intern (Term.Int 0) in
   let npreds = Codec.ru32 r in
@@ -299,6 +266,7 @@ let load path =
   let meta = parse "META" load_meta in
   let remap = parse "VALS" load_pool in
   let db = parse "RELS" (fun r -> load_rels r remap) in
-  let counts = parse "CNTS" (fun r -> load_cnts r remap) in
+  (* CNTS (support counts written by older builds) was framed and
+     checksummed above; its payload is ignored *)
   let exts = parse "EXTS" (fun r -> load_exts r remap) in
-  (meta, { Incr.Maintain.im_db = db; im_counts = counts; im_external = exts })
+  (meta, { Incr.Maintain.im_db = db; im_external = exts })

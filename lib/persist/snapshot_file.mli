@@ -1,9 +1,9 @@
 (** The versioned binary snapshot: one file holding a whole maintained
     session — the interned {!Engine.Value} pool as a flat array in
     dense-id order, every relation's full insertion log with its
-    dead-slot bitset (stamps survive the round trip), the support counts
-    and external seed facts of the maintenance layer, and the session
-    metadata (strategy, current query, program digest).
+    dead-slot bitset (stamps survive the round trip), the external seed
+    facts of the maintenance layer, and the session metadata (strategy,
+    current query, program digest).
 
     Layout (all integers little-endian):
     {v
@@ -11,6 +11,10 @@
       sections, each:  tag (4 ascii bytes)  u32 length  payload  u32 crc32
       in fixed order:  META  VALS  RELS  CNTS  EXTS  END!
     v}
+
+    [CNTS] held support counts in older builds.  It is written empty
+    ([u32 0]); on load its frame and checksum are verified and its
+    payload ignored, so older snapshots still open.
 
     Every load failure — bad magic, unknown version, checksum mismatch,
     truncation, malformed payload — raises {!Codec.Corrupt} with the

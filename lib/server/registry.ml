@@ -47,7 +47,9 @@ type t = {
   mutable epoch : int;
   program : Program.t;
   maintained : Program.t;  (* of the session, which the registry never resets *)
-  derived : Symbol.Set.t;  (* of [program]: client txns may not touch these *)
+  derived : Symbol.Set.t;
+      (* of [program] and of [maintained] (magic and supplementary
+         relations included): client txns may not touch these *)
   strategy : Incr.Session.strategy;  (* resolved: never [Auto] *)
   options : C.Rewrite.options;
   max_facts : int option;
@@ -113,7 +115,7 @@ let create ?(strategy = Incr.Session.Auto) ?options ?max_facts
     epoch;
     program;
     maintained;
-    derived = Program.derived program;
+    derived = Symbol.Set.union (Program.derived program) (Program.derived maintained);
     strategy = Incr.Session.strategy session;
     options = Incr.Session.options session;
     max_facts;
@@ -193,7 +195,7 @@ let row plan tu =
    footprint is negation-free, every consequence of the transaction is
    monotone, so the entry's rows after the commit are its rows before
    plus the projection of the answer predicate's maintained insertions:
-   we append those (the counting/DRed passes computed them anyway) and
+   we append those (the DRed passes computed them anyway) and
    keep the entry hot. *)
 
 let repair_entry e added new_epoch =
@@ -219,7 +221,9 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
     t.c.full_invalidations <- t.c.full_invalidations + 1
   | Partial ->
     let touched = Incr.Maintain.touched summary in
-    if Symbol.Set.is_empty touched then ()
+    if Symbol.Set.is_empty touched then
+      (* a no-op commit: every entry's rows hold at the new epoch *)
+      Hashtbl.iter (fun _ e -> e.e_epoch <- new_epoch) t.cache
     else begin
       let repairable = not (Incr.Maintain.has_deletions summary) in
       let added_of pred =
@@ -279,7 +283,8 @@ let op_atom = function Incr.Maintain.Insert a | Incr.Maintain.Delete a -> a
 let transact t ops =
   let t0 = now () in
   (* clients update extensional state only: an op on a derived predicate
-     would assert external support for a fact the program itself owns *)
+     would assert external support for a fact the program itself owns,
+     and one on a magic relation would add or retract a seed *)
   match
     List.find_opt
       (fun op -> Symbol.Set.mem (Atom.symbol (op_atom op)) t.derived)
@@ -418,8 +423,8 @@ let query t q =
   | Some hit -> answers ~cache_hit:true hit
   | None -> (
     (* dynamic magic sets: while a seed is missing, grow the cone and
-       read the republished snapshot again (a commit in between may have
-       deleted a seed: clients may write magic relations) *)
+       read the republished snapshot again.  Clients cannot write magic
+       relations, so no commit in between retracts an installed seed. *)
     let rec serve plan =
       match read t key plan with
       | Some r -> Ok r

@@ -54,7 +54,7 @@ let test_eval () =
 (* maintenance                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* non-recursive negation (a counting unit with a negated literal) over
+(* non-recursive negation (a non-recursive unit with a negated literal) over
    a recursive one, and a recursive unit whose rules negate a base
    predicate (DRed with negated literals in every phase) *)
 let negation_src =

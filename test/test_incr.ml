@@ -1,4 +1,4 @@
-(* Incremental maintenance: counting and DRed repairs must leave the
+(* Incremental maintenance: DRed repairs must leave the
    database extensionally equal to a from-scratch evaluation of the
    updated EDB, for original programs and for magic-rewritten sessions. *)
 
@@ -19,34 +19,28 @@ let scratch_pred program facts pred arity =
   sorted (Engine.Eval.answers out (wildcard pred arity))
 
 (* ------------------------------------------------------------------ *)
-(* counting: non-recursive strata                                      *)
+(* non-recursive units                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_counting_supports () =
+let test_alternative_derivation () =
   let p = program "r(X) :- e(X, Y)." in
   let edb =
     Engine.Database.of_facts [ atom "e(a, b)"; atom "e(a, c)"; atom "e(d, b)" ]
   in
   let m = M.create p ~edb in
-  Alcotest.(check bool)
-    "non-recursive predicate uses counting" true
-    (M.kind_of m (Symbol.make "r" 1) = Some `Counting);
-  Alcotest.(check (option int))
-    "two valuations support r(a)" (Some 2)
-    (M.support_count m (Symbol.make "r" 1) (tup [ "a" ]));
   ignore (M.apply m [ M.Delete (atom "e(a, b)") ]);
   Alcotest.(check bool)
-    "one support left, tuple stays" true
+    "one derivation left, tuple stays" true
     (Engine.Database.mem (M.db m) (atom "r(a)"));
   ignore (M.apply m [ M.Delete (atom "e(a, c)") ]);
   Alcotest.(check bool)
-    "last support gone, tuple deleted" false
+    "last derivation gone, tuple deleted" false
     (Engine.Database.mem (M.db m) (atom "r(a)"));
   Alcotest.(check bool)
     "unrelated tuple untouched" true
     (Engine.Database.mem (M.db m) (atom "r(d)"))
 
-let test_counting_external_support () =
+let test_external_support () =
   let p = program "r(X) :- e(X, X)." in
   let m = M.create p ~edb:(Engine.Database.create ()) in
   (* asserting a derived-predicate fact gives it rule-independent support *)
@@ -71,9 +65,6 @@ let tc = program "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y)."
 let test_dred_rederives () =
   let facts = [ atom "e(a, b)"; atom "e(b, c)"; atom "e(a, c)" ] in
   let m = M.create tc ~edb:(Engine.Database.of_facts facts) in
-  Alcotest.(check bool)
-    "recursive predicate uses DRed" true
-    (M.kind_of m (Symbol.make "tc" 2) = Some `DRed);
   (* deleting e(b,c) overdeletes tc(b,c) and tc(a,c); the latter has the
      alternative proof through e(a,c) and must be rederived *)
   let stats = M.apply m [ M.Delete (atom "e(b, c)") ] in
@@ -473,7 +464,7 @@ let test_summary_counts () =
   Alcotest.(check bool) "touched set empty" true
     (Symbol.Set.is_empty (M.touched summary))
 
-let test_summary_counting_stratum () =
+let test_summary_through_negation () =
   let p = program "r(X) :- e(X, Y), not v(X)." in
   let m =
     M.create p ~edb:(Engine.Database.of_facts [ atom "e(a, b)"; atom "e(c, b)" ])
@@ -522,9 +513,11 @@ let test_script_spans () =
 
 let suite =
   [
-    Alcotest.test_case "counting supports" `Quick test_counting_supports;
+    Alcotest.test_case "non-recursive unit: alternative derivation" `Quick
+      test_alternative_derivation;
     Alcotest.test_case "script: located errors" `Quick test_script_spans;
-    Alcotest.test_case "counting external support" `Quick test_counting_external_support;
+    Alcotest.test_case "external support (non-recursive unit)" `Quick
+      test_external_support;
     Alcotest.test_case "dred rederives" `Quick test_dred_rederives;
     Alcotest.test_case "dred cycle" `Quick test_dred_cycle;
     Alcotest.test_case "rederive: gms rule shape" `Quick test_rederive_gms_shape;
@@ -537,7 +530,7 @@ let suite =
     Alcotest.test_case "stratified negation" `Quick test_negation_unit_order;
     Alcotest.test_case "change summary counts" `Quick test_summary_counts;
     Alcotest.test_case "change summary through negation" `Quick
-      test_summary_counting_stratum;
+      test_summary_through_negation;
     Alcotest.test_case "session dynamic magic" `Quick test_session_dynamic_magic;
     Alcotest.test_case "session original" `Quick test_session_original;
     Alcotest.test_case "edge delete/re-add = scratch" `Quick

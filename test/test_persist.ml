@@ -771,6 +771,38 @@ let test_corpus_bad_version () =
   | `Refused (_, message) ->
     Alcotest.(check bool) "says version" true (contains ~sub:"version" message)
 
+(* [tiny_counts] was written by a build that kept per-tuple support
+   counts for non-recursive predicates, so its snapshot's CNTS section
+   is not empty.  It must reopen to the state a fresh session computes,
+   and a deletion through the non-recursive units — two(n0, n2) and
+   two(n1, n3) lose their only derivation, node(n1) and node(n2) keep
+   one — must land on a from-scratch evaluation. *)
+let test_corpus_older_counts () =
+  let program, query, edb = H.load (Io.read_file (Filename.concat corpus "counts.dl")) in
+  let derived session =
+    let db = Session.db session in
+    List.map
+      (fun sym -> List.sort Atom.compare (Engine.Database.facts db sym))
+      (Symbol.Set.elements (Program.derived program))
+  in
+  let dir = fresh_dir () in
+  copy_store (Filename.concat corpus "tiny_counts") dir;
+  let st = Store.open_or_create ~strategy:Session.Original ~dir program query ~edb in
+  Alcotest.(check bool) "restored" true (Store.restored st);
+  let fresh = Session.create ~strategy:Session.Original program query ~edb in
+  Alcotest.check H.tuple_list "reopened = fresh" (answers_of fresh) (store_answers st);
+  let del = H.atom "p(n1, n2)" in
+  ignore (Store.update st [ Incr.Maintain.Delete del ]);
+  let edb' = Engine.Database.copy edb in
+  ignore (Engine.Database.remove_fact edb' del);
+  let scratch = Session.create ~strategy:Session.Original program query ~edb:edb' in
+  Alcotest.check H.tuple_list "after delete = scratch" (answers_of scratch)
+    (store_answers st);
+  Alcotest.(check (list (list (of_pp Atom.pp)))) "derived relations = scratch"
+    (derived scratch) (derived (Store.session st));
+  Store.close st;
+  rm_rf dir
+
 let suite =
   [
     Alcotest.test_case "crc32 check values" `Quick test_crc32;
@@ -805,4 +837,6 @@ let suite =
     Alcotest.test_case "golden corpus: torn tail" `Quick test_corpus_torn;
     Alcotest.test_case "golden corpus: corrupt section" `Quick test_corpus_corrupt;
     Alcotest.test_case "golden corpus: wrong version" `Quick test_corpus_bad_version;
+    Alcotest.test_case "golden corpus: older support counts ignored" `Quick
+      test_corpus_older_counts;
   ]

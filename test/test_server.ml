@@ -370,6 +370,16 @@ let test_reads_after_commit () =
       done);
   Alcotest.(check (list int)) "reader errors" [ 0; 0 ] !reader_errors
 
+let counter r name =
+  match List.assoc_opt name (Server.Registry.stats_fields r) with
+  | Some v -> float_of_string v
+  | None -> Alcotest.failf "stats lack the %s counter" name
+
+let answers_exn r q =
+  match Server.Registry.query r q with
+  | P.Answers { answers; _ } -> answers
+  | _ -> Alcotest.failf "query %a drew an error" Atom.pp q
+
 let test_registry_rejects_derived_op () =
   let p = program tc_src in
   let r =
@@ -379,6 +389,20 @@ let test_registry_rejects_derived_op () =
   (match Server.Registry.transact r [ M.Insert (atom "path(n0, n9)") ] with
   | P.Error { code = P.Bad_request; _ } -> ()
   | _ -> Alcotest.fail "updating a derived predicate must be refused");
+  (* magic relations are derived by the maintained program: a client
+     op on one would add or retract a seed *)
+  let installs = counter r "seed_installs" in
+  List.iter
+    (fun (label, op) ->
+      match Server.Registry.transact r [ op ] with
+      | P.Error { code = P.Bad_request; _ } -> ()
+      | _ -> Alcotest.failf "%s must be refused" label)
+    [
+      ("+ magic_path_bf(n5)", M.Insert (atom "magic_path_bf(n5)"));
+      ("- magic_path_bf(n0)", M.Delete (atom "magic_path_bf(n0)"));
+    ];
+  Alcotest.(check int) "epoch unchanged" 0 (Server.Registry.epoch r);
+  Alcotest.(check (float 0.)) "no seed install" installs (counter r "seed_installs");
   (* the daemon state survives the refused transaction *)
   match Server.Registry.query r (path_q (n 0)) with
   | P.Answers { answers; _ } ->
@@ -386,6 +410,25 @@ let test_registry_rejects_derived_op () =
       [ [ "n0"; "n1" ]; [ "n0"; "n2" ]; [ "n0"; "n3" ] ]
       answers
   | _ -> Alcotest.fail "query after refused txn"
+
+(* A commit that changes nothing (its insert is already present) still
+   advances the epoch: a cached entry must be served at the new epoch,
+   not the one it was cached at. *)
+let test_noop_commit_advances_cached_epoch () =
+  let p, q, edb = load (Cost_cases.read "../examples/paths.dl") in
+  let r = Server.Registry.create ~strategy:Incr.Session.GMS p q ~edb in
+  ignore (answers_exn r q);
+  let committed =
+    match Server.Registry.transact r [ M.Insert (atom "edge(a, b)") ] with
+    | P.Committed { epoch; _ } -> epoch
+    | _ -> Alcotest.fail "a no-op insert must commit"
+  in
+  match Server.Registry.query r q with
+  | P.Answers { cache_hit = true; epoch; _ } ->
+    if epoch < committed then
+      Alcotest.failf "hit served at epoch %d, before the commit's %d" epoch committed
+  | P.Answers _ -> Alcotest.fail "a no-op commit must keep the entry cached"
+  | _ -> Alcotest.fail "query after the no-op commit"
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -403,16 +446,6 @@ let with_scratch_dir name f =
   in
   if Sys.file_exists dir then rm_rf dir;
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
-
-let counter r name =
-  match List.assoc_opt name (Server.Registry.stats_fields r) with
-  | Some v -> float_of_string v
-  | None -> Alcotest.failf "stats lack the %s counter" name
-
-let answers_exn r q =
-  match Server.Registry.query r q with
-  | P.Answers { answers; _ } -> answers
-  | _ -> Alcotest.failf "query %a drew an error" Atom.pp q
 
 (* A short warm cone from n0, plus a long chain entirely outside it.
    Past max-facts 60 — by a transaction bridging the cone into the
@@ -908,6 +941,8 @@ let suite =
       test_reads_after_commit;
     Alcotest.test_case "registry: derived op refused" `Quick
       test_registry_rejects_derived_op;
+    Alcotest.test_case "registry: no-op commit advances cached epoch" `Quick
+      test_noop_commit_advances_cached_epoch;
     Alcotest.test_case "registry: budget recovery" `Quick
       (test_registry_budget_recovery ~durable:false ~blowout:`Txn);
     Alcotest.test_case "registry: budget recovery (durable)" `Quick
