@@ -88,21 +88,23 @@ type mrule = {
   neg_deltas : (int * Symbol.t * Plan.instance) list;
 }
 
-(* DRed's rederivation check for one rule: does the rule derive a given
-   head tuple from the current state?  [Goal] is the rule compiled with
-   a [$goal$p(head args)] literal prepended to its body and taken as the
-   delta instance at that position, so a scan of the one-tuple goal
-   relation binds the head variables and the bound-first ordering turns
-   the rest of the body into probes — a point lookup even for GMS magic
-   rules, whose head variable the last body literal binds.  A head with
-   arithmetic or compound arguments cannot be a scan pattern; its rule
-   runs the [Enumerate]d base instance and compares every emitted tuple. *)
+(* DRed's rederivation check for one rule: which of a set of head
+   tuples does the rule derive from the current state?  [Goal] is the
+   rule compiled with a [$goal$p(head args)] literal prepended to its
+   body and taken as the delta instance at that position, so a scan of
+   the goal relation (the tuples to check) binds the head variables and
+   the bound-first ordering turns the rest of the body into probes — a
+   point lookup per tuple even for GMS magic rules, whose head variable
+   the last body literal binds.  A head with arithmetic or compound
+   arguments cannot be a scan pattern; its rule runs the [Enumerate]d
+   base instance and looks every emitted tuple up in the set. *)
 type check = Goal of Plan.instance | Enumerate of Plan.instance
 
 type unit_ = {
   syms : Symbol.t list;
   rules : mrule list;
   checks : (Symbol.t * check list) list;  (* per head predicate *)
+  recursive : bool;  (* does a rule body read a unit predicate? *)
 }
 
 (* The per-transaction repair state of one updated relation: its deleted
@@ -232,6 +234,18 @@ let dminus_views changes sym =
   | Some c when Rel.cardinal c.dminus > 0 -> [ Plan.full c.dminus ]
   | _ -> []
 
+(* the tuples leaving a relation this transaction: [dminus] without the
+   tuples a recursive unit overdeleted, could not rederive from what
+   remained, and then derived again in its insertion fixpoint — those
+   are in both the old and the new state *)
+let left_views t changes sym =
+  match (changed changes sym, Db.find t.db sym) with
+  | Some c, Some rel when Rel.cardinal c.dminus > 0 ->
+    let left = Rel.create (Rel.arity rel) in
+    Rel.iter (fun tu -> if not (Rel.mem rel tu) then ignore (Rel.add left tu)) c.dminus;
+    if Rel.cardinal left > 0 then [ Plan.full left ] else []
+  | _ -> []
+
 (* Run [f i dviews inst] for every delta instance of [rules] whose delta
    position [i] reads a predicate outside [unit]: [dviews] is [pos sym]
    for a positive literal over [sym], [neg q] for a negated one over
@@ -252,16 +266,14 @@ let iter_deltas ~unit rules ~pos ~neg f =
 (* DRed maintenance                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [p]'s relation in a per-predicate table, created empty if absent *)
-let rel_in tbl p =
-  match Symbol.Tbl.find_opt tbl p with
+(* [p]'s externally asserted tuples, created empty if absent *)
+let external_for t p =
+  match Symbol.Tbl.find_opt t.external_ p with
   | Some r -> r
   | None ->
     let r = Rel.create p.Symbol.arity in
-    Symbol.Tbl.add tbl p r;
+    Symbol.Tbl.add t.external_ p r;
     r
-
-let external_for t p = rel_in t.external_ p
 
 let spend budget =
   match budget with
@@ -270,61 +282,83 @@ let spend budget =
     decr left;
     if !left < 0 then raise Budget_exhausted
 
-(* Does any of [checks] (the rules for [sym]) derive [tuple] in the
-   database's current state?  Used by the rederivation step.  A [Goal]
-   check reads the one-tuple goal relation at body position 0 and the
-   current database everywhere else, negated literals included. *)
-let derivable t ~stats checks sym tuple =
-  (match Symbol.Tbl.find_opt t.external_ sym with
-  | Some ext -> Rel.mem ext tuple
-  | None -> false)
-  || begin
-    let exception Found in
-    let on_fact _ tu = if Tup.equal tu tuple then raise Found in
-    let db_views _ s = full_views t.db s in
-    let goal = Rel.create (Array.length tuple) in
-    ignore (Rel.add goal tuple);
-    let run = function
-      | Goal inst ->
-        Plan.run ~stats:stats.eng
-          ~source:(fun lit s -> if lit = 0 then [ Plan.full goal ] else db_views lit s)
-          ~neg_source:db_views ~on_fact inst
-      | Enumerate inst ->
-        Plan.run ~stats:stats.eng ~source:db_views ~neg_source:db_views ~on_fact inst
-    in
-    List.exists
-      (fun c ->
-        match run c with
-        | () -> false
-        | exception Found -> true
-        | exception Engine.Solve.Unsafe _ -> false)
-      checks
-  end
+(* One unit predicate's repair state for a transaction: its stored
+   relation, its rederivation checks, the external assertions and
+   retractions the transaction makes, and [gone] — the overdeleted
+   tuples in marking order, minus those rederivation restores, so that
+   after phase 3 it is the net deletion ([dminus]).  [seen] is the stamp
+   of [gone] up to which overdeletion has propagated. *)
+type slot = {
+  p : Symbol.t;
+  rel : Rel.t;
+  checks : check list;
+  ext_dels : Tup.t list;
+  ext_adds : Tup.t list;
+  gone : Rel.t;
+  mutable seen : int;
+}
+
+(* Rederivation, a set at a time: restore every tuple of [s.gone] that
+   is externally supported or that some rule for [s.p] derives from the
+   database's current state.  A [Goal] check scans [s.gone] itself at
+   body position 0, so one run probes every missing tuple's alternative
+   proofs; an [Enumerate] check runs its rule once and keeps what lands
+   in [s.gone].  Returns whether anything was restored. *)
+let rederive t ~stats s =
+  let before = Rel.cardinal s.gone in
+  let restore _ tu =
+    if Rel.remove s.gone tu then begin
+      ignore (Rel.add s.rel tu);
+      stats.rederived <- stats.rederived + 1
+    end
+  in
+  (match Symbol.Tbl.find_opt t.external_ s.p with
+  | Some ext -> Rel.iter (fun tu -> if Rel.mem ext tu then restore s.p tu) s.gone
+  | None -> ());
+  let db_views _ sym = full_views t.db sym in
+  List.iter
+    (fun c ->
+      if Rel.cardinal s.gone > 0 then
+        match c with
+        | Goal inst ->
+          Plan.run ~stats:stats.eng
+            ~source:(fun lit sym -> if lit = 0 then [ Plan.full s.gone ] else db_views lit sym)
+            ~neg_source:db_views ~on_fact:restore inst
+        | Enumerate inst ->
+          Plan.run ~stats:stats.eng ~source:db_views ~neg_source:db_views ~on_fact:restore inst)
+    s.checks;
+  Rel.cardinal s.gone < before
 
 let process_dred t ~stats ~changes ~ext_ops ~budget u =
   let usyms = Symbol.Set.of_list u.syms in
   let in_u sym = Symbol.Set.mem sym usyms in
-  let rel_of sym = Db.relation t.db sym in
-  (* ---- phase 1: overdeletion (nothing is physically removed yet, so
-     every non-delta literal reads the old state in place); the
-     overdeleted sets are relations, so later phases read them in
-     marking order, not hash order ---- *)
-  let over = Symbol.Tbl.create 4 and next = Symbol.Tbl.create 4 in
-  let over_rel = rel_in over in
-  let mark sym tuple =
-    if Rel.mem (rel_of sym) tuple && Rel.add (over_rel sym) tuple then
-      ignore (Rel.add (rel_in next sym) tuple)
+  let slots =
+    List.map
+      (fun (p, checks) ->
+        let ext_dels, ext_adds =
+          Option.value (Symbol.Tbl.find_opt ext_ops p) ~default:([], [])
+        in
+        let rel = Db.relation t.db p in
+        { p; rel; checks; ext_dels; ext_adds; gone = Rel.create (Rel.arity rel); seen = 0 })
+      u.checks
   in
+  let slot sym = List.find (fun s -> Symbol.equal s.p sym) slots in
+  (* ---- phase 1: overdeletion (nothing is physically removed yet, so
+     every non-delta literal reads the old state in place) ---- *)
+  let mark s tuple = if Rel.mem s.rel tuple then ignore (Rel.add s.gone tuple) in
   (* a retracted assertion loses its external support; rederivation
-     restores the tuple if some rule still proves it *)
+     restores the tuple if some rule still proves it.  A new assertion
+     supports its tuple from here on: rederivation restores it in place
+     if it was overdeleted (it is in both the old and the new state), and
+     with it whatever it proves *)
   List.iter
-    (fun p ->
-      match Symbol.Tbl.find_opt ext_ops p with
-      | Some (dels, _) ->
-        let ext = external_for t p in
-        List.iter (fun tu -> if Rel.remove ext tu then mark p tu) dels
-      | None -> ())
-    u.syms;
+    (fun s ->
+      if s.ext_dels <> [] || s.ext_adds <> [] then begin
+        let ext = external_for t s.p in
+        List.iter (fun tu -> if Rel.remove ext tu then mark s tu) s.ext_dels;
+        List.iter (fun tu -> ignore (Rel.add ext tu)) s.ext_adds
+      end)
+    slots;
   let old_v _ sym = if in_u sym then full_views t.db sym else old_views t changes sym in
   let overdelete_with dpos dviews inst =
     if dviews <> [] then
@@ -333,111 +367,65 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
         ~neg_source:(fun _ sym -> old_views t changes sym)
         ~on_fact:(fun sym tuple ->
           fired stats;
-          mark sym tuple)
+          mark (slot sym) tuple)
         inst
   in
   (* seed round: deltas of already-repaired lower units *)
   iter_deltas ~unit:usyms u.rules ~pos:(dminus_views changes) ~neg:(dplus_views t changes)
     overdelete_with;
-  (* propagate through the unit's own predicates to fixpoint *)
-  let continue = ref (Symbol.Tbl.length next > 0) in
-  while !continue do
-    let deltas = Symbol.Tbl.copy next in
-    Symbol.Tbl.reset next;
-    List.iter
-      (fun mr ->
-        List.iter
-          (fun (i, inst) ->
-            let sym =
-              match body_pred mr.body.(i) with Some s -> s | None -> assert false
-            in
-            if in_u sym then
-              match Symbol.Tbl.find_opt deltas sym with
-              | Some drel when Rel.cardinal drel > 0 ->
-                overdelete_with i [ Plan.full drel ] inst
-              | _ -> ())
-          mr.plan.Plan.delta)
-      u.rules;
-    continue := Symbol.Tbl.length next > 0
-  done;
+  (* propagate through the unit's own predicates to fixpoint: each round
+     reads the stamps of [gone] the previous one marked *)
+  let rec propagate () =
+    let windows =
+      List.map
+        (fun s ->
+          let lo = s.seen in
+          s.seen <- Rel.size s.gone;
+          (s, lo))
+        slots
+    in
+    if List.exists (fun (s, lo) -> lo < s.seen) windows then begin
+      List.iter
+        (fun mr ->
+          List.iter
+            (fun (i, inst) ->
+              match body_pred mr.body.(i) with
+              | Some sym when in_u sym ->
+                let s, lo = List.find (fun (s, _) -> Symbol.equal s.p sym) windows in
+                if lo < s.seen then
+                  overdelete_with i [ { Plan.rel = s.gone; lo; hi = s.seen } ] inst
+              | Some _ | None -> ())
+            mr.plan.Plan.delta)
+        u.rules;
+      propagate ()
+    end
+  in
+  propagate ();
   (* ---- phase 2: apply the overdeletions ---- *)
-  Symbol.Tbl.iter
-    (fun sym r ->
-      stats.overdeleted <- stats.overdeleted + Rel.cardinal r;
-      let rel = rel_of sym in
-      Rel.iter (fun tu -> ignore (Rel.remove rel tu)) r)
-    over;
-  (* ---- phase 3: rederivation worklist — a tuple comes back iff it is
-     externally supported or some rule proves it from what remains;
-     each restoration can enable further ones ---- *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    Symbol.Tbl.iter
-      (fun sym r ->
-        let rel = rel_of sym in
-        let checks =
-          match List.find_opt (fun (p, _) -> Symbol.equal p sym) u.checks with
-          | Some (_, cs) -> cs
-          | None -> []
-        in
-        Rel.iter
-          (fun tu ->
-            if (not (Rel.mem rel tu)) && derivable t ~stats checks sym tu then begin
-              ignore (Rel.add rel tu);
-              stats.rederived <- stats.rederived + 1;
-              progress := true
-            end)
-          r)
-      over
-  done;
-  (* external assertions of tuples that were just overdeleted restore
-     them in place (they are present in both old and new states, so
-     they must land below the watermark, not in the inserted delta) *)
   List.iter
-    (fun p ->
-      match Symbol.Tbl.find_opt ext_ops p with
-      | Some (_, adds) ->
-        let ext = external_for t p in
-        let over_p = over_rel p in
-        List.iter
-          (fun tu ->
-            if Rel.mem over_p tu then begin
-              ignore (Rel.add ext tu);
-              ignore (Rel.add (rel_of p) tu)
-            end)
-          adds
-      | None -> ())
-    u.syms;
+    (fun s ->
+      stats.overdeleted <- stats.overdeleted + Rel.cardinal s.gone;
+      Rel.iter (fun tu -> ignore (Rel.remove s.rel tu)) s.gone)
+    slots;
+  (* ---- phase 3: rederivation — a tuple comes back iff it is
+     externally supported or some rule proves it from what remains; in a
+     recursive unit each restoration can enable further ones ---- *)
+  let rec restore_all () =
+    let restored = List.fold_left (fun acc s -> rederive t ~stats s || acc) false slots in
+    if restored && u.recursive then restore_all ()
+  in
+  restore_all ();
   (* ---- phase 4: watermarks, net deletions, external insertions ---- *)
   let fp = Engine.Fixpoint.create t.db u.syms in
-  let marks =
-    List.map
-      (fun p ->
-        let rel = rel_of p in
-        let dminus = Rel.create (Rel.arity rel) in
-        Rel.iter (fun tu -> if not (Rel.mem rel tu) then ignore (Rel.add dminus tu)) (over_rel p);
-        (p, rel, Rel.size rel, dminus))
-      u.syms
-  in
+  let marks = List.map (fun s -> (s, Rel.size s.rel)) slots in
   List.iter
-    (fun p ->
-      match Symbol.Tbl.find_opt ext_ops p with
-      | Some (_, adds) ->
-        let ext = external_for t p in
-        let rel = rel_of p in
-        List.iter
-          (fun tu ->
-            ignore (Rel.add ext tu);
-            if Rel.add rel tu then spend budget)
-          adds
-      | None -> ())
-    u.syms;
-  List.iter (fun (p, _, w, dminus) -> Symbol.Tbl.replace changes p { dminus; w }) marks;
+    (fun s -> List.iter (fun tu -> if Rel.add s.rel tu then spend budget) s.ext_adds)
+    slots;
+  List.iter (fun (s, w) -> Symbol.Tbl.replace changes s.p { dminus = s.gone; w }) marks;
   (* ---- phase 5: semi-naive insertion fixpoint ---- *)
   let record sym tuple =
     fired stats;
-    if Rel.add (rel_of sym) tuple then spend budget
+    if Rel.add (slot sym).rel tuple then spend budget
   in
   (* seed round: insertion deltas of lower units, with the unit's own
      predicates read up to the watermark; external insertions and seed
@@ -455,7 +443,7 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
           if lit < dpos then new_views t sym else neg_mid_views t changes sym)
         ~on_fact:record inst
   in
-  iter_deltas ~unit:usyms u.rules ~pos:(dplus_views t changes) ~neg:(dminus_views changes)
+  iter_deltas ~unit:usyms u.rules ~pos:(dplus_views t changes) ~neg:(left_views t changes)
     seed_with;
   Engine.Fixpoint.run ~stats:stats.eng fp
     (List.map (fun mr -> mr.plan) u.rules)
@@ -463,8 +451,8 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
     ~round:(fun () -> true);
   (* drop entries that turned out to be no-ops *)
   List.iter
-    (fun (p, rel, w, dminus) ->
-      if Rel.cardinal dminus = 0 && Rel.size rel = w then Symbol.Tbl.remove changes p)
+    (fun (s, w) ->
+      if Rel.cardinal s.gone = 0 && Rel.size s.rel = w then Symbol.Tbl.remove changes s.p)
     marks
 
 (* ------------------------------------------------------------------ *)
@@ -501,26 +489,29 @@ let net_ops mem0 ops =
 
 (* summarize the transaction's net effect from the repair state: the
    deleted-tuple relations are carried in [changes] and the inserted
-   tuples are exactly the live stamps at or above each watermark *)
+   tuples are the live stamps at or above each watermark — less the
+   tuples in both, which a recursive unit's insertion fixpoint derived
+   again and so did not change *)
 let summarize t changes =
   let deltas =
     Symbol.Tbl.fold
       (fun sym (c : change) acc ->
-        let deleted = Rel.cardinal c.dminus in
-        let inserted = ref 0 in
-        let rows = ref [] in
+        let deleted = ref 0 and inserted = ref 0 and rows = ref [] in
         (match Db.find t.db sym with
-        | None -> ()
+        | None -> deleted := Rel.cardinal c.dminus
         | Some rel ->
+          Rel.iter (fun tu -> if not (Rel.mem rel tu) then incr deleted) c.dminus;
           Rel.iter_in rel ~lo:c.w ~hi:max_int (fun tu ->
-              incr inserted;
-              if !inserted <= added_cap then rows := tu :: !rows));
-        if deleted = 0 && !inserted = 0 then acc
+              if not (Rel.mem c.dminus tu) then begin
+                incr inserted;
+                if !inserted <= added_cap then rows := tu :: !rows
+              end));
+        if !deleted = 0 && !inserted = 0 then acc
         else
           {
             d_pred = sym;
             d_inserted = !inserted;
-            d_deleted = deleted;
+            d_deleted = !deleted;
             d_added =
               (if !inserted > added_cap then None else Some (List.rev !rows));
           }
@@ -606,7 +597,7 @@ let compile_units program =
                 rules ))
           syms
       in
-      { syms; rules; checks })
+      { syms; rules; checks; recursive = List.exists (Program.is_recursive program) syms })
     (Program.sccs program)
 
 let create ?max_facts program ~edb =

@@ -48,8 +48,9 @@ type delta = {
 
 type summary = delta list
 (** A transaction's change summary, sorted by predicate.  The effect is
-    net: a tuple overdeleted and rederived by DRed lands below the
-    watermark and appears in neither count. *)
+    net: a tuple DRed overdeletes and then restores — by rederivation,
+    below the watermark, or by a recursive unit's insertion fixpoint —
+    appears in neither count. *)
 
 val touched : summary -> Symbol.Set.t
 val has_deletions : summary -> bool

@@ -221,41 +221,38 @@ let apply_summary_locked t new_epoch (summary : Incr.Maintain.summary) =
     t.c.full_invalidations <- t.c.full_invalidations + 1
   | Partial ->
     let touched = Incr.Maintain.touched summary in
-    if Symbol.Set.is_empty touched then
-      (* a no-op commit: every entry's rows hold at the new epoch *)
-      Hashtbl.iter (fun _ e -> e.e_epoch <- new_epoch) t.cache
-    else begin
-      let repairable = not (Incr.Maintain.has_deletions summary) in
-      let added_of pred =
-        match
-          List.find_opt
-            (fun (d : Incr.Maintain.delta) -> Symbol.equal d.d_pred pred)
-            summary
-        with
-        | None -> Some []  (* untouched answer relation: rows unchanged *)
-        | Some d -> d.Incr.Maintain.d_added  (* None above the cap *)
-      in
-      let evict = ref [] in
-      Hashtbl.iter
-        (fun key e ->
-          let pred = Atom.symbol e.plan.atom in
-          let fp = Footprint.of_pred t.fp_index pred in
-          if not (Footprint.intersects fp touched) then
-            (* untouched footprint: rows invariant under this commit *)
-            e.e_epoch <- new_epoch
-          else if repairable && Footprint.neg_free fp then begin
-            match added_of pred with
-            | Some added ->
-              repair_entry e added new_epoch;
-              t.c.cache_repairs <- t.c.cache_repairs + 1
-            | None -> evict := key :: !evict
-          end
-          else evict := key :: !evict)
-        t.cache;
-      List.iter (Hashtbl.remove t.cache) !evict;
-      t.c.cache_evictions <- t.c.cache_evictions + List.length !evict;
+    let repairable = not (Incr.Maintain.has_deletions summary) in
+    let added_of pred =
+      match
+        List.find_opt
+          (fun (d : Incr.Maintain.delta) -> Symbol.equal d.d_pred pred)
+          summary
+      with
+      | None -> Some []  (* untouched answer relation: rows unchanged *)
+      | Some d -> d.Incr.Maintain.d_added  (* None above the cap *)
+    in
+    let evict = ref [] in
+    Hashtbl.iter
+      (fun key e ->
+        let pred = Atom.symbol e.plan.atom in
+        let fp = Footprint.of_pred t.fp_index pred in
+        if not (Footprint.intersects fp touched) then
+          (* untouched footprint: rows invariant under this commit *)
+          e.e_epoch <- new_epoch
+        else if repairable && Footprint.neg_free fp then begin
+          match added_of pred with
+          | Some added ->
+            repair_entry e added new_epoch;
+            t.c.cache_repairs <- t.c.cache_repairs + 1
+          | None -> evict := key :: !evict
+        end
+        else evict := key :: !evict)
+      t.cache;
+    List.iter (Hashtbl.remove t.cache) !evict;
+    t.c.cache_evictions <- t.c.cache_evictions + List.length !evict;
+    (* a commit that changed nothing only advanced every entry's epoch *)
+    if not (Symbol.Set.is_empty touched) then
       t.c.partial_invalidations <- t.c.partial_invalidations + 1
-    end
 
 let err code fmt = Fmt.kstr (fun message -> Protocol.Error { code; message }) fmt
 

@@ -92,7 +92,7 @@ let test_dred_cycle () =
     (M.answers m (wildcard "tc" 2))
 
 (* Rederivation compiles one head-bound check per rule: the head's
-   arguments become the scan pattern of a one-tuple goal relation, or,
+   arguments become the scan pattern of a goal relation, or,
    when they contain arithmetic, the rule's base instance is enumerated.
    Each case deletes a fact so that some overdeleted tuple must come
    back, then compares every maintained relation with scratch. *)
@@ -229,6 +229,42 @@ let test_negation_unit_order () =
   (* and an insertion feeds a deletion through the negation *)
   ignore (M.apply m [ M.Insert (atom "e(a, d)") ]);
   check_all (atom "e(a, d)" :: facts)
+
+(* i(a, y) loses its proof through f(a, b), cannot be rederived from
+   what remains, and is proved again by the insertion fixpoint through
+   f(d, b) and f(a, d): it is in the old and the new state, so
+   [not i(a, y)] stays false, u(a, y) must not appear, and the summary
+   reports i(d, y) as i's only change *)
+let test_negation_over_rederived () =
+  let p =
+    program
+      "i(X, Y) :- e(X, Y). i(X, Y) :- f(X, Z), i(Z, Y). u(X, Y) :- g(X, Y), not i(X, Y)."
+  in
+  let facts = [ atom "e(b, y)"; atom "f(a, b)"; atom "f(a, d)"; atom "g(a, y)" ] in
+  let m = M.create p ~edb:(Engine.Database.of_facts facts) in
+  let _, summary = M.apply_delta m [ M.Delete (atom "f(a, b)"); M.Insert (atom "f(d, b)") ] in
+  (match List.find_opt (fun d -> d.M.d_pred.Symbol.name = "i") summary with
+  | Some d ->
+    Alcotest.(check (pair int int)) "i: net inserted, deleted" (1, 0) (d.M.d_inserted, d.M.d_deleted)
+  | None -> Alcotest.fail "i missing from the summary");
+  let facts = atom "f(d, b)" :: List.filter (fun a -> a <> atom "f(a, b)") facts in
+  List.iter
+    (fun pred ->
+      Alcotest.(check tuple_list)
+        (pred ^ " equals scratch") (scratch_pred p facts pred 2)
+        (M.answers m (wildcard pred 2)))
+    [ "i"; "u" ]
+
+(* the transaction that takes i(b, y)'s rule support away asserts it:
+   it stays, and so does i(a, y), which it proves *)
+let test_assertion_restores_dependents () =
+  let p = program "i(X, Y) :- e(X, Y). i(X, Y) :- f(X, Z), i(Z, Y)." in
+  let m = M.create p ~edb:(Engine.Database.of_facts [ atom "e(b, y)"; atom "f(a, b)" ]) in
+  ignore (M.apply m [ M.Delete (atom "e(b, y)"); M.Insert (atom "i(b, y)") ]);
+  Alcotest.(check tuple_list)
+    "asserted tuple and its dependent"
+    [ tup [ "a"; "y" ]; tup [ "b"; "y" ] ]
+    (sorted (M.answers m (wildcard "i" 2)))
 
 (* ------------------------------------------------------------------ *)
 (* sessions: dynamic magic sets                                        *)
@@ -528,6 +564,10 @@ let suite =
     Alcotest.test_case "rederive: delete cost independent of seeds" `Quick
       test_delete_cost_independent_of_seeds;
     Alcotest.test_case "stratified negation" `Quick test_negation_unit_order;
+    Alcotest.test_case "negation over a rederived tuple" `Quick
+      test_negation_over_rederived;
+    Alcotest.test_case "assertion restores its dependents" `Quick
+      test_assertion_restores_dependents;
     Alcotest.test_case "change summary counts" `Quick test_summary_counts;
     Alcotest.test_case "change summary through negation" `Quick
       test_summary_through_negation;
