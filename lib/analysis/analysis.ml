@@ -29,22 +29,10 @@ let all_rewritings = [ C.Rewrite.GMS; C.Rewrite.GSMS; C.Rewrite.GC; C.Rewrite.GS
    diagnostics can find their source spans *)
 let split_with_indices program =
   let rules = Program.rules program in
-  let rule_heads =
-    List.filter_map
-      (fun (r : Rule.t) ->
-        if Rule.is_fact r then None else Some (Atom.symbol r.Rule.head))
-      rules
-  in
-  let extensional (r : Rule.t) =
-    Rule.is_fact r
-    && Atom.is_ground r.Rule.head
-    && not (List.exists (Symbol.equal (Atom.symbol r.Rule.head)) rule_heads)
-  in
-  let proper =
-    List.filteri (fun _ _ -> true) rules
-    |> List.mapi (fun i r -> (i, r))
-    |> List.filter (fun (_, r) -> not (extensional r))
-  in
+  let extensional = Parser.is_extensional (Parser.rule_heads rules) in
+  let proper = ref [] in
+  List.iteri (fun i r -> if not (extensional r) then proper := (i, r) :: !proper) rules;
+  let proper = List.rev !proper in
   let orig = Array.of_list (List.map fst proper) in
   ( Program.make (List.map snd proper),
     fun i -> if i >= 0 && i < Array.length orig then orig.(i) else i )

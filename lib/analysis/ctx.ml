@@ -8,6 +8,15 @@ type t = {
 
 let make ?(srcmap = Parser.empty_map) ?query program = { program; query; srcmap }
 
+let is_ground_fact (r : Rule.t) = Rule.is_fact r && Atom.is_ground r.Rule.head
+
+let concat_rules t f =
+  let acc = ref [] in
+  List.iteri
+    (fun i r -> if not (is_ground_fact r) then acc := f i r :: !acc)
+    (Program.rules t.program);
+  List.concat (List.rev !acc)
+
 let clause t i = Parser.rule_spans t.srcmap i
 
 let rule_span t i =
@@ -24,4 +33,4 @@ let lit_span t i j =
     | _ -> c.Parser.clause_span)
   | None -> Loc.dummy
 
-let query_span t = Option.value ~default:Loc.dummy t.srcmap.Parser.query_span
+let query_span t = Option.value ~default:Loc.dummy (Parser.query_span t.srcmap)

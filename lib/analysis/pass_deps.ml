@@ -29,20 +29,17 @@ let reachability ctx g =
     let reach = Depgraph.reachable g [ qsym ] in
     let rules = Program.rules ctx.Ctx.program in
     let dead =
-      List.concat
-        (List.mapi
-           (fun i (r : Rule.t) ->
-             let h = Atom.symbol r.Rule.head in
-             if Symbol.Set.mem h reach || Rule.is_fact r then []
-             else
-               [
-                 Diagnostic.warning ~code:"W010" ~span:(Ctx.rule_span ctx i)
-                   (Fmt.str
-                      "dead rule: predicate '%s' is not reachable from the \
-                       query '%a'"
-                      (pred_name h) Atom.pp q);
-               ])
-           rules)
+      Ctx.concat_rules ctx (fun i (r : Rule.t) ->
+          let h = Atom.symbol r.Rule.head in
+          if Rule.is_fact r || Symbol.Set.mem h reach then []
+          else
+            [
+              Diagnostic.warning ~code:"W010" ~span:(Ctx.rule_span ctx i)
+                (Fmt.str
+                   "dead rule: predicate '%s' is not reachable from the \
+                    query '%a'"
+                   (pred_name h) Atom.pp q);
+            ])
     in
     (* derived predicates referenced by no body and distinct from the query *)
     let used_in_bodies =

@@ -107,5 +107,4 @@ let check_rule ctx i (r : Rule.t) =
   in
   negated @ comparisons @ head
 
-let run (ctx : Ctx.t) =
-  List.concat (List.mapi (check_rule ctx) (Program.rules ctx.Ctx.program))
+let run (ctx : Ctx.t) = Ctx.concat_rules ctx (check_rule ctx)

@@ -26,7 +26,6 @@ let rename f a = { a with args = List.map (Term.rename f) a.args }
 let same_shape a b = String.equal a.pred b.pred && List.length a.args = List.length b.args
 
 let unify a b s = if same_shape a b then Subst.unify_list a.args b.args s else None
-let match_atom a b s = if same_shape a b then Subst.match_list a.args b.args s else None
 
 let builtin_preds = [ "="; "<>"; "<"; "<="; ">"; ">=" ]
 let is_builtin a = arity a = 2 && List.mem a.pred builtin_preds

@@ -27,13 +27,9 @@ val rename : (string -> string) -> t -> t
 val unify : t -> t -> Subst.t -> Subst.t option
 (** Unify two atoms argument-wise (same predicate and arity required). *)
 
-val match_atom : t -> t -> Subst.t -> Subst.t option
-(** One-way matching of an atom pattern against a ground atom. *)
-
-val builtin_preds : string list
-(** Predicate names evaluated natively by the engine: comparison and
-    (dis)equality: ["="; "<>"; "<"; "<="; ">"; ">="]. *)
-
 val is_builtin : t -> bool
+(** A comparison or (dis)equality, evaluated natively by the engine:
+    ["="], ["<>"], ["<"], ["<="], [">"] or [">="] with two arguments. *)
+
 val pp : t Fmt.t
 val to_string : t -> string

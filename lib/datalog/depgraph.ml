@@ -13,34 +13,40 @@ type t = {
 }
 
 let of_rules rules =
-  let derived =
+  (* facts come in runs of one predicate: skip the insert on a repeat *)
+  let derived, _ =
     List.fold_left
-      (fun s r -> Symbol.Set.add (Atom.symbol r.Rule.head) s)
-      Symbol.Set.empty rules
+      (fun ((s, last) as acc) r ->
+        let h = r.Rule.head in
+        match last with
+        | Some (l : Atom.t)
+          when String.equal l.Atom.pred h.Atom.pred && Atom.arity l = Atom.arity h ->
+          acc
+        | _ -> (Symbol.Set.add (Atom.symbol h) s, Some h))
+      (Symbol.Set.empty, None) rules
   in
-  let edges =
-    List.concat
-      (List.mapi
-         (fun rule_index r ->
-           let src = Atom.symbol r.Rule.head in
-           List.concat
-             (List.mapi
-                (fun body_position lit ->
-                  let a = Rule.atom_of_literal lit in
-                  if Atom.is_builtin a then []
-                  else
-                    [
-                      {
-                        src;
-                        dst = Atom.symbol a;
-                        negated = not (Rule.is_positive lit);
-                        rule_index;
-                        body_position;
-                      };
-                    ])
-                r.Rule.body))
-         rules)
-  in
+  let edges = ref [] in
+  List.iteri
+    (fun rule_index r ->
+      if r.Rule.body <> [] then begin
+        let src = Atom.symbol r.Rule.head in
+        List.iteri
+          (fun body_position lit ->
+            let a = Rule.atom_of_literal lit in
+            if not (Atom.is_builtin a) then
+              edges :=
+                {
+                  src;
+                  dst = Atom.symbol a;
+                  negated = not (Rule.is_positive lit);
+                  rule_index;
+                  body_position;
+                }
+                :: !edges)
+          r.Rule.body
+      end)
+    rules;
+  let edges = List.rev !edges in
   let succ = Symbol.Tbl.create 16 in
   Symbol.Set.iter (fun s -> Symbol.Tbl.replace succ s []) derived;
   List.iter

@@ -2,23 +2,11 @@ type pos = { line : int; col : int; offset : int }
 
 type t = { start : pos; stop : pos }
 
-let start_pos = { line = 1; col = 1; offset = 0 }
-
 let dummy_pos = { line = 0; col = 0; offset = -1 }
 let dummy = { start = dummy_pos; stop = dummy_pos }
 let is_dummy t = t.start.offset < 0
 
 let span start stop = { start; stop }
-let point p = { start = p; stop = p }
-
-let merge a b =
-  if is_dummy a then b
-  else if is_dummy b then a
-  else
-    {
-      start = (if a.start.offset <= b.start.offset then a.start else b.start);
-      stop = (if a.stop.offset >= b.stop.offset then a.stop else b.stop);
-    }
 
 let of_offset src offset =
   let n = String.length src in
@@ -43,7 +31,6 @@ let line_at src line =
   let rec find_stop i = if i >= n || src.[i] = '\n' then i else find_stop (i + 1) in
   String.sub src start (find_stop start - start)
 
-let pp_pos ppf p =
-  if p.offset < 0 then Fmt.string ppf "?" else Fmt.pf ppf "%d:%d" p.line p.col
-
-let pp ppf t = pp_pos ppf t.start
+let pp ppf t =
+  if t.start.offset < 0 then Fmt.string ppf "?"
+  else Fmt.pf ppf "%d:%d" t.start.line t.start.col

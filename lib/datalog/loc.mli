@@ -1,9 +1,9 @@
 (** Source locations: 1-based line/column positions and character spans.
 
-    The lexer attaches a span to every token and the parser merges them
-    into clause-level spans, so that diagnostics can point into the
-    original source text with caret-style excerpts instead of reporting a
-    bare byte offset. *)
+    The lexer gives every token a span and the parser joins them into
+    clause-level spans, so that diagnostics can point into the original
+    source text with caret-style excerpts instead of reporting a bare
+    byte offset. *)
 
 type pos = { line : int; col : int; offset : int }
 (** 1-based line and column; 0-based character offset. *)
@@ -11,28 +11,19 @@ type pos = { line : int; col : int; offset : int }
 type t = { start : pos; stop : pos }
 (** A half-open span [start, stop) in a source text. *)
 
-val start_pos : pos
-(** Line 1, column 1, offset 0. *)
-
-val dummy_pos : pos
-
 val dummy : t
 (** The span of synthesized syntax with no source location. *)
 
 val is_dummy : t -> bool
 
 val span : pos -> pos -> t
-val point : pos -> t
-
-val merge : t -> t -> t
-(** Smallest span covering both arguments; dummy spans are ignored. *)
 
 val of_offset : string -> int -> pos
 (** Recover a line/column position from a character offset into the given
-    source text.  Compatibility helper for offset-only call sites. *)
+    source text.  Linear in the offset: the lexer never needs it, since
+    it tracks lines as it scans. *)
 
 val line_at : string -> int -> string
 (** The full text of the given 1-based line, without its newline. *)
 
-val pp_pos : pos Fmt.t
 val pp : t Fmt.t

@@ -12,35 +12,80 @@ type clause_spans = {
   literal_spans : Loc.t list;
 }
 
-type source_map = { clauses : clause_spans array; query_span : Loc.t option }
+(* Clause spans are packed into fixed-size chunks, filled in parse
+   order, so a growing program never copies them.  Clause [i] lives in
+   chunk [i / per_chunk] at slot [j = i mod per_chunk]: its start, head
+   stop and clause stop, each as (line, col, offset), are [pos.(stride *
+   j)] onwards, and [lits.(j)] holds its body literals' spans ([] for a
+   fact).  A clause's head and clause spans share their start. *)
+type chunk = { pos : int array; lits : Loc.t list array }
 
-let empty_map = { clauses = [||]; query_span = None }
+type source_map = { chunks : chunk array; count : int; query : Loc.t option }
+
+let stride = 9
+let per_chunk = 512
+let empty_map = { chunks = [||]; count = 0; query = None }
+let query_span map = map.query
 
 let rule_spans map i =
-  if i >= 0 && i < Array.length map.clauses then Some map.clauses.(i) else None
+  if i < 0 || i >= map.count then None
+  else
+    let c = map.chunks.(i / per_chunk) and j = i mod per_chunk in
+    let at k =
+      let k = (stride * j) + k in
+      { Loc.line = c.pos.(k); col = c.pos.(k + 1); offset = c.pos.(k + 2) }
+    in
+    let start = at 0 in
+    Some
+      {
+        clause_span = Loc.span start (at 6);
+        head_span = Loc.span start (at 3);
+        literal_spans = c.lits.(j);
+      }
 
-type state = {
-  mutable toks : (Lexer.token * Loc.t) list;
-  mutable fresh : int;
-  mutable last : Loc.t; (* span of the most recently consumed token *)
-}
+(* a source map under construction: full chunks, newest first *)
+type packer = { mutable full : chunk list; mutable cur : chunk; mutable used : int }
 
-let cur_span st = match st.toks with [] -> st.last | (_, sp) :: _ -> sp
+let new_chunk () =
+  { pos = Array.make (stride * per_chunk) 0; lits = Array.make per_chunk [] }
 
+let packer () = { full = []; cur = new_chunk (); used = 0 }
+
+let pack p { clause_span; head_span; literal_spans } =
+  if p.used = per_chunk then begin
+    p.full <- p.cur :: p.full;
+    p.cur <- new_chunk ();
+    p.used <- 0
+  end;
+  let put k (q : Loc.pos) =
+    let k = (stride * p.used) + k in
+    p.cur.pos.(k) <- q.Loc.line;
+    p.cur.pos.(k + 1) <- q.Loc.col;
+    p.cur.pos.(k + 2) <- q.Loc.offset
+  in
+  put 0 clause_span.Loc.start;
+  put 3 head_span.Loc.stop;
+  put 6 clause_span.Loc.stop;
+  p.cur.lits.(p.used) <- literal_spans;
+  p.used <- p.used + 1
+
+let packed p query =
+  let chunks = Array.of_list (List.rev (p.cur :: p.full)) in
+  { chunks; count = (per_chunk * (Array.length chunks - 1)) + p.used; query }
+
+type state = { lx : Lexer.t; mutable fresh : int }
+
+let peek st = Lexer.token st.lx
+let advance st = Lexer.advance st.lx
+
+(* a lexical error later in the input takes precedence over the syntax
+   error at the current token *)
 let fail st msg =
-  let tok = match st.toks with [] -> Lexer.EOF | (t, _) :: _ -> t in
-  raise
-    (Located
-       { message = Fmt.str "%s (at %a)" msg Lexer.pp_token tok; span = cur_span st })
-
-let peek st = match st.toks with [] -> Lexer.EOF | (t, _) :: _ -> t
-
-let advance st =
-  match st.toks with
-  | [] -> ()
-  | (_, sp) :: rest ->
-    st.last <- sp;
-    st.toks <- rest
+  let e =
+    { message = Fmt.str "%s (at %a)" msg Lexer.pp_token (peek st); span = Lexer.span st.lx }
+  in
+  Lexer.drain st.lx;
+  raise (Located e)
 
 let expect st tok msg = if peek st = tok then advance st else fail st msg
 
@@ -156,11 +201,12 @@ let parse_atom_or_builtin st =
     Atom.make op [ t; u ]
   | None -> atom_of_term st t
 
-(* parse one element while recording the span it covers *)
+(* parse one element while recording the span it covers: from the start
+   of its first token to the end of its last *)
 let spanned st f =
-  let start = cur_span st in
+  let start = Lexer.start st.lx in
   let v = f st in
-  (v, Loc.merge start st.last)
+  (v, Loc.span start (Lexer.last_stop st.lx))
 
 let parse_literal st =
   match peek st with
@@ -172,15 +218,15 @@ let parse_literal st =
 let parse_clause st =
   match peek st with
   | Lexer.QUERY ->
-    let start = cur_span st in
+    let start = Lexer.start st.lx in
     advance st;
     let a = parse_atom_or_builtin st in
     expect st Lexer.DOT "expected '.' after query";
-    `Query (a, Loc.merge start st.last)
+    `Query (a, Loc.span start (Lexer.last_stop st.lx))
   | _ ->
     let head, head_span = spanned st parse_atom_or_builtin in
     if Atom.is_builtin head then fail st "a rule head cannot be a builtin";
-    let body =
+    let body, literal_spans =
       match peek st with
       | Lexer.ARROW ->
         advance st;
@@ -192,40 +238,37 @@ let parse_clause st =
             l :: lits ()
           | _ -> [ l ]
         in
-        lits ()
-      | _ -> []
+        List.split (lits ())
+      | _ -> ([], [])
     in
     expect st Lexer.DOT "expected '.' after rule";
-    let spans =
-      {
-        clause_span = Loc.merge head_span st.last;
-        head_span;
-        literal_spans = List.map snd body;
-      }
-    in
-    `Rule (Rule.make head (List.map fst body), spans)
+    let clause_span = Loc.span head_span.Loc.start (Lexer.last_stop st.lx) in
+    `Rule (Rule.make head body, { clause_span; head_span; literal_spans })
 
-let make_state input =
-  let toks = Lexer.tokenize input in
-  { toks; fresh = 0; last = Loc.dummy }
+let make_state input = { lx = Lexer.create input; fresh = 0 }
 
 let parse_program_spanned input =
   try
     let st = make_state input in
-    let rec loop rules spans query query_span =
+    let p = packer () in
+    let query = ref None in
+    (* the rules in order, without a reversed copy; each clause's spans
+       are packed as soon as it is read *)
+    let[@tail_mod_cons] rec rules () =
       match peek st with
-      | Lexer.EOF ->
-        Ok
-          ( Program.make (List.rev rules),
-            query,
-            { clauses = Array.of_list (List.rev spans); query_span } )
+      | Lexer.EOF -> []
       | _ -> begin
         match parse_clause st with
-        | `Rule (r, sp) -> loop (r :: rules) (sp :: spans) query query_span
-        | `Query (q, sp) -> loop rules spans (Some q) (Some sp)
+        | `Rule (r, spans) ->
+          pack p spans;
+          r :: rules ()
+        | `Query q ->
+          query := Some q;
+          rules ()
       end
     in
-    loop [] [] None None
+    let rules = rules () in
+    Ok (Program.make rules, Option.map fst !query, packed p (Option.map snd !query))
   with
   | Located e -> Stdlib.Error e
   | Lexer.Error (message, span) -> Stdlib.Error { message; span }
@@ -262,21 +305,24 @@ let parse_rule input =
       match parse_clause st with
       | `Rule (r, _) ->
         if peek st <> Lexer.EOF then fail st "trailing input" else r
-      | `Query _ -> raise (Error "expected a rule, found a query"))
+      | `Query _ ->
+        Lexer.drain st.lx;
+        raise (Error "expected a rule, found a query"))
+
+(* a ground fact becomes extensional only if its predicate heads no
+   proper rule; otherwise it is part of the derived predicate's
+   definition and must stay in the program *)
+let rule_heads rules =
+  List.fold_left
+    (fun s r -> if Rule.is_fact r then s else Symbol.Set.add (Atom.symbol r.Rule.head) s)
+    Symbol.Set.empty rules
+
+let is_extensional heads r =
+  Rule.is_fact r
+  && Atom.is_ground r.Rule.head
+  && not (Symbol.Set.mem (Atom.symbol r.Rule.head) heads)
 
 let split_facts p =
-  (* a ground fact becomes extensional only if its predicate heads no
-     proper rule; otherwise it is part of the derived predicate's
-     definition and must stay in the program *)
-  let rule_heads =
-    List.filter_map
-      (fun r -> if Rule.is_fact r then None else Some (Atom.symbol r.Rule.head))
-      (Program.rules p)
-  in
-  let extensional r =
-    Rule.is_fact r
-    && Atom.is_ground r.Rule.head
-    && not (List.exists (Symbol.equal (Atom.symbol r.Rule.head)) rule_heads)
-  in
-  let facts, rules = List.partition extensional (Program.rules p) in
+  let heads = rule_heads (Program.rules p) in
+  let facts, rules = List.partition (is_extensional heads) (Program.rules p) in
   (Program.make rules, List.map (fun r -> r.Rule.head) facts)

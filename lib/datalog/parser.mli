@@ -16,7 +16,15 @@
     v}
 
     The tokens [_] and [?] denote anonymous variables; every occurrence is
-    given a distinct fresh name. *)
+    given a distinct fresh name.
+
+    Every entry point drives one {!Lexer.t} cursor, pulling a token at a
+    time: there is one parse path for programs, single terms, atoms and
+    rules (script lines and daemon requests go through {!parse_atom}).
+    Spans are built from the cursor's positions: a clause's span runs
+    from the start of its first token to the end of its last.  When the
+    input has both a syntax error and a lexical error, the lexical error
+    is reported, wherever it is. *)
 
 exception Error of string
 (** Raised by the unlocated entry points; the message carries the failure's
@@ -31,17 +39,19 @@ type clause_spans = {
   literal_spans : Loc.t list;  (** one span per body literal, in order *)
 }
 
-type source_map = {
-  clauses : clause_spans array;
-      (** index-aligned with the rules of the parsed program (including
-          facts, before {!split_facts}) *)
-  query_span : Loc.t option;
-}
+type source_map
+(** The spans of a parsed program's clauses, index-aligned with its rules
+    (facts included, before {!split_facts}), and of its query.  Clause
+    positions are packed into one integer array, so a fact's spans cost
+    no heap blocks of their own; {!rule_spans} unpacks them. *)
 
 val empty_map : source_map
 
 val rule_spans : source_map -> int -> clause_spans option
 (** Spans of the i-th clause of the parsed program, if known; O(1). *)
+
+val query_span : source_map -> Loc.t option
+(** Span of the last [?-] query, from [?-] through its final dot. *)
 
 val parse_term : string -> Term.t
 val parse_atom : string -> Atom.t
@@ -59,4 +69,12 @@ val parse_program_spanned :
     raising. *)
 
 val split_facts : Program.t -> Program.t * Atom.t list
-(** Separate ground facts from proper rules. *)
+(** Separate extensional facts from proper rules: a ground fact is
+    extensional unless its predicate also heads a proper rule. *)
+
+val rule_heads : Rule.t list -> Symbol.Set.t
+(** The predicates that head some proper (non-fact) rule. *)
+
+val is_extensional : Symbol.Set.t -> Rule.t -> bool
+(** [is_extensional (rule_heads rules) r]: does {!split_facts} move [r]
+    into the extensional database? *)

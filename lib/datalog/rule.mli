@@ -28,10 +28,6 @@ val vars : t -> string list
 
 val body_vars : t -> string list
 
-val positive_body_vars : t -> string list
-(** Variables occurring in some positive body literal (builtins included:
-    an equality can bind), in first-occurrence order. *)
-
 val unrestricted_head_vars : t -> string list
 (** Head variables that occur in no positive body literal — the rule is
     unsafe for plain bottom-up evaluation unless a rewriting binds them. *)

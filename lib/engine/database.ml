@@ -23,10 +23,24 @@ let install db sym r =
 
 let add_tuple db sym t = Relation.add (relation db sym) t
 
-let add_fact db a =
+(* a ground atom's arguments as a tuple; [Value.intern] evaluates ground
+   arithmetic itself, so constants go to the pool without a [Term.eval] *)
+let tuple_of_fact a =
   if not (Atom.is_ground a) then
     invalid_arg (Fmt.str "Database.add_fact: non-ground atom %a" Atom.pp a);
-  add_tuple db (Atom.symbol a) (Tuple.of_list (List.map Term.eval a.Atom.args))
+  match a.Atom.args with
+  | [] -> [||]
+  | x :: rest ->
+    let t = Array.make (Atom.arity a) (Value.intern x) in
+    let rec fill i = function
+      | [] -> t
+      | y :: ys ->
+        t.(i) <- Value.intern y;
+        fill (i + 1) ys
+    in
+    fill 1 rest
+
+let add_fact db a = add_tuple db (Atom.symbol a) (tuple_of_fact a)
 
 let remove_tuple db sym t =
   match find db sym with None -> false | Some r -> Relation.remove r t
@@ -49,9 +63,30 @@ let mem db a =
 let mem_tuple db sym t =
   match find db sym with None -> false | Some r -> Relation.mem r t
 
+(* Facts come in runs of one predicate: look its relation up once a run,
+   and reserve room for the whole run there. *)
 let of_facts facts =
   let db = create () in
-  List.iter (fun a -> ignore (add_fact db a)) facts;
+  let same (a : Atom.t) pred arity = Atom.arity a = arity && String.equal a.Atom.pred pred in
+  let rec run_length pred arity n = function
+    | a :: rest when same a pred arity -> run_length pred arity (n + 1) rest
+    | _ -> n
+  in
+  let rec load = function
+    | [] -> ()
+    | (a : Atom.t) :: _ as facts ->
+      let pred = a.Atom.pred and arity = Atom.arity a in
+      let r = relation db (Atom.symbol a) in
+      Relation.reserve r (run_length pred arity 0 facts);
+      let rec fill = function
+        | b :: rest when same b pred arity ->
+          ignore (Relation.add r (tuple_of_fact b));
+          fill rest
+        | rest -> load rest
+      in
+      fill facts
+  in
+  load facts;
   db
 
 let facts db sym =

@@ -78,19 +78,27 @@ let index_add idx positions stamp t =
   else
     Ttbl.replace idx (Array.map (fun i -> t.(i)) positions) (ref [ (stamp, t) ])
 
-let push r t =
-  if r.len = Array.length r.log then begin
-    let cap = max 16 (2 * r.len) in
-    let log = Array.make cap t in
+(* room for [n] more log slots, at least doubling *)
+let grow r n =
+  if r.len + n > Array.length r.log then begin
+    let cap = max (r.len + n) (max 16 (2 * r.len)) in
+    let log = Array.make cap [||] in
     Array.blit r.log 0 log 0 r.len;
     r.log <- log;
     let dead = Bytes.make cap '\000' in
     Bytes.blit r.dead 0 dead 0 r.len;
     r.dead <- dead
-  end;
+  end
+
+let push r t =
+  grow r 1;
   r.log.(r.len) <- t;
   Bytes.set r.dead r.len '\000';
   r.len <- r.len + 1
+
+let reserve r n =
+  Ttbl.reserve r.stamps n;
+  grow r n
 
 let add r t =
   if Array.length t <> r.arity then
