@@ -13,17 +13,18 @@ type clause_spans = {
 }
 
 (* Clause spans are packed into fixed-size chunks, filled in parse
-   order, so a growing program never copies them.  Clause [i] lives in
-   chunk [i / per_chunk] at slot [j = i mod per_chunk]: its start, head
-   stop and clause stop, each as (line, col, offset), are [pos.(stride *
-   j)] onwards, and [lits.(j)] holds its body literals' spans ([] for a
-   fact).  A clause's head and clause spans share their start. *)
+   order, so a growing program never copies them and a small one pays
+   for one small chunk.  Clause [i] lives in chunk [i / per_chunk] at
+   slot [j = i mod per_chunk]: its start, head stop and clause stop, each
+   as (line, col, offset), are [pos.(stride * j)] onwards, and [lits.(j)]
+   holds its body literals' spans ([] for a fact).  A clause's head and
+   clause spans share their start. *)
 type chunk = { pos : int array; lits : Loc.t list array }
 
 type source_map = { chunks : chunk array; count : int; query : Loc.t option }
 
 let stride = 9
-let per_chunk = 512
+let per_chunk = 28 (* [stride * per_chunk] words: a minor-heap block *)
 let empty_map = { chunks = [||]; count = 0; query = None }
 let query_span map = map.query
 
@@ -48,8 +49,6 @@ type packer = { mutable full : chunk list; mutable cur : chunk; mutable used : i
 
 let new_chunk () =
   { pos = Array.make (stride * per_chunk) 0; lits = Array.make per_chunk [] }
-
-let packer () = { full = []; cur = new_chunk (); used = 0 }
 
 let pack p { clause_span; head_span; literal_spans } =
   if p.used = per_chunk then begin
@@ -250,7 +249,7 @@ let make_state input = { lx = Lexer.create input; fresh = 0 }
 let parse_program_spanned input =
   try
     let st = make_state input in
-    let p = packer () in
+    let p = { full = []; cur = new_chunk (); used = 0 } in
     let query = ref None in
     (* the rules in order, without a reversed copy; each clause's spans
        are packed as soon as it is read *)

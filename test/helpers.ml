@@ -102,11 +102,32 @@ let gen_ground_term =
                  (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 3) (self (n / 2)));
              ])
 
-let qtest ?(count = 200) name gen prop =
-  (* fixed seed: property tests are deterministic across runs *)
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make [| 0x5eed |])
-    (QCheck2.Test.make ~count ~name gen prop)
+(* Property tests run at a fixed seed, so [dune runtest] is deterministic.
+   MAGIC_QCHECK_SEED picks another seed and MAGIC_QCHECK_COUNT multiplies
+   every property's count, for a wider search; a failure names both. *)
+let qcheck_env name default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> n
+    | _ -> invalid_arg (Fmt.str "%s=%S is not a non-negative integer" name s))
+
+let qcheck_seed = qcheck_env "MAGIC_QCHECK_SEED" 0x5eed
+let qcheck_count_factor = max 1 (qcheck_env "MAGIC_QCHECK_COUNT" 1)
+
+let qtest ?(count = 200) ?print name gen prop =
+  let test = QCheck2.Test.make ~count:(count * qcheck_count_factor) ?print ~name gen prop in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) test
+  in
+  ( name,
+    speed,
+    fun () ->
+      try run ()
+      with exn ->
+        Alcotest.failf "%s@.reproduce with MAGIC_QCHECK_SEED=%d MAGIC_QCHECK_COUNT=%d"
+          (Printexc.to_string exn) qcheck_seed qcheck_count_factor )
 
 (* random edge sets over a small constant universe, for program-equivalence
    properties *)

@@ -42,6 +42,9 @@ let test_comparison_unbound () =
 let test_parse_error () = check_errors "E100 syntax" "p(a, b.\n?- p(X, Y)." [ "E100" ]
 let test_lex_error () = check_errors "E100 lexical" "p(a) # q(b).\n?- p(X)." [ "E100" ]
 
+let test_int_overflow () =
+  check_errors "E100 integer overflow" "p(1).\np(99999999999999999999).\n?- p(X)." [ "E100" ]
+
 let test_equality_binds () =
   (* an equality chain can bind a comparison's variable: no E002 *)
   check_errors "equality binds" "n(1).\nbig(X) :- n(X), Y = X, Y > 0.\n?- big(1)."
@@ -404,6 +407,7 @@ let suite =
     Alcotest.test_case "E002 comparison unbound" `Quick test_comparison_unbound;
     Alcotest.test_case "E100 parse error" `Quick test_parse_error;
     Alcotest.test_case "E100 lex error" `Quick test_lex_error;
+    Alcotest.test_case "E100 integer overflow" `Quick test_int_overflow;
     Alcotest.test_case "equality binds comparisons" `Quick test_equality_binds;
     Alcotest.test_case "good programs are clean" `Quick test_good_programs_clean;
     Alcotest.test_case "warning codes" `Quick test_warning_codes;

@@ -538,6 +538,11 @@ let test_script_spans () =
     (String.length e.Incr.Script.message >= 9
     && String.sub e.Incr.Script.message 0 9 = "truncated");
   Alcotest.(check int) "truncated line" 2 e.Incr.Script.span.Loc.start.Loc.line;
+  let e = script_error "+ p(a, b).\n+ p(99999999999999999999).\n" in
+  Alcotest.(check int) "integer overflow line" 2 e.Incr.Script.span.Loc.start.Loc.line;
+  Alcotest.(check string) "integer overflow message"
+    "1:3: integer literal 99999999999999999999 does not fit in 63 bits"
+    e.Incr.Script.message;
   let e = script_error "+ p(a, X).\n" in
   Alcotest.(check int) "non-ground line" 1 e.Incr.Script.span.Loc.start.Loc.line;
   (* the exception-style wrapper keeps its line-numbered message *)

@@ -102,6 +102,10 @@ let test_decode_errors () =
     (code "{\"op\": \"frobnicate\"}");
   Alcotest.(check string) "unparseable atom" "parse-error"
     (code "{\"op\": \"query\", \"atom\": \"p(a\"}");
+  Alcotest.(check string) "integer literal too large" "parse-error"
+    (code "{\"op\": \"query\", \"atom\": \"p(99999999999999999999)\"}");
+  Alcotest.(check string) "integer literal too large in a txn" "parse-error"
+    (code "{\"op\": \"txn\", \"ops\": [{\"insert\": \"p(99999999999999999999)\"}]}");
   Alcotest.(check string) "non-ground txn" "non-ground"
     (code "{\"op\": \"txn\", \"ops\": [{\"insert\": \"p(X)\"}]}");
   Alcotest.(check string) "malformed op entry" "bad-request"
