@@ -14,14 +14,12 @@ type t = {
 
 val make : ?srcmap:Parser.source_map -> ?query:Atom.t -> Program.t -> t
 
-val is_ground_fact : Rule.t -> bool
-(** A fact without variables: the per-rule passes whose diagnostics are
-    about variables (safety, singletons) or rules (dead rules) skip it. *)
-
 val concat_rules : t -> (int -> Rule.t -> Diagnostic.t list) -> Diagnostic.t list
 (** [f i r] over the program's rules and non-ground facts, with [i] the
     clause index, concatenated in program order.  Ground facts are
-    skipped without allocating. *)
+    skipped without allocating: the passes that use this (safety,
+    singletons, dead rules) have nothing to say about a fact without
+    variables. *)
 
 val rule_span : t -> int -> Loc.t
 val head_span : t -> int -> Loc.t

@@ -20,16 +20,20 @@ let arities (ctx : Ctx.t) =
   let first : (string, int * (int * int)) Hashtbl.t = Hashtbl.create 16 in
   let diags = ref [] in
   (* facts come in runs of one predicate: a repeat of the last name and
-     arity seen is consistent without a table lookup *)
+     arity found consistent needs no table lookup *)
   let last_pred = ref "" and last_arity = ref (-1) in
+  let consistent (a : Atom.t) arity =
+    last_pred := a.Atom.pred;
+    last_arity := arity
+  in
   let visit (a : Atom.t) i j =
     let arity = Atom.arity a in
-    if not (arity = !last_arity && String.equal a.Atom.pred !last_pred || Atom.is_builtin a)
+    if not ((arity = !last_arity && String.equal a.Atom.pred !last_pred) || Atom.is_builtin a)
     then begin
-      last_pred := a.Atom.pred;
-      last_arity := arity;
       match Hashtbl.find_opt first a.Atom.pred with
-      | None -> Hashtbl.replace first a.Atom.pred (arity, (i, j))
+      | None ->
+        Hashtbl.replace first a.Atom.pred (arity, (i, j));
+        consistent a arity
       | Some (arity0, at0) when arity0 <> arity ->
         diags :=
           (Diagnostic.error ~code:"E020" ~span:(span_of (i, j))
@@ -39,7 +43,7 @@ let arities (ctx : Ctx.t) =
           |> Diagnostic.add_note ~span:(span_of at0)
                (Fmt.str "first used with arity %d" arity0))
           :: !diags
-      | Some _ -> ()
+      | Some _ -> consistent a arity
     end
   in
   List.iteri

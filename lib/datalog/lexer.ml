@@ -32,9 +32,9 @@ let is_ident_char c = is_digit c || is_lower c || is_upper c || c = '_' || c = '
 
 (* The cursor holds one token of lookahead.  [pos], [line] and [bol]
    (the offset of the current line's first character) describe the scan
-   position just after it.  No token spans a newline, so a token's
-   start and stop share one line and one line start; the same holds for
-   the most recently consumed token, kept for the parser's spans. *)
+   position just after it.  No token spans a newline, so [line] and [bol]
+   are also the lookahead token's; the most recently consumed token's end
+   is kept for the parser's spans. *)
 type t = {
   src : string;
   mutable pos : int;
@@ -43,8 +43,6 @@ type t = {
   mutable tok : token;
   mutable tok_start : int;
   mutable tok_stop : int;
-  mutable tok_line : int;
-  mutable tok_bol : int;
   mutable last_stop : int; (* -1 until a token is consumed *)
   mutable last_line : int;
   mutable last_bol : int;
@@ -83,8 +81,6 @@ let scan cur =
     cur.tok <- tok;
     cur.tok_start <- i;
     cur.tok_stop <- j;
-    cur.tok_line <- line;
-    cur.tok_bol <- bol;
     cur.pos <- j
   in
   if i >= n then set EOF i
@@ -151,8 +147,6 @@ let create src =
       tok = EOF;
       tok_start = 0;
       tok_stop = 0;
-      tok_line = 1;
-      tok_bol = 0;
       last_stop = -1;
       last_line = 0;
       last_bol = 0;
@@ -168,14 +162,12 @@ let advance cur =
   | EOF -> ()
   | _ ->
     cur.last_stop <- cur.tok_stop;
-    cur.last_line <- cur.tok_line;
-    cur.last_bol <- cur.tok_bol;
+    cur.last_line <- cur.line;
+    cur.last_bol <- cur.bol;
     scan cur
 
-let start cur = pos_at cur.tok_line cur.tok_bol cur.tok_start
-
-let span cur =
-  Loc.span (start cur) (pos_at cur.tok_line cur.tok_bol cur.tok_stop)
+let start cur = pos_at cur.line cur.bol cur.tok_start
+let span cur = Loc.span (start cur) (pos_at cur.line cur.bol cur.tok_stop)
 
 let last_stop cur =
   if cur.last_stop < 0 then invalid_arg "Lexer.last_stop: no token consumed";

@@ -34,6 +34,7 @@ let inline =
     ("truncated_at_last_byte", "p(a, b).\nq(X) :- p(X, X),");
     ("lex_error_after_syntax_error", "p(a b).\nq(X) :- p(X, X).\nr # s.\n");
     ("query_arrow_spacing", "p(a, b).\n? - p(a, Y).\n");
+    ("arity_clash_repeated", "p(a, b).\np(c).\np(d).\nq(X) :- p(X), p(X, X).\n?- q(a).\n");
   ]
 
 let corpus () =
