@@ -19,21 +19,11 @@ let arities (ctx : Ctx.t) =
   in
   let first : (string, int * (int * int)) Hashtbl.t = Hashtbl.create 16 in
   let diags = ref [] in
-  (* facts come in runs of one predicate: a repeat of the last name and
-     arity found consistent needs no table lookup *)
-  let last_pred = ref "" and last_arity = ref (-1) in
-  let consistent (a : Atom.t) arity =
-    last_pred := a.Atom.pred;
-    last_arity := arity
-  in
   let visit (a : Atom.t) i j =
-    let arity = Atom.arity a in
-    if not ((arity = !last_arity && String.equal a.Atom.pred !last_pred) || Atom.is_builtin a)
-    then begin
+    if not (Atom.is_builtin a) then
+      let arity = Atom.arity a in
       match Hashtbl.find_opt first a.Atom.pred with
-      | None ->
-        Hashtbl.replace first a.Atom.pred (arity, (i, j));
-        consistent a arity
+      | None -> Hashtbl.replace first a.Atom.pred (arity, (i, j))
       | Some (arity0, at0) when arity0 <> arity ->
         diags :=
           (Diagnostic.error ~code:"E020" ~span:(span_of (i, j))
@@ -43,8 +33,7 @@ let arities (ctx : Ctx.t) =
           |> Diagnostic.add_note ~span:(span_of at0)
                (Fmt.str "first used with arity %d" arity0))
           :: !diags
-      | Some _ -> consistent a arity
-    end
+      | Some _ -> ()
   in
   List.iteri
     (fun i (r : Rule.t) ->

@@ -13,17 +13,10 @@ type t = {
 }
 
 let of_rules rules =
-  (* facts come in runs of one predicate: skip the insert on a repeat *)
-  let derived, _ =
+  let derived =
     List.fold_left
-      (fun ((s, last) as acc) r ->
-        let h = r.Rule.head in
-        match last with
-        | Some (l : Atom.t)
-          when String.equal l.Atom.pred h.Atom.pred && Atom.arity l = Atom.arity h ->
-          acc
-        | _ -> (Symbol.Set.add (Atom.symbol h) s, Some h))
-      (Symbol.Set.empty, None) rules
+      (fun s r -> Symbol.Set.add (Atom.symbol r.Rule.head) s)
+      Symbol.Set.empty rules
   in
   let edges = ref [] in
   List.iteri

@@ -63,30 +63,9 @@ let mem db a =
 let mem_tuple db sym t =
   match find db sym with None -> false | Some r -> Relation.mem r t
 
-(* Facts come in runs of one predicate: look its relation up once a run,
-   and reserve room for the whole run there. *)
 let of_facts facts =
   let db = create () in
-  let same (a : Atom.t) pred arity = Atom.arity a = arity && String.equal a.Atom.pred pred in
-  let rec run_length pred arity n = function
-    | a :: rest when same a pred arity -> run_length pred arity (n + 1) rest
-    | _ -> n
-  in
-  let rec load = function
-    | [] -> ()
-    | (a : Atom.t) :: _ as facts ->
-      let pred = a.Atom.pred and arity = Atom.arity a in
-      let r = relation db (Atom.symbol a) in
-      Relation.reserve r (run_length pred arity 0 facts);
-      let rec fill = function
-        | b :: rest when same b pred arity ->
-          ignore (Relation.add r (tuple_of_fact b));
-          fill rest
-        | rest -> load rest
-      in
-      fill facts
-  in
-  load facts;
+  List.iter (fun a -> ignore (add_fact db a)) facts;
   db
 
 let facts db sym =

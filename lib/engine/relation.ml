@@ -78,27 +78,19 @@ let index_add idx positions stamp t =
   else
     Ttbl.replace idx (Array.map (fun i -> t.(i)) positions) (ref [ (stamp, t) ])
 
-(* room for [n] more log slots, at least doubling *)
-let grow r n =
-  if r.len + n > Array.length r.log then begin
-    let cap = max (r.len + n) (max 16 (2 * r.len)) in
-    let log = Array.make cap [||] in
+let push r t =
+  if r.len = Array.length r.log then begin
+    let cap = max 16 (2 * r.len) in
+    let log = Array.make cap t in
     Array.blit r.log 0 log 0 r.len;
     r.log <- log;
     let dead = Bytes.make cap '\000' in
     Bytes.blit r.dead 0 dead 0 r.len;
     r.dead <- dead
-  end
-
-let push r t =
-  grow r 1;
+  end;
   r.log.(r.len) <- t;
   Bytes.set r.dead r.len '\000';
   r.len <- r.len + 1
-
-let reserve r n =
-  Ttbl.reserve r.stamps n;
-  grow r n
 
 let add r t =
   if Array.length t <> r.arity then

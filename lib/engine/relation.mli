@@ -24,10 +24,6 @@ type t
 val create : int -> t
 (** [create arity] is a fresh empty relation. *)
 
-val reserve : t -> int -> unit
-(** [reserve r n]: room for [n] more tuples, so a bulk load of a known
-    count allocates its log and stamp table once instead of doubling. *)
-
 val arity : t -> int
 
 val cardinal : t -> int

@@ -87,8 +87,9 @@ let insert_slot t key =
   in
   probe (h land mask) 1 (-1)
 
-let rehash t cap =
+let resize t =
   let old_keys = t.keys and old_vals = t.vals and old_state = t.state in
+  let cap = (t.mask + 1) * if t.size * 4 > t.mask + 1 then 2 else 1 in
   t.keys <- Array.make cap [||];
   t.vals <- Array.make cap t.dummy;
   t.state <- Bytes.make cap sempty;
@@ -105,11 +106,6 @@ let rehash t cap =
       t.size <- t.size + 1
     end
   done
-
-let resize t = rehash t ((t.mask + 1) * if t.size * 4 > t.mask + 1 then 2 else 1)
-
-let reserve t n =
-  if (t.size + t.dead + n) * 2 > t.mask + 1 then rehash t (pow2 (((t.size + n) * 2) + 1) 16)
 
 let maybe_grow t =
   (* keep load (live + tombstones) at most 1/2 *)

@@ -10,9 +10,6 @@ val create : ?initial:int -> 'a -> 'a t
     and is what {!get} returns on a miss — pick a value no entry can
     legitimately hold (a negative stamp, a private ref). *)
 
-val reserve : 'a t -> int -> unit
-(** [reserve t n]: room for [n] more keys without a resize on the way. *)
-
 val length : 'a t -> int
 (** Number of live entries. *)
 
