@@ -33,4 +33,4 @@ let lit_span t i j =
     | _ -> c.Parser.clause_span)
   | None -> Loc.dummy
 
-let query_span t = Option.value ~default:Loc.dummy (Parser.query_span t.srcmap)
+let query_span t = Option.value ~default:Loc.dummy t.srcmap.Parser.query_span

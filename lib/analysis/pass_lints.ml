@@ -5,42 +5,33 @@ open Datalog
 (* E020 — every occurrence of a predicate name must agree on arity.
    Occurrences are visited in source order (head, then body literals, then
    the query) so the diagnostic lands on the later, conflicting use and
-   the note points back at the first one.  An occurrence is named by its
-   clause and body position ([head], or [query] for the query), and its
-   span is looked up only for a diagnostic. *)
-let head = -1
-let query = -2
-
+   the note points back at the first one. *)
 let arities (ctx : Ctx.t) =
-  let span_of (i, j) =
-    if j = query then Ctx.query_span ctx
-    else if j = head then Ctx.head_span ctx i
-    else Ctx.lit_span ctx i j
-  in
-  let first : (string, int * (int * int)) Hashtbl.t = Hashtbl.create 16 in
+  let first : (string, int * Loc.t) Hashtbl.t = Hashtbl.create 16 in
   let diags = ref [] in
-  let visit (a : Atom.t) i j =
+  let visit what (a : Atom.t) span =
     if not (Atom.is_builtin a) then
       let arity = Atom.arity a in
       match Hashtbl.find_opt first a.Atom.pred with
-      | None -> Hashtbl.replace first a.Atom.pred (arity, (i, j))
-      | Some (arity0, at0) when arity0 <> arity ->
+      | None -> Hashtbl.replace first a.Atom.pred (arity, span)
+      | Some (arity0, span0) when arity0 <> arity ->
         diags :=
-          (Diagnostic.error ~code:"E020" ~span:(span_of (i, j))
-             (Fmt.str "%s '%s' has arity %d here but arity %d elsewhere"
-                (if j = query then "query predicate" else "predicate")
+          (Diagnostic.error ~code:"E020" ~span
+             (Fmt.str "%s '%s' has arity %d here but arity %d elsewhere" what
                 a.Atom.pred arity arity0)
-          |> Diagnostic.add_note ~span:(span_of at0)
+          |> Diagnostic.add_note ~span:span0
                (Fmt.str "first used with arity %d" arity0))
           :: !diags
       | Some _ -> ()
   in
   List.iteri
     (fun i (r : Rule.t) ->
-      visit r.Rule.head i head;
-      List.iteri (fun j lit -> visit (Rule.atom_of_literal lit) i j) r.Rule.body)
+      visit "predicate" r.Rule.head (Ctx.head_span ctx i);
+      List.iteri
+        (fun j lit -> visit "predicate" (Rule.atom_of_literal lit) (Ctx.lit_span ctx i j))
+        r.Rule.body)
     (Program.rules ctx.Ctx.program);
-  Option.iter (fun q -> visit q 0 query) ctx.Ctx.query;
+  Option.iter (fun q -> visit "query predicate" q (Ctx.query_span ctx)) ctx.Ctx.query;
   List.rev !diags
 
 (* W020 — a variable used exactly once in a rule is usually a typo; name

@@ -12,65 +12,12 @@ type clause_spans = {
   literal_spans : Loc.t list;
 }
 
-(* Clause spans are packed into fixed-size chunks, filled in parse
-   order, so a growing program never copies them and a small one pays
-   for one small chunk.  Clause [i] lives in chunk [i / per_chunk] at
-   slot [j = i mod per_chunk]: its start, head stop and clause stop, each
-   as (line, col, offset), are [pos.(stride * j)] onwards, and [lits.(j)]
-   holds its body literals' spans ([] for a fact).  A clause's head and
-   clause spans share their start. *)
-type chunk = { pos : int array; lits : Loc.t list array }
+type source_map = { clauses : clause_spans array; query_span : Loc.t option }
 
-type source_map = { chunks : chunk array; count : int; query : Loc.t option }
-
-let stride = 9
-let per_chunk = 28 (* [stride * per_chunk] words: a minor-heap block *)
-let empty_map = { chunks = [||]; count = 0; query = None }
-let query_span map = map.query
+let empty_map = { clauses = [||]; query_span = None }
 
 let rule_spans map i =
-  if i < 0 || i >= map.count then None
-  else
-    let c = map.chunks.(i / per_chunk) and j = i mod per_chunk in
-    let at k =
-      let k = (stride * j) + k in
-      { Loc.line = c.pos.(k); col = c.pos.(k + 1); offset = c.pos.(k + 2) }
-    in
-    let start = at 0 in
-    Some
-      {
-        clause_span = Loc.span start (at 6);
-        head_span = Loc.span start (at 3);
-        literal_spans = c.lits.(j);
-      }
-
-(* a source map under construction: full chunks, newest first *)
-type packer = { mutable full : chunk list; mutable cur : chunk; mutable used : int }
-
-let new_chunk () =
-  { pos = Array.make (stride * per_chunk) 0; lits = Array.make per_chunk [] }
-
-let pack p { clause_span; head_span; literal_spans } =
-  if p.used = per_chunk then begin
-    p.full <- p.cur :: p.full;
-    p.cur <- new_chunk ();
-    p.used <- 0
-  end;
-  let put k (q : Loc.pos) =
-    let k = (stride * p.used) + k in
-    p.cur.pos.(k) <- q.Loc.line;
-    p.cur.pos.(k + 1) <- q.Loc.col;
-    p.cur.pos.(k + 2) <- q.Loc.offset
-  in
-  put 0 clause_span.Loc.start;
-  put 3 head_span.Loc.stop;
-  put 6 clause_span.Loc.stop;
-  p.cur.lits.(p.used) <- literal_spans;
-  p.used <- p.used + 1
-
-let packed p query =
-  let chunks = Array.of_list (List.rev (p.cur :: p.full)) in
-  { chunks; count = (per_chunk * (Array.length chunks - 1)) + p.used; query }
+  if i >= 0 && i < Array.length map.clauses then Some map.clauses.(i) else None
 
 type state = { lx : Lexer.t; mutable fresh : int }
 
@@ -249,17 +196,15 @@ let make_state input = { lx = Lexer.create input; fresh = 0 }
 let parse_program_spanned input =
   try
     let st = make_state input in
-    let p = { full = []; cur = new_chunk (); used = 0 } in
-    let query = ref None in
-    (* the rules in order, without a reversed copy; each clause's spans
-       are packed as soon as it is read *)
+    let spans = ref [] and query = ref None in
+    (* the rules in order, without a reversed copy *)
     let[@tail_mod_cons] rec rules () =
       match peek st with
       | Lexer.EOF -> []
       | _ -> begin
         match parse_clause st with
-        | `Rule (r, spans) ->
-          pack p spans;
+        | `Rule (r, sp) ->
+          spans := sp :: !spans;
           r :: rules ()
         | `Query q ->
           query := Some q;
@@ -267,7 +212,11 @@ let parse_program_spanned input =
       end
     in
     let rules = rules () in
-    Ok (Program.make rules, Option.map fst !query, packed p (Option.map snd !query))
+    let clauses = Array.of_list (List.rev !spans) in
+    Ok
+      ( Program.make rules,
+        Option.map fst !query,
+        { clauses; query_span = Option.map snd !query } )
   with
   | Located e -> Stdlib.Error e
   | Lexer.Error (message, span) -> Stdlib.Error { message; span }

@@ -39,19 +39,17 @@ type clause_spans = {
   literal_spans : Loc.t list;  (** one span per body literal, in order *)
 }
 
-type source_map
-(** The spans of a parsed program's clauses, index-aligned with its rules
-    (facts included, before {!split_facts}), and of its query.  Clause
-    positions are packed into one integer array, so a fact's spans cost
-    no heap blocks of their own; {!rule_spans} unpacks them. *)
+type source_map = {
+  clauses : clause_spans array;
+      (** index-aligned with the rules of the parsed program (including
+          facts, before {!split_facts}) *)
+  query_span : Loc.t option;
+}
 
 val empty_map : source_map
 
 val rule_spans : source_map -> int -> clause_spans option
 (** Spans of the i-th clause of the parsed program, if known; O(1). *)
-
-val query_span : source_map -> Loc.t option
-(** Span of the last [?-] query, from [?-] through its final dot. *)
 
 val parse_term : string -> Term.t
 val parse_atom : string -> Atom.t
