@@ -44,6 +44,12 @@ exception Arithmetic_overflow
     indefinitely"), so deep derivations overflow; the engine reports such
     evaluations as divergent rather than computing with wrapped values. *)
 
+val add_checked : int -> int -> int
+(** Native addition; @raise Arithmetic_overflow where {!eval} does. *)
+
+val mul_checked : int -> int -> int
+(** Native multiplication; @raise Arithmetic_overflow where {!eval} does. *)
+
 val eval : t -> t
 (** Simplify all arithmetic sub-terms whose operands are ground integers.
     A fully instantiated arithmetic term evaluates to [Int _].  Arithmetic

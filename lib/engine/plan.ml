@@ -1,97 +1,78 @@
 open Datalog
 module SS = Set.Make (String)
 
-type slot = Const of Term.t | Bound of string | Expr of Term.t
+(* Every rule instance compiles to one integer-slot form: the
+   substitution is a [Value.t array] indexed by compile-time variable
+   numbers, key constants are pre-interned, and terms are built and
+   destructured through interned ids ([Value.app], [Value.view]) rather
+   than symbolic terms.  Static binding discipline makes un-binding on
+   backtrack unnecessary: a slot is only ever read after a write on the
+   current path. *)
+
+type expr =
+  | Const of Value.t
+  | Slot of int
+  | App of string * expr array
+  | Add of expr * expr
+  | Mul of expr * expr
+  | Div of expr * expr
+
+type pat =
+  | Pbind of int
+  | Pis of expr
+  | Papp of string * pat array
+  | Padd of pat * expr
+  | Pmul of pat * expr
+  | Pnever
+
+type action = Bind of int * int | Check of int * int | Match of int * pat
 
 type scan = {
   lit : int;
   sym : Symbol.t;
   pattern : bool array;
-  key : slot array;
-  free : (int * Term.t) list;
+  key : expr array;
+  free : action array;
   all_bound : bool;
 }
 
+type op = Eq | Ne | Lt | Le | Gt | Ge
+
+type stuck_kind = Unready_builtin | Unready_negation | Unbound_head
+
+type stuck = { kind : stuck_kind; atom : Atom.t; known : (string * int) list }
+
 type step =
   | Scan of scan
-  | Builtin of Atom.t
-  | Neg_builtin of Atom.t
-  | Neg_scan of { lit : int; sym : Symbol.t; atom : Atom.t; key : slot array option }
+  | Neg_scan of { lit : int; sym : Symbol.t; key : expr array }
+  | Unify of expr * pat
+  | Test of { op : op; l : expr; r : expr; negated : bool }
+  | Stuck of stuck
 
-type emit = Direct of Symbol.t * slot array | Dynamic of Atom.t
-
-(* Pure-relational instances (every step a scan, every free position a
-   plain variable, every key slot a constant or a bound variable, head
-   statically safe) additionally compile to an integer-slot form: the
-   substitution becomes a [Value.t array] indexed by compile-time
-   variable numbers, so the inner join loop allocates no map nodes,
-   performs no logarithmic lookups, and compares interned ids instead of
-   term structures.  Static binding discipline makes un-binding on
-   backtrack unnecessary: a slot is only ever read after a write on the
-   current path. *)
-type fslot = Fconst of Value.t | Fbound of int
-
-type faction =
-  | Bind of int * int  (** tuple position [pos] binds env slot [slot] *)
-  | Check of int * int
-      (** repeated variable within one literal: tuple position must equal
-          the slot bound by its first occurrence *)
-
-type fscan = {
-  flit : int;
-  fsym : Symbol.t;
-  fpattern : bool array;
-  fkey : fslot array;
-  ffree : faction array;
-  fall_bound : bool;
-}
+type emit = Direct of Symbol.t * expr array | Dynamic of stuck
 
 (* The compiled form is immutable: all executor scratch (the env array
-   and the per-scan key buffers the slots are evaluated into) is
-   allocated per {!run_fast} call, a handful of small arrays per rule
-   firing.  Probes within a run still reuse the same buffers, so the
-   inner join loop stays allocation-free — but two executors of the same
-   instance, nested through an [on_fact] that fires another run, can
-   never corrupt each other's keys.  [fzero] is a pre-interned filler
-   for those scratch arrays, so a run never touches the value pool. *)
-type fast = {
-  fsteps : fscan array;
-  fhead_sym : Symbol.t;
-  fhead : fslot array;
-  fvars : int;
-  fzero : Value.t;
-}
-
-type instance = { steps : step array; head : emit; fast : fast option }
+   and the per-step key buffers) is allocated per {!run} call, a handful
+   of small arrays per rule firing.  Probes within a run still reuse the
+   same buffers, so the inner join loop stays allocation-free — but two
+   executors of the same instance, nested through an [on_fact] that
+   fires another run, can never corrupt each other's keys.  [zero] is a
+   pre-interned filler for those scratch arrays, so a run never touches
+   the value pool for them. *)
+type instance = { steps : step array; head : emit; nvars : int; zero : Value.t }
 
 type t = { rule : Rule.t; base : instance; delta : (int * instance) list }
 
 (* ------------------------------------------------------------------ *)
-(* Compilation                                                         *)
+(* Join order                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let rec has_arith = function
-  | Term.Add _ | Term.Mul _ | Term.Div _ -> true
-  | Term.App (_, xs) -> List.exists has_arith xs
-  | Term.Var _ | Term.Int _ | Term.Sym _ -> false
 
 let term_vars t = SS.of_list (Term.vars t)
 let all_vars_bound bound t = SS.subset (term_vars t) bound
 
-(* The slot for a term that is guaranteed ground at probe time.  Constants
-   containing arithmetic stay [Expr] so that evaluation errors (division
-   by zero, overflow) surface at the same point as in the uncompiled
-   engine, not at compile time. *)
-let slot_of bound t =
-  match t with
-  | Term.Var x when SS.mem x bound -> Bound x
-  | _ -> if Term.is_ground t && not (has_arith t) then Const t else Expr t
-
-(* Variables definitely ground after a successful [=] builtin: if one
-   side is fully bound, unification grounds every variable of the other
-   side.  (If neither side is bound, [=] may still record bindings in the
-   substitution, but their images can be non-ground, so they must not be
-   promoted: a bound slot feeding an index key has to be ground.) *)
+(* Variables definitely ground after a successful [=]: once one side is
+   fully bound, matching grounds every variable of the other side
+   ({!Analysis.Pass_safety}'s binding model). *)
 let bound_after_eq bound l r =
   let bound = if all_vars_bound bound l then SS.union bound (term_vars r) else bound in
   if all_vars_bound bound r then SS.union bound (term_vars l) else bound
@@ -106,9 +87,11 @@ let bound_after bound lit =
   | Rule.Pos a -> SS.union bound (SS.of_list (Atom.vars a))
   | Rule.Neg _ -> bound
 
+let is_filter = function Rule.Pos a -> Atom.is_builtin a | Rule.Neg _ -> true
+
 (* A builtin or negated literal is ready once enough of its variables are
-   bound to evaluate it without an [Unsafe]; [=] is ready as soon as one
-   side is fully bound (it then grounds the other). *)
+   bound to evaluate it; [=] is ready as soon as one side is fully bound
+   (it then grounds the other). *)
 let ready bound lit =
   match lit with
   | Rule.Pos a when Atom.is_builtin a -> begin
@@ -119,16 +102,16 @@ let ready bound lit =
   | Rule.Neg a -> List.for_all (all_vars_bound bound) a.Atom.args
   | Rule.Pos _ -> false
 
-(* Greedy bound-first join ordering.  The forced literal (the semi-naive
-   delta literal) is scanned first, so a round's work is proportional to
-   the delta, not to the relations the rule happens to mention first.
-   After each pick, ready builtins and negations are flushed (they are
-   filters: running them as early as possible only shrinks the join), and
-   the next relation literal is the one with the most bound argument
-   positions (ties resolved towards the original left-to-right order, the
-   paper's default sip).  Unready builtins/negations that survive to the
-   end are emitted in original order and re-checked dynamically, exactly
-   like the uncompiled engine. *)
+(* The join order of one instance, and the filters that never become
+   ready.  Builtins and negations are filters: each runs at the first
+   step where it is ready, and never before the position it is written
+   at in the base instance ([forced = None]), whose relation literals
+   keep their written order — so the base instance probes exactly what a
+   left-to-right solve probes.  A delta instance scans its [forced]
+   literal first, so a round's work is proportional to the delta, then
+   greedily picks the relation literal with the most bound argument
+   positions (ties towards written order, the paper's default sip),
+   flushing every filter as soon as it is ready. *)
 let order ~forced body =
   let emitted = ref [] in
   let bound = ref SS.empty in
@@ -143,14 +126,14 @@ let order ~forced body =
     body;
   remaining := List.rev !remaining;
   let take entry = remaining := List.filter (fun e -> e != entry) !remaining in
+  let relations () = List.filter (fun (_, lit) -> not (is_filter lit)) !remaining in
+  let reached (i, _) =
+    match forced, relations () with None, (j, _) :: _ -> i < j | _ -> true
+  in
   let rec flush () =
     match
       List.find_opt
-        (fun (_, lit) ->
-          match lit with
-          | Rule.Pos a when Atom.is_builtin a -> ready !bound lit
-          | Rule.Neg _ -> ready !bound lit
-          | Rule.Pos _ -> false)
+        (fun ((_, lit) as entry) -> is_filter lit && reached entry && ready !bound lit)
         !remaining
     with
     | Some entry ->
@@ -159,145 +142,186 @@ let order ~forced body =
       flush ()
     | None -> ()
   in
-  while
-    flush ();
-    !remaining <> []
-  do
-    let score (_, lit) =
-      match lit with
-      | Rule.Pos a when not (Atom.is_builtin a) ->
-        Some (List.length (List.filter (all_vars_bound !bound) a.Atom.args))
-      | Rule.Pos _ | Rule.Neg _ -> None
-    in
-    let best =
-      List.fold_left
-        (fun acc entry ->
-          match score entry, acc with
-          | None, _ -> acc
-          | Some s, Some (_, s') when s <= s' -> acc
-          | Some s, _ -> Some (entry, s))
-        None !remaining
-    in
-    match best with
-    | Some (entry, _) ->
-      take entry;
-      emit entry
-    | None ->
-      (* only builtins/negations that never become ready: keep them in
-         original order; execution re-checks groundness dynamically *)
-      List.iter emit !remaining;
-      remaining := []
-  done;
-  List.rev !emitted
-
-let compile_scan bound i atom =
-  let args = atom.Atom.args in
-  let pattern = Array.of_list (List.map (all_vars_bound bound) args) in
-  let key =
-    Array.of_list
-      (List.filter_map
-         (fun t -> if all_vars_bound bound t then Some (slot_of bound t) else None)
-         args)
-  in
-  let free =
-    List.filteri (fun j _ -> not pattern.(j)) (List.mapi (fun j t -> (j, t)) args)
-  in
-  Scan { lit = i; sym = Atom.symbol atom; pattern; key; free; all_bound = free = [] }
-
-(* Conversion to the integer-slot form; [None] when the instance uses any
-   feature the fast executor does not model (builtins, negation,
-   arithmetic slots or patterns, dynamic heads). *)
-let fast_of_instance steps head =
-  let exception Unsupported in
-  let slots = Hashtbl.create 8 in
-  let fvars = ref 0 in
-  let conv_key = function
-    | Const t -> Fconst (Value.intern t)
-    | Bound x -> begin
-      match Hashtbl.find_opt slots x with
-      | Some i -> Fbound i
-      | None -> raise Unsupported
-    end
-    | Expr _ -> raise Unsupported
-  in
-  try
-    let fsteps =
-      Array.map
-        (function
-          | Scan s ->
-            let fkey = Array.map conv_key s.key in
-            let seen = Hashtbl.create 4 in
-            let ffree =
-              Array.of_list
-                (List.map
-                   (fun (pos, t) ->
-                     match t with
-                     | Term.Var x when Hashtbl.mem seen x ->
-                       Check (pos, Hashtbl.find slots x)
-                     | Term.Var x when not (Hashtbl.mem slots x) ->
-                       let i = !fvars in
-                       incr fvars;
-                       Hashtbl.add slots x i;
-                       Hashtbl.add seen x ();
-                       Bind (pos, i)
-                     | _ -> raise Unsupported)
-                   s.free)
-            in
-            {
-              flit = s.lit;
-              fsym = s.sym;
-              fpattern = s.pattern;
-              fkey;
-              ffree;
-              fall_bound = s.all_bound;
-            }
-          | Builtin _ | Neg_builtin _ | Neg_scan _ -> raise Unsupported)
-        steps
-    in
-    match head with
-    | Direct (sym, hslots) ->
+  let next () =
+    match forced, relations () with
+    | _, [] -> None
+    | None, entry :: _ -> Some entry
+    | Some _, rels ->
+      let score (_, lit) =
+        match lit with
+        | Rule.Pos a | Rule.Neg a ->
+          List.length (List.filter (all_vars_bound !bound) a.Atom.args)
+      in
       Some
-        {
-          fsteps;
-          fhead_sym = sym;
-          fhead = Array.map conv_key hslots;
-          fvars = !fvars;
-          fzero = Value.intern (Term.Int 0);
-        }
-    | Dynamic _ -> None
-  with Unsupported -> None
+        (fst
+           (List.fold_left
+              (fun ((_, s') as acc) entry ->
+                let s = score entry in
+                if s > s' then (entry, s) else acc)
+              (List.hd rels, score (List.hd rels))
+              (List.tl rels)))
+  in
+  let rec loop () =
+    flush ();
+    match next () with
+    | Some entry ->
+      take entry;
+      emit entry;
+      loop ()
+    | None -> ()
+  in
+  loop ();
+  (List.rev !emitted, !remaining)
 
-let compile_instance rule ordered =
-  let bound = ref SS.empty in
-  let steps =
+(* ------------------------------------------------------------------ *)
+(* Compilation to slots                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Variable slots of the instance being compiled: a variable has a slot
+   exactly when it is bound at the current point of the join. *)
+type ctx = { slots : (string, int) Hashtbl.t; mutable count : int }
+
+let is_bound c x = Hashtbl.mem c.slots x
+let ground_in c t = List.for_all (is_bound c) (Term.vars t)
+
+let new_slot c x =
+  let i = c.count in
+  c.count <- i + 1;
+  Hashtbl.add c.slots x i;
+  i
+
+let known c = Hashtbl.fold (fun x i acc -> (x, i) :: acc) c.slots []
+
+let rec has_arith = function
+  | Term.Add _ | Term.Mul _ | Term.Div _ -> true
+  | Term.App (_, xs) -> List.exists has_arith xs
+  | Term.Var _ | Term.Int _ | Term.Sym _ -> false
+
+(* A term whose variables are all bound.  Constants are interned now,
+   but arithmetic stays symbolic even when ground, so that evaluation
+   errors (division by zero, overflow) surface when the step runs, not
+   at compile time. *)
+let rec expr c t =
+  match t with
+  | Term.Var x -> Slot (Hashtbl.find c.slots x)
+  | Term.Int _ | Term.Sym _ -> Const (Value.intern t)
+  | Term.App (f, xs) ->
+    if Term.is_ground t && not (has_arith t) then Const (Value.intern t)
+    else App (f, Array.of_list (List.map (expr c) xs))
+  | Term.Add (a, b) -> Add (expr c a, expr c b)
+  | Term.Mul (a, b) -> Mul (expr c a, expr c b)
+  | Term.Div (a, b) -> Div (expr c a, expr c b)
+
+(* A term matched against a value, left to right, binding the slots of
+   its unbound variables as it goes.  With [invert], an addition or
+   multiplication with one unbound side is inverted, as
+   {!Subst.match_term} does for the counting rules the semijoin
+   optimization leaves without a guard literal; [=] unifies and inverts
+   nothing.  Every variable gets a slot even under [Pnever], which
+   matches nothing, so later steps compile against the static model. *)
+let rec pat ~invert c t =
+  match t with
+  | Term.Var x -> (
+    match Hashtbl.find_opt c.slots x with Some i -> Pis (Slot i) | None -> Pbind (new_slot c x))
+  | Term.Int _ | Term.Sym _ -> Pis (expr c t)
+  | Term.App (f, xs) ->
+    if ground_in c t then Pis (expr c t)
+    else Papp (f, Array.of_list (List.map (pat ~invert c) xs))
+  | Term.Add _ | Term.Mul _ | Term.Div _ when ground_in c t -> Pis (expr c t)
+  | Term.Add (a, b) when invert ->
+    if ground_in c b then Padd (pat ~invert c a, expr c b)
+    else if ground_in c a then Padd (pat ~invert c b, expr c a)
+    else never c t
+  | Term.Mul (a, b) when invert ->
+    if ground_in c b then Pmul (pat ~invert c a, expr c b)
+    else if ground_in c a then Pmul (pat ~invert c b, expr c a)
+    else never c t
+  | Term.Add _ | Term.Mul _ | Term.Div _ -> never c t
+
+and never c t =
+  List.iter (fun x -> if not (is_bound c x) then ignore (new_slot c x)) (Term.vars t);
+  Pnever
+
+let op_of = function
+  | "=" -> Eq
+  | "<>" -> Ne
+  | "<" -> Lt
+  | "<=" -> Le
+  | ">" -> Gt
+  | ">=" -> Ge
+  | op -> invalid_arg ("Plan: unknown builtin " ^ op)
+
+let compile_scan c i atom =
+  let args = Array.of_list atom.Atom.args in
+  let pattern = Array.map (ground_in c) args in
+  let key = Array.of_list (List.filteri (fun j _ -> pattern.(j)) atom.Atom.args) in
+  let key = Array.map (expr c) key in
+  let free =
+    List.filter_map
+      (fun j ->
+        if pattern.(j) then None
+        else
+          Some
+            (match args.(j) with
+            | Term.Var x -> (
+              match Hashtbl.find_opt c.slots x with
+              | Some s -> Check (j, s)
+              | None -> Bind (j, new_slot c x))
+            | t -> Match (j, pat ~invert:true c t)))
+      (List.init (Array.length args) Fun.id)
+  in
+  let free = Array.of_list free in
+  Scan { lit = i; sym = Atom.symbol atom; pattern; key; free; all_bound = free = [||] }
+
+let compile_step c (i, lit) =
+  match lit with
+  | Rule.Pos ({ Atom.pred = "="; args = [ l; r ] } as a) when Atom.is_builtin a ->
+    if ground_in c l then
+      let e = expr c l in
+      Unify (e, pat ~invert:false c r)
+    else
+      let e = expr c r in
+      Unify (e, pat ~invert:false c l)
+  | (Rule.Pos a | Rule.Neg a) when Atom.is_builtin a -> begin
+    match a.Atom.args with
+    | [ l; r ] ->
+      let negated = match lit with Rule.Neg _ -> true | Rule.Pos _ -> false in
+      Test { op = op_of a.Atom.pred; l = expr c l; r = expr c r; negated }
+    | _ -> assert false (* builtins are binary *)
+  end
+  | Rule.Neg a ->
+    Neg_scan
+      { lit = i; sym = Atom.symbol a; key = Array.of_list (List.map (expr c) a.Atom.args) }
+  | Rule.Pos a -> compile_scan c i a
+
+let compile_instance rule (ordered, unready) =
+  let c = { slots = Hashtbl.create 8; count = 0 } in
+  let steps = List.map (compile_step c) ordered in
+  (* filters that never become ready wait until every relation literal
+     has run, and raise there *)
+  let stuck =
     List.map
-      (fun (i, lit) ->
-        let step =
+      (fun (_, lit) ->
+        let kind, atom =
           match lit with
-          | Rule.Pos atom when Atom.is_builtin atom -> Builtin atom
-          | Rule.Pos atom -> compile_scan !bound i atom
-          | Rule.Neg atom ->
-            if Atom.is_builtin atom then Neg_builtin atom
-            else
-              let key =
-                if List.for_all (all_vars_bound !bound) atom.Atom.args then
-                  Some (Array.of_list (List.map (slot_of !bound) atom.Atom.args))
-                else None
-              in
-              Neg_scan { lit = i; sym = Atom.symbol atom; atom; key }
+          | Rule.Pos a -> (Unready_builtin, a)
+          | Rule.Neg a -> (Unready_negation, a)
         in
-        bound := bound_after !bound lit;
-        step)
-      ordered
+        Stuck { kind; atom; known = known c })
+      unready
   in
+  let h = rule.Rule.head in
   let head =
-    let h = rule.Rule.head in
-    if List.for_all (all_vars_bound !bound) h.Atom.args then
-      Direct (Atom.symbol h, Array.of_list (List.map (slot_of !bound) h.Atom.args))
-    else Dynamic h
+    if List.for_all (ground_in c) h.Atom.args then
+      Direct (Atom.symbol h, Array.of_list (List.map (expr c) h.Atom.args))
+    else Dynamic { kind = Unbound_head; atom = h; known = known c }
   in
-  let steps = Array.of_list steps in
-  { steps; head; fast = fast_of_instance steps head }
+  {
+    steps = Array.of_list (steps @ stuck);
+    head;
+    nvars = c.count;
+    zero = Value.intern (Term.Int 0);
+  }
 
 let compile ~delta_preds rule =
   let body = List.mapi (fun i lit -> (i, lit)) rule.Rule.body in
@@ -314,10 +338,7 @@ let compile ~delta_preds rule =
   in
   {
     rule;
-    (* the base instance keeps the rule's own literal order: naive rounds
-       and the semi-naive round 0 behave exactly like the uncompiled
-       engine, including which literal an [Unsafe] is reported for *)
-    base = compile_instance rule body;
+    base = compile_instance rule (order ~forced:None body);
     delta =
       List.map
         (fun dpos -> (dpos, compile_instance rule (order ~forced:(Some dpos) body)))
@@ -367,196 +388,167 @@ let rec views_iter_matching views ~pattern ~key f =
     Relation.iter_matching_in v.rel ~pattern ~key ~lo:v.lo ~hi:v.hi f;
     views_iter_matching rest ~pattern ~key f
 
-let bump_probes stats =
-  match stats with None -> () | Some s -> s.Stats.probes <- s.Stats.probes + 1
+(* Arithmetic follows {!Term.eval}: checked native integers, so
+   [Term.Arithmetic_overflow] surfaces at the same step. *)
+let int_of v =
+  match Value.extern v with
+  | Term.Int n -> n
+  | Term.Sym _ -> invalid_arg "Term.eval: arithmetic over non-integer"
+  | _ -> invalid_arg "Value.intern: non-ground arithmetic"
 
-let slot_value subst = function
-  | Const t -> t
-  | Bound x -> begin
-    match Subst.find x subst with
-    | Some t -> t
-    | None -> assert false (* compilation guarantees the binding exists *)
+let vint n = Value.intern (Term.Int n)
+
+let rec eval env e =
+  match e with
+  | Const v -> v
+  | Slot i -> env.(i)
+  | App (f, xs) -> Value.app f (Array.map (eval env) xs)
+  | Add _ | Mul _ | Div _ -> vint (eval_int env e)
+
+and eval_int env e =
+  match e with
+  | Add (a, b) ->
+    let i = eval_int env a in
+    Term.add_checked i (eval_int env b)
+  | Mul (a, b) ->
+    let i = eval_int env a in
+    Term.mul_checked i (eval_int env b)
+  | Div (a, b) ->
+    let i = eval_int env a in
+    let j = eval_int env b in
+    if j = 0 then invalid_arg "Term.eval: division by zero" else i / j
+  | Const _ | Slot _ | App _ -> int_of (eval env e)
+
+let rec matches env p v =
+  match p with
+  | Pbind i ->
+    env.(i) <- v;
+    true
+  | Pis (Add _ | Mul _ | Div _ as e) ->
+    let n = eval_int env e in
+    (match Value.extern v with Term.Int m -> m = n | _ -> false)
+  | Pis e -> Value.equal (eval env e) v
+  | Papp (f, ps) -> begin
+    match Value.view v with
+    | `App (g, kids) when String.equal f g && Array.length kids = Array.length ps ->
+      let rec go j = j >= Array.length ps || (matches env ps.(j) kids.(j) && go (j + 1)) in
+      go 0
+    | `App _ | `Int _ | `Sym _ -> false
   end
-  | Expr t -> Term.eval (Subst.apply subst t)
+  | Padd _ | Pmul _ -> (
+    match Value.extern v with Term.Int n -> matches_int env p n | _ -> false)
+  | Pnever -> false
 
-let eval_key subst slots = Array.map (fun s -> Value.intern (slot_value subst s)) slots
+(* an inverted arithmetic pattern: intermediate results stay native *)
+and matches_int env p n =
+  match p with
+  | Padd (p, c) -> matches_int env p (n - eval_int env c)
+  | Pmul (p, c) ->
+    let c = eval_int env c in
+    c <> 0 && n mod c = 0 && matches_int env p (n / c)
+  | Pbind _ | Pis _ | Papp _ | Pnever -> matches env p (vint n)
 
-let rec match_free free tuple subst =
-  match free with
-  | [] -> Some subst
-  | (pos, pat) :: rest -> begin
-    match Subst.match_term pat (Value.extern tuple.(pos)) subst with
-    | None -> None
-    | Some subst' -> match_free rest tuple subst'
-  end
+(* Value.compare_structural is Term.compare on the denoted terms: integer
+   order on two integers, a total order on ground terms otherwise *)
+let test op a b =
+  match op with
+  | Eq -> Value.equal a b
+  | Ne -> not (Value.equal a b)
+  | Lt -> Value.compare_structural a b < 0
+  | Le -> Value.compare_structural a b <= 0
+  | Gt -> Value.compare_structural a b > 0
+  | Ge -> Value.compare_structural a b >= 0
 
-let run_fast ?stats ~source ~on_fact f =
-  let env = Array.make (max 1 f.fvars) f.fzero in
+let unsafe env s =
+  let value x =
+    match List.assoc_opt x s.known with
+    | Some i -> Value.extern env.(i)
+    | None -> Term.Var x
+  in
+  let inst =
+    Atom.make s.atom.Atom.pred
+      (List.map (fun t -> Term.eval (Term.map_vars value t)) s.atom.Atom.args)
+  in
+  raise
+    (Solve.Unsafe
+       (match s.kind with
+       | Unready_builtin ->
+         Fmt.str "builtin %a reached with unbound arguments" Atom.pp s.atom
+       | Unready_negation ->
+         Fmt.str "negated literal %a reached with unbound variables" Atom.pp inst
+       | Unbound_head ->
+         Fmt.str "rule for %a derived non-ground head %a" Atom.pp s.atom Atom.pp inst))
+
+let run ?stats ~source ~neg_source ~on_fact inst =
+  let env = Array.make (max 1 inst.nvars) inst.zero in
   let keybufs =
-    Array.map (fun s -> Array.make (Array.length s.fkey) f.fzero) f.fsteps
+    Array.map
+      (function
+        | Scan { key; _ } | Neg_scan { key; _ } -> Array.make (Array.length key) inst.zero
+        | Unify _ | Test _ | Stuck _ -> [||])
+      inst.steps
   in
   let bump =
     match stats with
     | None -> fun () -> ()
     | Some s -> fun () -> s.Stats.probes <- s.Stats.probes + 1
   in
-  let nsteps = Array.length f.fsteps in
+  let fill buf key =
+    for j = 0 to Array.length key - 1 do
+      buf.(j) <- (match key.(j) with Const v -> v | Slot w -> env.(w) | e -> eval env e)
+    done
+  in
+  let nsteps = Array.length inst.steps in
   let rec go i =
     if i >= nsteps then
-      on_fact f.fhead_sym
-        (Array.map (function Fconst t -> t | Fbound j -> env.(j)) f.fhead)
+      match inst.head with
+      | Direct (sym, h) ->
+        on_fact sym
+          (Array.map (function Const v -> v | Slot w -> env.(w) | e -> eval env e) h)
+      | Dynamic s -> unsafe env s
     else
-      let s = f.fsteps.(i) in
-      match source s.flit s.fsym with
-      | [] -> ()
-      | views ->
-        let key = keybufs.(i) in
-        for j = 0 to Array.length s.fkey - 1 do
-          key.(j) <- (match s.fkey.(j) with Fconst v -> v | Fbound w -> env.(w))
-        done;
-        bump ();
-        if s.fall_bound then begin
-          if view_mem views key then go (i + 1)
-        end
-        else
-          views_iter_matching views ~pattern:s.fpattern ~key (fun tuple ->
-              let nfree = Array.length s.ffree in
-              let rec apply j =
-                if j >= nfree then go (i + 1)
-                else
-                  match s.ffree.(j) with
-                  | Bind (pos, slot) ->
-                    env.(slot) <- tuple.(pos);
-                    apply (j + 1)
-                  | Check (pos, slot) ->
-                    if Value.equal env.(slot) tuple.(pos) then apply (j + 1)
-              in
-              apply 0)
-  in
-  go 0
-
-let run_generic ?stats ~source ~neg_source ~on_fact instance =
-  let steps = instance.steps in
-  let nsteps = Array.length steps in
-  let emit subst =
-    match instance.head with
-    | Direct (sym, slots) -> on_fact sym (eval_key subst slots)
-    | Dynamic h ->
-      let head = Atom.apply_eval subst h in
-      if not (Atom.is_ground head) then
-        raise
-          (Solve.Unsafe
-             (Fmt.str "rule for %a derived non-ground head %a" Atom.pp h Atom.pp head));
-      on_fact (Atom.symbol head) (Tuple.of_list head.Atom.args)
-  in
-  let rec go i subst =
-    if i >= nsteps then emit subst
-    else
-      match steps.(i) with
+      match inst.steps.(i) with
       | Scan s -> begin
         match source s.lit s.sym with
         | [] -> ()
         | views ->
-          let key = eval_key subst s.key in
-          bump_probes stats;
+          let key = keybufs.(i) in
+          fill key s.key;
+          bump ();
           if s.all_bound then begin
-            if view_mem views key then go (i + 1) subst
+            if view_mem views key then go (i + 1)
           end
           else
             views_iter_matching views ~pattern:s.pattern ~key (fun tuple ->
-                match match_free s.free tuple subst with
-                | Some subst' -> go (i + 1) subst'
-                | None -> ())
+                let nfree = Array.length s.free in
+                let rec apply j =
+                  if j >= nfree then go (i + 1)
+                  else
+                    match s.free.(j) with
+                    | Bind (pos, slot) ->
+                      env.(slot) <- tuple.(pos);
+                      apply (j + 1)
+                    | Check (pos, slot) ->
+                      if Value.equal env.(slot) tuple.(pos) then apply (j + 1)
+                    | Match (pos, p) -> if matches env p tuple.(pos) then apply (j + 1)
+                in
+                apply 0)
       end
-      | Builtin atom -> Solve.eval_builtin atom subst (fun s -> go (i + 1) s)
-      | Neg_builtin atom ->
-        let a = Atom.apply_eval subst atom in
-        if not (Atom.is_ground a) then
-          raise
-            (Solve.Unsafe
-               (Fmt.str "negated literal %a reached with unbound variables" Atom.pp a))
-        else begin
-          let found = ref false in
-          Solve.eval_builtin a subst (fun _ -> found := true);
-          if not !found then go (i + 1) subst
-        end
-      | Neg_scan { lit; sym; atom; key } ->
+      | Neg_scan { lit; sym; key } ->
         let holds =
-          match key with
-          | Some slots -> begin
-            match neg_source lit sym with
-            | [] -> false
-            | views ->
-              bump_probes stats;
-              view_mem views (eval_key subst slots)
-          end
-          | None ->
-            let a = Atom.apply_eval subst atom in
-            if not (Atom.is_ground a) then
-              raise
-                (Solve.Unsafe
-                   (Fmt.str "negated literal %a reached with unbound variables" Atom.pp
-                      a));
-            (match neg_source lit sym with
-             | [] -> false
-             | views -> (
-               bump_probes stats;
-               (* a component that was never interned occurs in no view *)
-               match Tuple.find_of_list a.Atom.args with
-               | None -> false
-               | Some key -> view_mem views key))
+          match neg_source lit sym with
+          | [] -> false
+          | views ->
+            bump ();
+            let buf = keybufs.(i) in
+            fill buf key;
+            view_mem views buf
         in
-        if not holds then go (i + 1) subst
+        if not holds then go (i + 1)
+      | Unify (e, p) -> if matches env p (eval env e) then go (i + 1)
+      | Test { op; l; r; negated } ->
+        let a = eval env l in
+        if test op a (eval env r) <> negated then go (i + 1)
+      | Stuck s -> unsafe env s
   in
-  go 0 Subst.empty
-
-let run ?stats ~source ~neg_source ~on_fact instance =
-  match instance.fast with
-  | Some f -> run_fast ?stats ~source ~on_fact f
-  | None -> run_generic ?stats ~source ~neg_source ~on_fact instance
-
-let head_symbol instance =
-  match instance.head with Direct (sym, _) -> Some sym | Dynamic _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Pretty-printing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let pp_slot ppf = function
-  | Const t -> Fmt.pf ppf "const %a" Term.pp t
-  | Bound x -> Fmt.pf ppf "var %s" x
-  | Expr t -> Fmt.pf ppf "expr %a" Term.pp t
-
-let pp_step ppf = function
-  | Scan s ->
-    Fmt.pf ppf "scan@%d %a %s [%a]%s" s.lit Symbol.pp s.sym
-      (String.concat ""
-         (List.map (fun b -> if b then "b" else "f") (Array.to_list s.pattern)))
-      (Fmt.list ~sep:(Fmt.any "; ") pp_slot)
-      (Array.to_list s.key)
-      (if s.all_bound then " (mem)" else "")
-  | Builtin a -> Fmt.pf ppf "builtin %a" Atom.pp a
-  | Neg_builtin a -> Fmt.pf ppf "neg-builtin %a" Atom.pp a
-  | Neg_scan { sym; key; _ } ->
-    Fmt.pf ppf "neg-scan %a%s" Symbol.pp sym
-      (match key with Some _ -> "" | None -> " (dynamic)")
-
-let pp_emit ppf = function
-  | Direct (sym, slots) ->
-    Fmt.pf ppf "direct %a (%a)" Symbol.pp sym
-      (Fmt.list ~sep:(Fmt.any ", ") pp_slot)
-      (Array.to_list slots)
-  | Dynamic a -> Fmt.pf ppf "dynamic %a" Atom.pp a
-
-let pp_instance ppf inst =
-  Fmt.pf ppf "@[<v2>%a@ head: %a%s@]"
-    (Fmt.list ~sep:Fmt.cut pp_step)
-    (Array.to_list inst.steps) pp_emit inst.head
-    (match inst.fast with Some _ -> " (fast)" | None -> "")
-
-let pp ppf plan =
-  Fmt.pf ppf "@[<v2>plan for %a:@ base: %a@ %a@]" Rule.pp plan.rule pp_instance
-    plan.base
-    (Fmt.list ~sep:Fmt.cut (fun ppf (i, inst) ->
-         Fmt.pf ppf "delta@%d: %a" i pp_instance inst))
-    plan.delta
+  go 0

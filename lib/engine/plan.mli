@@ -1,98 +1,127 @@
-(** Rule compilation: each rule is translated once (per stratum) into an
-    executable join plan, so that the per-probe work of the bottom-up
-    engines is a pure index lookup.
+(** Rule compilation: each rule is translated once (per stratum) into
+    executable join instances over integer slots, and every instance runs
+    in one executor.
 
-    The seed engine re-derived each literal's binding pattern on every
-    probe: it instantiated all arguments under the current substitution,
-    scanned them with [Term.is_ground] to build a boolean pattern, and
-    converted lists to arrays for the index key.  All of that is static —
-    which argument positions are ground when evaluation reaches a literal
-    is determined by which variables the body prefix has already bound.
-    Compilation computes it once:
+    Which argument positions are ground when evaluation reaches a literal
+    is determined by which variables the join prefix has already bound,
+    so compilation decides it once:
 
-    - a static binding {e pattern} per positive body literal (the adorned
-      view of the rule, computed exactly as Section 3 of Beeri &
-      Ramakrishnan computes adornments, but at the engine level);
-    - precomputed {e key slots}: for each bound position, whether the
-      value is a compile-time constant, a direct variable read, or an
-      arithmetic expression that must be evaluated at probe time (the
-      resolved arithmetic-evaluation points of the counting rewritings);
-    - the residual {e free} positions that must be matched against
-      retrieved tuples;
-    - a fully-bound fast path: a literal with no free position is a
-      membership test ([Relation.mem]), not an index enumeration;
+    - every variable gets an {e env slot}, numbered in binding order; the
+      substitution is a [Value.t array], so a probe allocates no map and
+      compares interned ids, never term trees;
+    - a static binding {e pattern} per relation literal (the adorned view
+      of the rule, computed as Section 3 of Beeri & Ramakrishnan computes
+      adornments, but at the engine level), with one {e key} expression
+      per bound position: a pre-interned constant, a slot, or a compound
+      or arithmetic expression built at probe time — the index arithmetic
+      [K * m + i] of the counting rewritings and the nested terms of their
+      path encoding;
+    - the residual {e free} positions, matched against retrieved tuples:
+      a slot write, an equality check, or a pattern that destructures
+      compound values ({!Value.view}) and inverts [x + c] and [x * c] for
+      the counting rules the semijoin optimization leaves unguarded;
+    - a literal with no free position is a membership test, not an index
+      enumeration;
+    - builtins and negations are filters, run at the first step where
+      they are ready (Pass_safety's binding model); a filter that never
+      becomes ready raises {!Solve.Unsafe} when reached;
     - one {e instance} per semi-naive delta position (body positions
       reading predicates that grow in the current stratum), with the
       delta literal moved to the front of the join and the remaining
       literals ordered greedily by boundness, so a round's work is
       proportional to the delta rather than to whichever relation the
       rule happens to mention first;
-    - a precompiled head emitter producing ground tuples directly when
-      the head is statically safe.
+    - a head emitter producing ground tuples directly.
 
-    Executing the base instance is behaviourally identical to solving the
-    rule body left-to-right with the symbolic {!Solve} engine; delta
-    instances compute the same solution set (joins commute; sources are
-    attached to body positions, not execution order).  The equivalence
-    is locked by the cross-engine property tests. *)
+    The base instance keeps the rule's relation literals in written order,
+    so it probes what a left-to-right solve with the symbolic {!Solve}
+    engine probes; delta instances compute the same solution set (joins
+    commute; sources are attached to body positions, not execution
+    order).  The equivalence is locked by the cross-engine property tests
+    against {!Eval.seminaive_reference}. *)
 
 open Datalog
 
-type slot =
-  | Const of Term.t  (** compile-time ground constant (no arithmetic) *)
-  | Bound of string  (** variable guaranteed bound to a ground term *)
-  | Expr of Term.t
-      (** instantiate under the substitution and evaluate arithmetic at
-          probe time *)
+type expr =
+  | Const of Value.t  (** interned constant (no arithmetic) *)
+  | Slot of int  (** env slot, bound earlier in the join *)
+  | App of string * expr array  (** compound value, built with {!Value.app} *)
+  | Add of expr * expr
+  | Mul of expr * expr
+  | Div of expr * expr
+      (** integer arithmetic with {!Datalog.Term.eval}'s overflow check *)
+
+type pat =
+  | Pbind of int  (** first occurrence of a variable: write its slot *)
+  | Pis of expr  (** a ground subterm: the value must equal it *)
+  | Papp of string * pat array  (** destructure a compound value *)
+  | Padd of pat * expr  (** [p + c] against an integer: match [p] with [v - c] *)
+  | Pmul of pat * expr
+      (** [p * c] against an integer: match [p] with [v / c] when [c]
+          divides [v] *)
+  | Pnever  (** arithmetic that cannot be inverted: matches nothing *)
+
+type action =
+  | Bind of int * int  (** tuple position [pos] binds env slot [slot] *)
+  | Check of int * int
+      (** repeated variable within one literal: tuple position must equal
+          the slot bound by its first occurrence *)
+  | Match of int * pat  (** tuple position matched against a pattern *)
 
 type scan = {
   lit : int;  (** original body position, identifies the literal to the source *)
   sym : Symbol.t;
   pattern : bool array;  (** static binding pattern over argument positions *)
-  key : slot array;  (** one slot per bound position, in order *)
-  free : (int * Term.t) list;  (** residual positions to match, in order *)
+  key : expr array;  (** one expression per bound position, in order *)
+  free : action array;  (** residual positions to match, in order *)
   all_bound : bool;  (** no free position: use a membership test *)
 }
 
+type op = Eq | Ne | Lt | Le | Gt | Ge
+
+type stuck_kind =
+  | Unready_builtin
+  | Unready_negation
+  | Unbound_head  (** a head variable the body never binds *)
+
+type stuck = {
+  kind : stuck_kind;
+  atom : Atom.t;
+  known : (string * int) list;  (** the slots bound where it is reached *)
+}
+(** A literal that cannot be evaluated: reaching it raises {!Solve.Unsafe},
+    whose message shows [atom] instantiated from [known]. *)
+
 type step =
-  | Scan of scan  (** positive literal over a stored relation *)
-  | Builtin of Atom.t  (** positive builtin comparison *)
-  | Neg_builtin of Atom.t  (** negated builtin *)
-  | Neg_scan of { lit : int; sym : Symbol.t; atom : Atom.t; key : slot array option }
-      (** negated relation literal at original body position [lit];
-          [key] is [Some] when every argument is statically ground at
-          this point (the common case), [None] when groundness must be
-          re-checked dynamically *)
+  | Scan of scan  (** positive relation literal *)
+  | Neg_scan of { lit : int; sym : Symbol.t; key : expr array }
+      (** negated relation literal at original body position [lit]: a
+          membership test on the fully bound key *)
+  | Unify of expr * pat
+      (** [=]: evaluate the bound side, match the other side (no
+          arithmetic inversion: [=] unifies) *)
+  | Test of { op : op; l : expr; r : expr; negated : bool }
+      (** comparison, or negated builtin: [Value.compare_structural]
+          order, [Value.equal] for [=] and [<>] *)
+  | Stuck of stuck  (** a filter that never becomes ready *)
 
 type emit =
-  | Direct of Symbol.t * slot array
-      (** head statically safe: every head variable is bound by the body *)
-  | Dynamic of Atom.t
-      (** groundness only decidable at run time; instantiate and check,
-          raising {!Solve.Unsafe} exactly as the uncompiled engine did *)
+  | Direct of Symbol.t * expr array
+      (** every head variable is bound by the body *)
+  | Dynamic of stuck  (** raises {!Solve.Unsafe} whenever the rule fires *)
 
-type fast
-(** Integer-slot compiled form of a pure-relational instance: the
-    substitution is a [Value.t array] indexed by compile-time variable
-    numbers, eliminating map allocation from the inner join loop; key
-    constants are pre-interned and probe keys are written into per-scan
-    buffers, so a probe allocates nothing.  All executor scratch (env
-    and key buffers) is allocated per {!run} call, never shared between
-    runs: executing a [fast] only reads the compiled form and its
-    sources, so the same instance can run nested (re-entrant
-    [on_fact]).  Instances using builtins, negation, arithmetic or
-    dynamic heads fall back to the substitution-based executor. *)
-
-type instance = { steps : step array; head : emit; fast : fast option }
+type instance = { steps : step array; head : emit; nvars : int; zero : Value.t }
 (** One executable join order for the rule.  Steps carry original body
-    positions, so the same [source] works for every instance. *)
+    positions, so the same [source] works for every instance.  [nvars]
+    is the env size; [zero] a pre-interned filler for scratch arrays.
+    Executing an instance only reads it: all scratch is allocated per
+    {!run}, so the same instance can run nested (re-entrant [on_fact]). *)
 
 type t = {
   rule : Rule.t;
   base : instance;
-      (** the rule's own literal order: used by naive rounds and the
-          semi-naive round 0, so those behave exactly like the uncompiled
-          engine (including which literal an [Unsafe] is reported for) *)
+      (** relation literals in the rule's own order: used by naive rounds
+          and the semi-naive round 0 *)
   delta : (int * instance) list;
       (** per delta position [i], an instance whose join starts at body
           position [i]; used by semi-naive rounds after the first *)
@@ -129,9 +158,6 @@ val full : Relation.t -> view
 val db_source : Database.t -> source
 (** Every literal reads the full database. *)
 
-val view_mem : view list -> Tuple.t -> bool
-(** Membership in the union of the views. *)
-
 val run :
   ?stats:Stats.t ->
   source:source ->
@@ -144,11 +170,7 @@ val run :
     [neg_source] must be complete for every negated predicate
     (guaranteed by stratification); it receives the negated literal's
     original body position, so maintenance passes can serve different
-    snapshots to different occurrences of the same predicate. *)
-
-val head_symbol : instance -> Symbol.t option
-(** The fixed head predicate of a statically-safe instance; [None] for
-    dynamic heads (whose predicate is only known per emission). *)
-
-val pp : t Fmt.t
-(** Human-readable plan listing (instances, binding patterns, slots). *)
+    snapshots to different occurrences of the same predicate.
+    @raise Datalog.Term.Arithmetic_overflow where {!Datalog.Term.eval}
+    would.
+    @raise Solve.Unsafe on reaching a {!stuck} literal or head. *)

@@ -50,6 +50,33 @@ let test_eval () =
     (fun (case : Cost_cases.case) -> check_pinned ("eval_" ^ case.name) (eval_report case))
     (Cost_cases.all ~root:"..")
 
+(* Counting indices grow as 2^depth, so on an ancestor chain longer than
+   62 the numeric encodings overflow: both methods return the answers
+   derived so far and report divergence.  The pinned counters and answer
+   count fix the step at which the overflow surfaces. *)
+let overflow_name = "eval_counting_overflow"
+
+let overflow_report () =
+  let module G = Workload.Generate in
+  let program = Workload.Programs.ancestor
+  and query = Workload.Programs.ancestor_query (G.node "n" 0)
+  and edb = G.db (G.chain ~pred:"p" 70) in
+  String.concat ""
+    (List.map
+       (fun name ->
+         let r = C.Rewrite.run ~max_facts:100_000 (List.assoc name C.Rewrite.methods) program query ~edb in
+         let s = r.C.Rewrite.stats in
+         Fmt.str "%s answers=%d iterations=%d firings=%d facts=%d probes=%d status=%s\n" name
+           (List.length r.C.Rewrite.answers) s.Engine.Stats.iterations s.Engine.Stats.firings
+           s.Engine.Stats.facts s.Engine.Stats.probes
+           (match r.C.Rewrite.status with
+           | C.Rewrite.Ok -> "ok"
+           | C.Rewrite.Diverged -> "diverged"
+           | C.Rewrite.Unsafe _ -> "unsafe"))
+       [ "gc"; "gsc"; "gc-sj"; "gsc-sj" ])
+
+let test_overflow () = check_pinned overflow_name (overflow_report ())
+
 (* ------------------------------------------------------------------ *)
 (* maintenance                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -140,7 +167,8 @@ let test_maint () =
 (* every pinned file belongs to a case *)
 let test_no_stray () =
   let names =
-    List.map (fun (c : Cost_cases.case) -> "eval_" ^ c.name) (Cost_cases.all ~root:"..")
+    overflow_name
+    :: List.map (fun (c : Cost_cases.case) -> "eval_" ^ c.name) (Cost_cases.all ~root:"..")
     @ List.map (fun (n, _, _) -> n) maint_cases
   in
   Array.iter
@@ -152,6 +180,7 @@ let test_no_stray () =
 let suite =
   [
     Alcotest.test_case "counters: eval unchanged" `Quick test_eval;
+    Alcotest.test_case "counters: counting overflow unchanged" `Quick test_overflow;
     Alcotest.test_case "counters: maintenance unchanged" `Quick test_maint;
     Alcotest.test_case "counters: no stray pins" `Quick test_no_stray;
   ]

@@ -1,7 +1,7 @@
 (* Unit tests of the rule-compilation layer (Plan): static binding
    patterns, key slots, per-delta-position instances with greedy
-   reordering, fast-form availability, head emitters and stamp-range
-   execution. *)
+   reordering, filter placement, head emitters, stamp-range execution,
+   and the one executor against the reference engine. *)
 
 open Datalog
 open Helpers
@@ -26,24 +26,22 @@ let test_patterns_and_slots () =
   Alcotest.(check int) "two steps" 2 (Array.length base.E.Plan.steps);
   let se = scan_of base.E.Plan.steps.(0) in
   Alcotest.check bool_array "e: nothing bound yet" [| false; false |] se.E.Plan.pattern;
-  Alcotest.(check int) "e: both positions free" 2 (List.length se.E.Plan.free);
+  (match se.E.Plan.free with
+  | [| E.Plan.Bind (0, _); E.Plan.Bind (1, _) |] -> ()
+  | _ -> Alcotest.fail "e: both positions should bind fresh slots");
   Alcotest.(check bool) "e: not all bound" false se.E.Plan.all_bound;
   let st = scan_of base.E.Plan.steps.(1) in
   Alcotest.check bool_array "t: first position bound" [| true; false |]
     st.E.Plan.pattern;
+  (* e binds X and Z to slots 0 and 1; t's key reads Z's slot *)
   (match st.E.Plan.key with
-  | [| E.Plan.Bound "Z" |] -> ()
-  | _ -> Alcotest.fail "t: key should be the bound variable Z");
+  | [| E.Plan.Slot 1 |] -> ()
+  | _ -> Alcotest.fail "t: key should be the slot of Z");
   (match base.E.Plan.head with
-  | E.Plan.Direct (s, [| E.Plan.Bound "X"; E.Plan.Bound "Y" |]) ->
+  | E.Plan.Direct (s, [| E.Plan.Slot 0; E.Plan.Slot 2 |]) ->
     Alcotest.(check bool) "head symbol" true (Symbol.equal s (sym "a" 2))
-  | _ -> Alcotest.fail "head should be a direct emitter over X, Y");
-  Alcotest.(check bool) "pure-relational rule has a fast form" true
-    (Option.is_some base.E.Plan.fast);
-  Alcotest.(check bool) "head_symbol is static" true
-    (match E.Plan.head_symbol base with
-    | Some s -> Symbol.equal s (sym "a" 2)
-    | None -> false)
+  | _ -> Alcotest.fail "head should be a direct emitter over the slots of X, Y");
+  Alcotest.(check int) "three env slots" 3 base.E.Plan.nvars
 
 let test_constant_keys () =
   let plan = compile "a(X) :- e(X, c)." in
@@ -51,40 +49,38 @@ let test_constant_keys () =
   Alcotest.check bool_array "constant position is bound" [| false; true |]
     se.E.Plan.pattern;
   match se.E.Plan.key with
-  | [| E.Plan.Const (Term.Sym "c") |] -> ()
+  | [| E.Plan.Const v |] ->
+    Alcotest.(check bool) "pre-interned c" true (E.Value.extern v = Term.Sym "c")
   | _ -> Alcotest.fail "key should be the constant c"
 
 let test_all_bound_membership () =
   let plan = compile "a(X, Y) :- e(X, Y), f(X, Y)." in
   let sf = scan_of plan.E.Plan.base.E.Plan.steps.(1) in
   Alcotest.(check bool) "second literal fully bound" true sf.E.Plan.all_bound;
-  Alcotest.(check int) "no free positions" 0 (List.length sf.E.Plan.free)
+  Alcotest.(check int) "no free positions" 0 (Array.length sf.E.Plan.free)
 
-let test_builtin_disables_fast () =
+let test_builtin_slot_test () =
   let plan = compile "a(X) :- e(X, Y), X < Y." in
-  let base = plan.E.Plan.base in
-  (match base.E.Plan.steps.(1) with
-  | E.Plan.Builtin _ -> ()
-  | _ -> Alcotest.fail "second step should be the builtin");
-  Alcotest.(check bool) "builtins fall back to the generic executor" true
-    (Option.is_none base.E.Plan.fast)
+  match plan.E.Plan.base.E.Plan.steps.(1) with
+  | E.Plan.Test { op = E.Plan.Lt; l = E.Plan.Slot 0; r = E.Plan.Slot 1; negated = false } -> ()
+  | _ -> Alcotest.fail "second step should compare the slots of X and Y"
 
 let test_dynamic_head_unsafe () =
   let plan = compile "a(X, Y) :- e(X)." in
   (match plan.E.Plan.base.E.Plan.head with
-  | E.Plan.Dynamic _ -> ()
-  | E.Plan.Direct _ -> Alcotest.fail "unbound head variable must be dynamic");
-  Alcotest.(check bool) "no static head symbol" true
-    (E.Plan.head_symbol plan.E.Plan.base = None);
+  | E.Plan.Dynamic { kind = E.Plan.Unbound_head; _ } -> ()
+  | _ -> Alcotest.fail "unbound head variable must be dynamic");
   let db = E.Database.of_facts [ atom "e(v)" ] in
-  Alcotest.(check bool) "running it raises Unsafe" true
-    (try
-       E.Plan.run ~source:(E.Plan.db_source db)
-         ~neg_source:(E.Plan.db_source db)
-         ~on_fact:(fun _ _ -> ())
-         plan.E.Plan.base;
-       false
-     with E.Solve.Unsafe _ -> true)
+  match
+    E.Plan.run ~source:(E.Plan.db_source db)
+      ~neg_source:(E.Plan.db_source db)
+      ~on_fact:(fun _ _ -> ())
+      plan.E.Plan.base
+  with
+  | () -> Alcotest.fail "running it must raise Unsafe"
+  | exception E.Solve.Unsafe msg ->
+    Alcotest.(check string) "message names the instantiated head"
+      "rule for a(X, Y) derived non-ground head a(v, Y)" msg
 
 let test_delta_instances () =
   (* one instance per body position reading a predicate of the stratum *)
@@ -168,7 +164,6 @@ let test_run_reentrant () =
   let db = E.Database.of_facts facts in
   let plan = compile "a(X, Y) :- e(X, Z), t(Z, Y)." in
   let inst = plan.E.Plan.base in
-  Alcotest.(check bool) "compiled to the fast form" true (inst.E.Plan.fast <> None);
   let source = E.Plan.db_source db in
   let run_with on_fact = E.Plan.run ~source ~neg_source:source ~on_fact inst in
   let run_one () =
@@ -187,12 +182,104 @@ let test_run_reentrant () =
   Alcotest.(check bool) "nested runs see correct keys" true !nested_ok;
   Alcotest.(check bool) "outer run unaffected by nested runs" true (!outer = expected)
 
+(* A filter written before the literal that binds it waits until it is
+   ready; relation literals keep their written order. *)
+let test_filter_waits () =
+  let steps = (compile "a(X) :- X < 3, b(X).").E.Plan.base.E.Plan.steps in
+  match steps with
+  | [| E.Plan.Scan { lit = 1; _ }; E.Plan.Test { op = E.Plan.Lt; _ } |] -> ()
+  | _ -> Alcotest.fail "base instance should scan b before testing X < 3"
+
+let bottom_up =
+  List.filter_map
+    (fun (name, m) ->
+      match m with Magic_core.Rewrite.Top_down _ -> None | _ -> Some name)
+    Magic_core.Rewrite.methods
+
+(* every bottom-up method answers like tabled evaluation *)
+let test_filters_before_binders () =
+  List.iter
+    (fun (rule_src, query) ->
+      let p, q, edb = load (Fmt.str "b(1). %s ?- %s." rule_src query) in
+      let expected = run_method "tabled" p q edb in
+      Alcotest.(check bool) (rule_src ^ " tabled answers") true
+        (expected.Magic_core.Rewrite.status = Magic_core.Rewrite.Ok
+        && expected.Magic_core.Rewrite.answers <> []);
+      List.iter
+        (fun m ->
+          let r = run_method m p q edb in
+          Alcotest.(check bool) (Fmt.str "%s: %s status ok" rule_src m) true
+            (r.Magic_core.Rewrite.status = Magic_core.Rewrite.Ok);
+          Alcotest.check tuple_list (Fmt.str "%s: %s answers" rule_src m)
+            (sorted_answers expected) (sorted_answers r))
+        bottom_up)
+    [
+      ("a(X) :- X = Y, b(X).", "a(X)");
+      ("a(X) :- X = Y, b(Y).", "a(X)");
+      ("a(X) :- X = f(Y), b(Y).", "a(X)");
+      (* a free query would make the top-down engines reach X < 3 first *)
+      ("a(X) :- X < 3, b(X).", "a(1)");
+    ]
+
+let test_never_ready_unsafe () =
+  let p, _, edb = load "b(1). a(X) :- b(X), Y < 3. ?- a(X)." in
+  match Engine.Eval.seminaive p ~edb with
+  | _ -> Alcotest.fail "a filter that never becomes ready must raise Unsafe"
+  | exception E.Solve.Unsafe msg ->
+    Alcotest.(check string) "message" "builtin Y < 3 reached with unbound arguments" msg
+
+let same_as_reference name src =
+  let p, _, edb = load src in
+  let facts out =
+    List.concat_map
+      (fun sym ->
+        match E.Database.find out.E.Eval.db sym with
+        | Some rel -> List.map (fun t -> (sym.Symbol.name, t)) (E.Relation.to_list rel)
+        | None -> [])
+      (Symbol.Set.elements (Program.derived p))
+    |> List.sort compare
+  in
+  let reference = facts (E.Eval.seminaive_reference p ~edb) in
+  Alcotest.(check bool) (name ^ ": derives something") true (reference <> []);
+  Alcotest.(check bool) (name ^ ": seminaive = reference") true
+    (facts (E.Eval.seminaive p ~edb) = reference);
+  Alcotest.(check bool) (name ^ ": naive = reference") true
+    (facts (E.Eval.naive p ~edb) = reference)
+
+(* comparisons on slots: integer order on two integers, Term.compare
+   otherwise, over the operand pairs of the Solve tests *)
+let test_comparisons_match_reference () =
+  let operands = [ "1"; "2"; "5"; "a"; "b"; "f(1)"; "f(2)" ] in
+  let facts = String.concat " " (List.map (Fmt.str "v(%s).") operands) in
+  List.iter
+    (fun op ->
+      same_as_reference op (Fmt.str "%s r(X, Y) :- v(X), v(Y), X %s Y. ?- r(X, Y)." facts op);
+      same_as_reference ("not " ^ op)
+        (Fmt.str "%s r(X, Y) :- v(X), v(Y), not X %s Y. ?- r(X, Y)." facts op))
+    [ "<"; "<="; ">"; ">="; "="; "<>" ]
+
+(* compound patterns, arithmetic inversion, negated compound keys and
+   arithmetic heads, against the substitution-based reference *)
+let test_terms_match_reference () =
+  List.iter
+    (fun (name, src) -> same_as_reference name (src ^ " ?- q(X, Y)."))
+    [
+      ( "inversion",
+        "r(3, 10). r(4, 7). r(0, 0). r(a, 4). q(I, K) :- r(I + 1, K * 2 + 2)." );
+      ( "destructure",
+        "r(f(1, g(2)), 1). r(f(1, g(3)), 2). r(f(2, h(2)), 2). r(c, 1). \
+         q(X, Y) :- r(f(X, g(Y)), X)." );
+      ( "negated compound key",
+        "v(1). v(2). w(f(1)). q(X, Y) :- v(X), not w(f(X)), Y = g(X, X + 1)." );
+      ("counting head", "c(0, 1). c(1, 3). q(X, Y) :- c(X, K), Y = K * 4 + X.");
+    ]
+
 let suite =
   [
     Alcotest.test_case "patterns and slots" `Quick test_patterns_and_slots;
     Alcotest.test_case "constant keys" `Quick test_constant_keys;
     Alcotest.test_case "all-bound membership" `Quick test_all_bound_membership;
-    Alcotest.test_case "builtin disables fast form" `Quick test_builtin_disables_fast;
+    Alcotest.test_case "builtin compiles to a slot test" `Quick test_builtin_slot_test;
     Alcotest.test_case "dynamic head is unsafe" `Quick test_dynamic_head_unsafe;
     Alcotest.test_case "delta instances" `Quick test_delta_instances;
     Alcotest.test_case "base execution" `Quick test_base_execution;
@@ -200,4 +287,9 @@ let suite =
     Alcotest.test_case "missing relation not probed" `Quick
       test_missing_relation_not_probed;
     Alcotest.test_case "run is re-entrant (fast form)" `Quick test_run_reentrant;
+    Alcotest.test_case "filter waits until ready" `Quick test_filter_waits;
+    Alcotest.test_case "filters before binders = tabled" `Quick test_filters_before_binders;
+    Alcotest.test_case "never-ready filter is unsafe" `Quick test_never_ready_unsafe;
+    Alcotest.test_case "comparisons = reference" `Quick test_comparisons_match_reference;
+    Alcotest.test_case "terms = reference" `Quick test_terms_match_reference;
   ]
