@@ -268,6 +268,8 @@ let check_cmd =
           list_codes_arg)
        cost_arg)
 
+let method_names = String.concat ", " (List.map fst C.Rewrite.methods)
+
 let method_conv =
   let parse s =
     match List.assoc_opt s C.Rewrite.methods with
@@ -276,7 +278,7 @@ let method_conv =
       Stdlib.Error
         (`Msg
            (Fmt.str "unknown method %S (expected one of %s)" s
-              (String.concat ", " (List.map fst C.Rewrite.methods))))
+              method_names))
   in
   Arg.conv (parse, fun ppf (s, _) -> Fmt.string ppf s)
 
@@ -329,7 +331,7 @@ let eval_cmd =
           Stdlib.Error
             (`Msg
                (Fmt.str "unknown method %S (expected auto or one of %s)" s
-                  (String.concat ", " (List.map fst C.Rewrite.methods))))
+                  method_names))
     in
     Arg.conv (parse, fun ppf (s, _) -> Fmt.string ppf s)
   in
@@ -338,9 +340,9 @@ let eval_cmd =
       value
       & opt eval_method_conv ("gms", Some (List.assoc "gms" C.Rewrite.methods))
       & info [ "method"; "m"; "strategy" ] ~docv:"M"
-          ~doc:"Evaluation method: naive, seminaive, sld, tabled, gms, gsms, \
-                gms-chain, gsms-chain, gc, gsc, gc-sj, gsc-sj — or auto to let \
-                the cost analysis pick from the EDB statistics.")
+          ~doc:
+            ("Evaluation method: " ^ method_names
+           ^ " — or auto to let the cost analysis pick from the EDB statistics."))
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate the query with one method and print the answers.")
@@ -405,7 +407,7 @@ let compare_cmd =
         | None ->
           Fmt.epr "magic compare: unknown strategy %S (expected auto or one of %s)@."
             name
-            (String.concat ", " (List.map fst C.Rewrite.methods));
+            method_names;
           exit 2)
     in
     if json then begin

@@ -1,11 +1,9 @@
-(* Provenance: derivation trees and graph exports.
+(* Provenance: derivation trees.
 
-   The paper grounds everything in derivation trees (Section 1.1) and in
-   graphs over the program: sips, the binding graph (Section 10), the
-   argument graph (Theorem 10.3).  This example evaluates the rewritten
-   ancestor program, explains an answer and a magic fact — the latter
-   shows the sip passes that produced a subquery — and emits the safety
-   graphs in Graphviz format. *)
+   The paper grounds everything in derivation trees (Section 1.1).  This
+   example evaluates the rewritten ancestor program and explains an
+   answer and a magic fact — the latter shows the sip passes that
+   produced a subquery. *)
 
 open Datalog
 module C = Magic_core
@@ -37,18 +35,4 @@ let () =
   explain "a_bf(n_0, n_3)";
   (* the magic fact's derivation is the chain of sideways passes that
      generated the subquery "ancestors of n_2?" *)
-  explain "magic_a_bf(n_2)";
-
-  (* graphs *)
-  let ar = List.nth adorned.C.Adorn.rules 1 in
-  Fmt.pr "--- sip of the recursive rule (DOT) ---@.%s@."
-    (C.Viz.sip_dot ~rule:ar.C.Adorn.rule ar.C.Adorn.sip);
-  Fmt.pr "--- binding graph (DOT) ---@.%s@." (C.Viz.binding_graph_dot adorned);
-  let nl =
-    C.Adorn.adorn Workload.Programs.nonlinear_ancestor
-      (Workload.Programs.ancestor_query (Workload.Generate.node "n" 0))
-  in
-  Fmt.pr "--- argument graph of the nonlinear ancestor (DOT) ---@.%s@."
-    (C.Viz.argument_graph_dot nl);
-  Fmt.pr "%% the self-loop above is exactly the Theorem 10.3 witness that@.";
-  Fmt.pr "%% the counting strategies diverge on this program@."
+  explain "magic_a_bf(n_2)"

@@ -16,7 +16,6 @@ let make severity ?(span = Loc.dummy) ?(notes = []) ~code message =
 let error = make Error
 let warning = make Warning
 
-let with_span span t = if Loc.is_dummy t.span then { t with span } else t
 let add_note ?(span = Loc.dummy) msg t = { t with notes = t.notes @ [ (msg, span) ] }
 
 let is_error t = t.severity = Error
@@ -64,9 +63,13 @@ let pp_excerpt src ppf span =
     in
     let gutter = Fmt.str "%d" line in
     let pad = String.make (String.length gutter) ' ' in
-    Fmt.pf ppf "@,%s | %s@,%s | %s%s" gutter text pad
-      (String.make (max 0 (col - 1)) ' ')
-      (String.make width '^')
+    (* the caret line copies the tabs before the span, so it lines up
+       however the terminal expands them *)
+    let indent =
+      String.init (max 0 (col - 1)) (fun i ->
+          if i < String.length text && text.[i] = '\t' then '\t' else ' ')
+    in
+    Fmt.pf ppf "@,%s | %s@,%s | %s%s" gutter text pad indent (String.make width '^')
   end
 
 let render ?src ?file ppf t =

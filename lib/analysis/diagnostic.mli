@@ -23,9 +23,6 @@ type t = {
 val error : ?span:Loc.t -> ?notes:(string * Loc.t) list -> code:string -> string -> t
 val warning : ?span:Loc.t -> ?notes:(string * Loc.t) list -> code:string -> string -> t
 
-val with_span : Loc.t -> t -> t
-(** Attach a span if the diagnostic does not already carry one. *)
-
 val add_note : ?span:Loc.t -> string -> t -> t
 
 val is_error : t -> bool

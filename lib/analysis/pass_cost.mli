@@ -45,9 +45,6 @@ type t = {
   diagnostics : Diagnostic.t list;  (** [W060]/[W061]/[W062] *)
 }
 
-val candidate_names : string list
-(** The strategies [choose] considers, in tie-break order. *)
-
 val choose : ?db:Engine.Database.t -> ?only:string list -> Program.t -> Atom.t -> t
 (** [choose ?db program query]: [program] must be fact-free (use
     {!Datalog.Parser.split_facts}); [db] holds the extensional facts.

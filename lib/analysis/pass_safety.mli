@@ -7,7 +7,7 @@
     - [W001] (warning): a head variable occurs in no positive body literal;
       plain bottom-up evaluation is unsafe, but the paper's rewritings can
       repair the rule when the query binds the corresponding argument (the
-      adorned-level check is {!Pass_sip.check_head_bindable}). *)
+      adorned-level check is {!Pass_sip}'s E003). *)
 
 open Datalog
 

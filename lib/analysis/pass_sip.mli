@@ -17,7 +17,4 @@ val check_sip :
 
 val check_arc_order : ?span:Loc.t -> C.Adorn.adorned_rule -> Diagnostic.t list
 
-val check_head_bindable :
-  Ctx.t -> int -> C.Adorn.adorned_rule -> Diagnostic.t list
-
 val run : Ctx.t -> orig_of:(int -> int) -> C.Adorn.t -> Diagnostic.t list

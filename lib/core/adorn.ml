@@ -150,10 +150,5 @@ let adorn ?(strategy = Sip.full_left_to_right) program query =
     source_derived = derived;
   }
 
-let sip_for t rule =
-  List.find_map
-    (fun ar -> if Rule.equal ar.rule rule then Some ar.sip else None)
-    t.rules
-
 let pp ppf t =
   Fmt.pf ppf "%a@\n?- %a." Program.pp t.program Atom.pp t.query

@@ -37,7 +37,4 @@ val adorn : ?strategy:Sip.strategy -> Program.t -> Atom.t -> t
     to {!Sip.full_left_to_right}.
     @raise Invalid_argument if the query predicate or program is malformed. *)
 
-val sip_for : t -> Rule.t -> Sip.t option
-(** The sip that was attached to an adorned rule of the result. *)
-
 val pp : t Fmt.t

@@ -55,4 +55,3 @@ let seed_indices ix =
   | Numeric -> [ Term.Int 0; Term.Int 0; Term.Int 0 ]
   | Path -> [ Term.Int 0; Term.Sym "e"; Term.Sym "e" ]
 
-let index_vars ix = [ ix.iv; ix.kv; ix.hv ]

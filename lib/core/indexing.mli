@@ -40,4 +40,3 @@ val body_indices : t -> rule_number:int -> position:int -> Term.t list
 val seed_indices : t -> Term.t list
 (** [[0; 0; 0]] (numeric) or [[0; e; e]] (path). *)
 
-val index_vars : t -> string list

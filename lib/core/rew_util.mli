@@ -23,10 +23,6 @@ val bound_args : Adornment.t -> Atom.t -> Term.t list
 val head_bound_args : Adorn.adorned_rule -> Term.t list
 (** Bound arguments of the rule's head ([chi^b]). *)
 
-val implies : Sip.t -> Sip.node -> Sip.node -> bool
-(** The paper's [p => q] relation: [p] is in the tail of an arc into [q],
-    transitively. *)
-
 val prune_redundant :
   sip:Sip.t -> (Rewritten.lit_origin * 'a) list -> (Rewritten.lit_origin * 'a) list
 (** Proposition 4.2, shared by the magic and counting rewrites: drop the
@@ -40,9 +36,6 @@ val last_arc_target : Adorn.adorned_rule -> int option
 val seed_atom : Naming.t -> Adorn.t -> Atom.t option
 (** The magic seed [magic_q^a(c)] for the query, or [None] when the query
     has no bound arguments. *)
-
-val vars_of_terms : Term.t list -> string list
-(** Union of variables, in first-occurrence order. *)
 
 val sup_vars : simplify:bool -> Adorn.adorned_rule -> int -> string list
 (** [phi_i] (1-based): the variables stored by the [i]-th supplementary

@@ -50,9 +50,6 @@ let project ~index_fields ~restore args =
   if restore = [] then args
   else weave 0 (List.sort (fun (a, _) (b, _) -> Int.compare a b) restore) args
 
-let strip_indices t atom =
-  { atom with Atom.args = project ~index_fields:t.index_fields ~restore:[] atom.Atom.args }
-
 let answers t outcome =
   match Engine.Database.find outcome.Engine.Eval.db (Atom.symbol t.query) with
   | None -> []

@@ -48,10 +48,6 @@ val project :
     re-insert each [restore] constant at its position.  {!answers},
     {!strip_indices} and the serving layer's snapshot reads all use it. *)
 
-val strip_indices : t -> Atom.t -> Atom.t
-(** Drop the leading index arguments of an indexed predicate's atom (no-op
-    when [index_fields = 0]). *)
-
 val run :
   ?engine:[ `Naive | `Seminaive | `Seminaive_reference ] ->
   ?max_iterations:int ->

@@ -42,15 +42,6 @@ type binding_arc = {
 val binding_graph : Adorn.t -> binding_arc list
 (** Arcs of the binding graph rooted at the query node. *)
 
-val all_binding_cycles_positive : Adorn.t -> bool
-(** Theorem 10.1 premise: every binding-graph cycle has provably positive
-    length. *)
-
-val argument_graph : Adorn.t -> ((string * Adornment.t * int) * (string * Adornment.t * int)) list
-(** Arcs of the argument graph: bound argument positions of adorned
-    predicates linked when a rule carries the same variable from a bound
-    head argument into a bound body argument. *)
-
 val argument_graph_cyclic : Adorn.t -> bool
 (** Theorem 10.3 premise: the reachable argument graph has a cycle, in
     which case the counting strategies diverge regardless of the data. *)

@@ -47,9 +47,6 @@ val incoming_label : t -> int -> string list
 (** Union of the labels of all arcs entering a body literal (the paper's
     [chi_i]); empty when no arc enters it. *)
 
-val participants : t -> node list
-(** Nodes appearing in the sip (as tail member or target). *)
-
 val validate : Rule.t -> Adornment.t -> t -> (unit, string) result
 (** Check conditions (1), (2i-iii) and (3) against the rule and the head
     adornment.  Head bound variables are the variables occurring in head
@@ -92,10 +89,6 @@ val none : strategy
 
 val strategy_of_string : string -> strategy option
 (** ["full" | "chain" | "head-only" | "none"]. *)
-
-val occurrence_names : Rule.t -> string list
-(** Display names for the rule's body literals, numbering repeated
-    predicates like the paper ([sg.1], [sg.2]). *)
 
 val pp : rule:Rule.t -> t Fmt.t
 (** Print in the paper's notation, e.g.

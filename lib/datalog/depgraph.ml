@@ -58,27 +58,6 @@ let edges g = g.edges
 
 let successors g sym = Option.value ~default:[] (Symbol.Tbl.find_opt g.succ sym)
 
-(* For each derived predicate, every (dependency, negated) pair over all
-   its rules — including base dependencies — deduplicated and sorted.
-   This is the shape [Program.dependency_graph] has always exposed. *)
-let pred_deps g =
-  Symbol.Set.fold
-    (fun sym acc ->
-      let deps =
-        List.filter_map
-          (fun e -> if Symbol.equal e.src sym then Some (e.dst, e.negated) else None)
-          g.edges
-      in
-      let deps =
-        List.sort_uniq
-          (fun (a, na) (b, nb) ->
-            let c = Symbol.compare a b in
-            if c <> 0 then c else Bool.compare na nb)
-          deps
-      in
-      (sym, deps) :: acc)
-    g.derived []
-
 (* Tarjan's algorithm over derived predicates, components emitted callees
    first (reverse topological order of the condensed graph). *)
 let sccs g =

@@ -26,10 +26,6 @@ val successors : t -> Symbol.t -> (Symbol.t * bool) list
 (** Deduplicated derived-predicate dependencies of a derived predicate,
     in first-occurrence order; the flag marks negated dependencies. *)
 
-val pred_deps : t -> (Symbol.t * (Symbol.t * bool) list) list
-(** For each derived predicate, all its dependencies (base included),
-    deduplicated and sorted — the historical [Program.dependency_graph]
-    shape. *)
 
 val sccs : t -> Symbol.t list list
 (** Tarjan's strongly connected components over derived predicates, in

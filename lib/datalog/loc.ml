@@ -21,7 +21,8 @@ let of_offset src offset =
   { line = !line; col = offset - !bol + 1; offset }
 
 let line_at src line =
-  (* the full text of 1-based [line], without its newline *)
+  (* the full text of 1-based [line], without its newline or the [\r]
+     of a CRLF line ending *)
   let n = String.length src in
   let rec find_start i l =
     if l >= line || i >= n then i
@@ -29,7 +30,9 @@ let line_at src line =
   in
   let start = find_start 0 1 in
   let rec find_stop i = if i >= n || src.[i] = '\n' then i else find_stop (i + 1) in
-  String.sub src start (find_stop start - start)
+  let stop = find_stop start in
+  let stop = if stop > start && src.[stop - 1] = '\r' then stop - 1 else stop in
+  String.sub src start (stop - start)
 
 let pp ppf t =
   if t.start.offset < 0 then Fmt.string ppf "?"

@@ -70,7 +70,6 @@ let well_formed p =
    reachability passes. *)
 let depgraph p = Depgraph.of_rules p.rules
 
-let dependency_graph p = Depgraph.pred_deps (depgraph p)
 
 let sccs p = Depgraph.sccs (depgraph p)
 

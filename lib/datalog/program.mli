@@ -35,10 +35,6 @@ val well_formed : t -> (unit, string) result
 val depgraph : t -> Depgraph.t
 (** The program's predicate dependency graph; see {!Depgraph}. *)
 
-val dependency_graph : t -> (Symbol.t * (Symbol.t * bool) list) list
-(** For each derived predicate, the list of predicates its rules depend on;
-    the flag is [true] for dependencies through a negated literal. *)
-
 val sccs : t -> Symbol.t list list
 (** Strongly connected components of the dependency graph restricted to
     derived predicates, in reverse topological order (callees first).

@@ -3,7 +3,6 @@ module M = Map.Make (String)
 type t = Term.t M.t
 
 let empty = M.empty
-let is_empty = M.is_empty
 
 let bind x t s =
   match M.find_opt x s with
@@ -12,9 +11,6 @@ let bind x t s =
     if Term.equal t t' then s
     else invalid_arg (Fmt.str "Subst.bind: %s already bound" x)
 
-let find x s = M.find_opt x s
-let mem = M.mem
-let bindings s = M.bindings s
 let of_list l = List.fold_left (fun s (x, t) -> bind x t s) empty l
 
 let apply s t =
@@ -88,7 +84,3 @@ and unify_list xs ys s =
     match unify x y s with None -> None | Some s -> unify_list xs ys s
   end
   | _, _ -> None
-
-let pp ppf s =
-  let pp_pair ppf (x, t) = Fmt.pf ppf "%s -> %a" x Term.pp t in
-  Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") pp_pair) (bindings s)

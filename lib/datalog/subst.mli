@@ -4,15 +4,10 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
-
 val bind : string -> Term.t -> t -> t
 (** [bind x t s] extends [s] with [x -> t].  Raises [Invalid_argument] if
     [x] is already bound to a different term. *)
 
-val find : string -> t -> Term.t option
-val mem : string -> t -> bool
-val bindings : t -> (string * Term.t) list
 val of_list : (string * Term.t) list -> t
 
 val apply : t -> Term.t -> Term.t
@@ -38,5 +33,3 @@ val match_list : Term.t list -> Term.t list -> t -> t option
 
 val unify_list : Term.t list -> Term.t list -> t -> t option
 (** Argument-wise {!unify}; [None] on length mismatch. *)
-
-val pp : t Fmt.t

@@ -29,7 +29,6 @@ val remove_fact : t -> Atom.t -> bool
     ({!Relation.remove} semantics: the stamp is tombstoned, not reused).
     @raise Invalid_argument on a non-ground atom. *)
 
-val remove_tuple : t -> Symbol.t -> Tuple.t -> bool
 val mem : t -> Atom.t -> bool
 
 (** Membership on the raw tuple level; no arithmetic evaluation. *)

@@ -24,11 +24,6 @@ val stats_fields : Stats.t -> time_s:float -> string list
 val gc_fields : Stats.gc_counters -> string list
 (** Allocation / collection counter fields of a result row. *)
 
-val cost_fields : Stats.t -> float * float -> string list
-(** [cost_fields stats (est_facts, est_probes)]: the optimizer's
-    estimates next to observed/estimated calibration ratios, so the
-    bench can track estimator error over time. *)
-
 val result_row :
   workload:string ->
   meth:string ->

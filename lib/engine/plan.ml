@@ -276,12 +276,9 @@ let compile_scan c i atom =
 let compile_step c (i, lit) =
   match lit with
   | Rule.Pos ({ Atom.pred = "="; args = [ l; r ] } as a) when Atom.is_builtin a ->
-    if ground_in c l then
-      let e = expr c l in
-      Unify (e, pat ~invert:false c r)
-    else
-      let e = expr c r in
-      Unify (e, pat ~invert:false c l)
+    let l, r = if ground_in c l then (l, r) else (r, l) in
+    let e = expr c l in
+    Unify (e, pat ~invert:false c r)
   | (Rule.Pos a | Rule.Neg a) when Atom.is_builtin a -> begin
     match a.Atom.args with
     | [ l; r ] ->
@@ -298,17 +295,12 @@ let compile_instance rule (ordered, unready) =
   let c = { slots = Hashtbl.create 8; count = 0 } in
   let steps = List.map (compile_step c) ordered in
   (* filters that never become ready wait until every relation literal
-     has run, and raise there *)
+     has run; the first of them raises there *)
   let stuck =
-    List.map
-      (fun (_, lit) ->
-        let kind, atom =
-          match lit with
-          | Rule.Pos a -> (Unready_builtin, a)
-          | Rule.Neg a -> (Unready_negation, a)
-        in
-        Stuck { kind; atom; known = known c })
-      unready
+    match unready with
+    | [] -> []
+    | (_, Rule.Pos atom) :: _ -> [ Stuck { kind = Unready_builtin; atom; known = known c } ]
+    | (_, Rule.Neg atom) :: _ -> [ Stuck { kind = Unready_negation; atom; known = known c } ]
   in
   let h = rule.Rule.head in
   let head =
@@ -493,18 +485,17 @@ let run ?stats ~source ~neg_source ~on_fact inst =
     | None -> fun () -> ()
     | Some s -> fun () -> s.Stats.probes <- s.Stats.probes + 1
   in
+  let value e = match e with Const v -> v | Slot w -> env.(w) | e -> eval env e in
   let fill buf key =
     for j = 0 to Array.length key - 1 do
-      buf.(j) <- (match key.(j) with Const v -> v | Slot w -> env.(w) | e -> eval env e)
+      buf.(j) <- value key.(j)
     done
   in
   let nsteps = Array.length inst.steps in
   let rec go i =
     if i >= nsteps then
       match inst.head with
-      | Direct (sym, h) ->
-        on_fact sym
-          (Array.map (function Const v -> v | Slot w -> env.(w) | e -> eval env e) h)
+      | Direct (sym, h) -> on_fact sym (Array.map value h)
       | Dynamic s -> unsafe env s
     else
       match inst.steps.(i) with

@@ -248,13 +248,6 @@ let of_log ~arity ~log ~dead =
     log;
   r
 
-let clear r =
-  Ttbl.reset r.stamps;
-  r.log <- [||];
-  r.dead <- Bytes.empty;
-  r.len <- 0;
-  r.indexes <- []
-
 let pp ppf r =
   let items = List.sort Tuple.compare (to_list r) in
   Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any "; ") Tuple.pp) items

@@ -110,5 +110,4 @@ val of_log : arity:int -> log:Tuple.t array -> dead:Bytes.t -> t
     rebuilt lazily on first probe).  @raise Invalid_argument on a length
     or arity mismatch, or if two live slots hold the same tuple. *)
 
-val clear : t -> unit
 val pp : t Fmt.t

@@ -1,4 +1,7 @@
-(** Left-to-right body solving shared by the bottom-up engines.
+(** Left-to-right body solving over substitutions: the engine of the
+    labelled oracles ({!Eval.seminaive_reference}, the top-down
+    evaluators, derivation checking and the Section 9 optimality check),
+    independent of the compiled {!Plan} executor.
 
     A body is solved against relation sources by nested index joins: each
     positive literal is instantiated with the current substitution, its
@@ -16,19 +19,6 @@ exception Unsafe of string
 (** Raised when a builtin or negated literal is insufficiently
     instantiated when evaluation reaches it, or when a rule derives a
     non-ground head. *)
-
-val solve :
-  ?stats:Stats.t ->
-  source:(int -> source) ->
-  neg_source:source ->
-  Rule.literal list ->
-  Subst.t ->
-  (Subst.t -> unit) ->
-  unit
-(** [solve ~source ~neg_source body s k] calls [k] on every extension of
-    [s] satisfying [body]; [source i] is the source used for the [i]-th
-    body literal (0-based), which lets semi-naive evaluation read the
-    delta relation for one literal and the full relations elsewhere. *)
 
 val fire_rule :
   ?stats:Stats.t ->

@@ -65,11 +65,6 @@ let gc_delta ~before ~after =
     major_collections = after.major_collections - before.major_collections;
   }
 
-let pp_gc ppf g =
-  Fmt.pf ppf "minor_words=%.0f major_words=%.0f promoted_words=%.0f minor_gcs=%d major_gcs=%d"
-    g.minor_words g.major_words g.promoted_words g.minor_collections
-    g.major_collections
-
 let pp ppf s =
   Fmt.pf ppf
     "iterations=%d firings=%d facts=%d rederivations=%d probes=%d subqueries=%d"

@@ -44,4 +44,3 @@ val gc_now : unit -> gc_counters
 val gc_delta : before:gc_counters -> after:gc_counters -> gc_counters
 (** Counter increments between two {!gc_now} snapshots. *)
 
-val pp_gc : gc_counters Fmt.t

@@ -96,7 +96,7 @@ module CallMap = Map.Make (struct
   let compare = Atom.compare
 end)
 
-let tabled ?(max_passes = 1_000_000) program ~edb query =
+let rec tabled ?(max_passes = 1_000_000) program ~edb query =
   let stats = Stats.create () in
   let derived = Program.derived program in
   let edb_source sym = Database.find edb sym in
@@ -120,6 +120,24 @@ let tabled ?(max_passes = 1_000_000) program ~edb query =
       changed := true
     end
     else Stats.record_fact stats sym ~is_new:false
+  in
+  (* A negated derived subgoal lies in a lower stratum, but its table here
+     may still lack answers a later pass adds.  It is evaluated to
+     completion in a table of its own (once per ground atom) before the
+     test, so negation never reads an incomplete table. *)
+  let complete = ref true in
+  let proved = Hashtbl.create 8 in
+  let is_proved a =
+    match Hashtbl.find_opt proved a with
+    | Some b -> b
+    | None ->
+      let r = tabled ~max_passes program ~edb a in
+      stats.Stats.probes <- stats.Stats.probes + r.stats.Stats.probes;
+      stats.Stats.subqueries <- stats.Stats.subqueries + r.stats.Stats.subqueries;
+      if not r.complete then complete := false;
+      let b = r.answers <> [] in
+      Hashtbl.add proved a b;
+      b
   in
   (* evaluate the body of [rule] for call [g]; answers already in the table
      are used for derived subgoals, and new subgoals are registered so that
@@ -166,14 +184,7 @@ let tabled ?(max_passes = 1_000_000) program ~edb query =
                 raise (Solve.Unsafe (Fmt.str "negated literal %a not ground" Atom.pp a))
               else begin
                 let holds =
-                  if Symbol.Set.mem (Atom.symbol a) derived then begin
-                    (* register first: the subgoal must be tabled even
-                       when the membership test misses *)
-                    let sub_answers = register a in
-                    match Tuple.find_of_list a.Atom.args with
-                    | None -> false
-                    | Some t -> Tuple.Set.mem t !sub_answers
-                  end
+                  if Symbol.Set.mem (Atom.symbol a) derived then is_proved a
                   else
                     match edb_source (Atom.symbol a) with
                     | None -> false
@@ -190,7 +201,6 @@ let tabled ?(max_passes = 1_000_000) program ~edb query =
   in
   let root = register query in
   let passes = ref 0 in
-  let complete = ref true in
   while !changed do
     changed := false;
     incr passes;

@@ -162,7 +162,6 @@ let of_image ?(options = C.Rewrite.default_options) program im =
     }
 
 let db t = Maintain.db t.maintain
-let current_query t = t.query
 let strategy t = t.strategy
 let rewritten t = t.rw
 let maintained_program t = match t.rw with Some rw -> rw.C.Rewritten.program | None -> t.program

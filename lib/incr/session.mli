@@ -75,7 +75,6 @@ val answers : t -> Engine.Tuple.t list
     {!C.Rewritten.answers} does. *)
 
 val db : t -> Engine.Database.t
-val current_query : t -> Atom.t
 
 val strategy : t -> strategy
 (** The session's strategy; [Auto] is resolved at {!create} time, so

@@ -40,7 +40,6 @@ val reader : file:string -> section:string -> ?base:int -> string -> reader
 val pos : reader -> int
 (** Absolute file offset of the cursor. *)
 
-val at_end : reader -> bool
 val ru8 : reader -> int
 val ru32 : reader -> int
 val ri64 : reader -> int

@@ -27,7 +27,6 @@ let () =
       ("naming", Test_naming.suite);
       ("driver", Test_rewrite_driver.suite);
       ("explain", Test_explain.suite);
-      ("viz", Test_viz.suite);
       ("random-programs", Test_random_programs.suite);
       ("analysis", Test_analysis.suite);
       ("diag", Test_diag.suite);

@@ -34,6 +34,24 @@ let test_tabled_counts_subqueries () =
   (* subqueries: t(a,?), t(b,?), t(c,?), t(d,?) *)
   Alcotest.(check int) "tabled calls" 4 r.Engine.Topdown.stats.Engine.Stats.subqueries
 
+(* [not assembly(Q)] is first tested while [assembly]'s table is still
+   empty; the negated subgoal must be complete before it is read *)
+let test_tabled_negation_complete () =
+  let p, q, edb =
+    load
+      "component(P, Q) :- subpart(P, Q). \
+       component(P, Q) :- subpart(P, R), component(R, Q). \
+       assembly(P) :- subpart(P, _). \
+       atomic(P, Q) :- component(P, Q), not assembly(Q). \
+       subpart(bike, frame). subpart(bike, wheel). subpart(wheel, rim). \
+       subpart(wheel, spoke). subpart(frame, tube). ?- atomic(bike, ?)."
+  in
+  let r = Engine.Topdown.tabled p ~edb q in
+  Alcotest.(check bool) "complete" true r.Engine.Topdown.complete;
+  Alcotest.check tuple_list "answers = seminaive"
+    (Engine.Eval.answers (Engine.Eval.seminaive p ~edb) q)
+    (List.sort Engine.Tuple.compare r.Engine.Topdown.answers)
+
 let test_sld_function_symbols () =
   let p = Workload.Programs.list_reverse in
   let q = Workload.Programs.reverse_query (Workload.Generate.list_of_ints 5) in
@@ -73,6 +91,8 @@ let suite =
     Alcotest.test_case "sld depth bound" `Quick test_sld_depth_bound;
     Alcotest.test_case "tabled left recursion" `Quick test_tabled_left_recursion;
     Alcotest.test_case "tabled subquery count" `Quick test_tabled_counts_subqueries;
+    Alcotest.test_case "tabled negation reads complete subgoals" `Quick
+      test_tabled_negation_complete;
     Alcotest.test_case "sld function symbols" `Quick test_sld_function_symbols;
     Alcotest.test_case "negation as failure" `Quick test_negation_as_failure;
     prop_topdown_matches_bottom_up;
