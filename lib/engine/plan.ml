@@ -214,11 +214,11 @@ let rec expr c t =
 
 (* A term matched against a value, left to right, binding the slots of
    its unbound variables as it goes.  With [invert], an addition or
-   multiplication with one unbound side is inverted, as
-   {!Subst.match_term} does for the counting rules the semijoin
-   optimization leaves without a guard literal; [=] unifies and inverts
-   nothing.  Every variable gets a slot even under [Pnever], which
-   matches nothing, so later steps compile against the static model. *)
+   multiplication with one unbound side is inverted, as one-way matching
+   of stored tuples does for the counting rules the semijoin optimization
+   leaves without a guard literal; [=] unifies and inverts nothing.
+   Every variable gets a slot even under [Pnever], which matches
+   nothing, so later steps compile against the static model. *)
 let rec pat ~invert c t =
   match t with
   | Term.Var x -> (
@@ -411,6 +411,13 @@ and eval_int env e =
     if j = 0 then invalid_arg "Term.eval: division by zero" else i / j
   | Const _ | Slot _ | App _ -> int_of (eval env e)
 
+(* written out rather than calling [eval] per position: the key fill of
+   a pure-relational probe stays a loop of slot reads *)
+let fill env buf key =
+  for j = 0 to Array.length key - 1 do
+    buf.(j) <- (match key.(j) with Const v -> v | Slot w -> env.(w) | e -> eval env e)
+  done
+
 let rec matches env p v =
   match p with
   | Pbind i ->
@@ -485,17 +492,12 @@ let run ?stats ~source ~neg_source ~on_fact inst =
     | None -> fun () -> ()
     | Some s -> fun () -> s.Stats.probes <- s.Stats.probes + 1
   in
-  let value e = match e with Const v -> v | Slot w -> env.(w) | e -> eval env e in
-  let fill buf key =
-    for j = 0 to Array.length key - 1 do
-      buf.(j) <- value key.(j)
-    done
-  in
   let nsteps = Array.length inst.steps in
   let rec go i =
     if i >= nsteps then
       match inst.head with
-      | Direct (sym, h) -> on_fact sym (Array.map value h)
+      | Direct (sym, h) ->
+        on_fact sym (Array.map (function Const v -> v | Slot w -> env.(w) | e -> eval env e) h)
       | Dynamic s -> unsafe env s
     else
       match inst.steps.(i) with
@@ -504,7 +506,7 @@ let run ?stats ~source ~neg_source ~on_fact inst =
         | [] -> ()
         | views ->
           let key = keybufs.(i) in
-          fill key s.key;
+          fill env key s.key;
           bump ();
           if s.all_bound then begin
             if view_mem views key then go (i + 1)
@@ -532,7 +534,7 @@ let run ?stats ~source ~neg_source ~on_fact inst =
           | views ->
             bump ();
             let buf = keybufs.(i) in
-            fill buf key;
+            fill env buf key;
             view_mem views buf
         in
         if not holds then go (i + 1)

@@ -27,6 +27,12 @@ let bottom_up =
     (fun (_, m) -> match m with C.Rewrite.Top_down _ -> false | _ -> true)
     C.Rewrite.methods
 
+let status_name (r : C.Rewrite.result) =
+  match r.C.Rewrite.status with
+  | C.Rewrite.Ok -> "ok"
+  | C.Rewrite.Diverged -> "diverged"
+  | C.Rewrite.Unsafe _ -> "unsafe"
+
 let eval_report (case : Cost_cases.case) =
   let program, query, edb = case.input () in
   String.concat ""
@@ -38,11 +44,7 @@ let eval_report (case : Cost_cases.case) =
            let s = r.C.Rewrite.stats in
            Fmt.str "%s iterations=%d firings=%d facts=%d rederivations=%d probes=%d status=%s\n"
              name s.Engine.Stats.iterations s.Engine.Stats.firings s.Engine.Stats.facts
-             s.Engine.Stats.rederivations s.Engine.Stats.probes
-             (match r.C.Rewrite.status with
-             | C.Rewrite.Ok -> "ok"
-             | C.Rewrite.Diverged -> "diverged"
-             | C.Rewrite.Unsafe _ -> "unsafe"))
+             s.Engine.Stats.rederivations s.Engine.Stats.probes (status_name r))
        bottom_up)
 
 let test_eval () =
@@ -51,8 +53,8 @@ let test_eval () =
     (Cost_cases.all ~root:"..")
 
 (* Counting indices grow as 2^depth, so on an ancestor chain longer than
-   62 the numeric encodings overflow: both methods return the answers
-   derived so far and report divergence.  The pinned counters and answer
+   62 the numeric encodings overflow: each method returns the answers
+   derived so far and reports divergence.  The pinned counters and answer
    count fix the step at which the overflow surfaces. *)
 let overflow_name = "eval_counting_overflow"
 
@@ -64,15 +66,12 @@ let overflow_report () =
   String.concat ""
     (List.map
        (fun name ->
-         let r = C.Rewrite.run ~max_facts:100_000 (List.assoc name C.Rewrite.methods) program query ~edb in
+         let m = List.assoc name C.Rewrite.methods in
+         let r = C.Rewrite.run ~max_facts:100_000 m program query ~edb in
          let s = r.C.Rewrite.stats in
          Fmt.str "%s answers=%d iterations=%d firings=%d facts=%d probes=%d status=%s\n" name
            (List.length r.C.Rewrite.answers) s.Engine.Stats.iterations s.Engine.Stats.firings
-           s.Engine.Stats.facts s.Engine.Stats.probes
-           (match r.C.Rewrite.status with
-           | C.Rewrite.Ok -> "ok"
-           | C.Rewrite.Diverged -> "diverged"
-           | C.Rewrite.Unsafe _ -> "unsafe"))
+           s.Engine.Stats.facts s.Engine.Stats.probes (status_name r))
        [ "gc"; "gsc"; "gc-sj"; "gsc-sj" ])
 
 let test_overflow () = check_pinned overflow_name (overflow_report ())
