@@ -1,5 +1,4 @@
 open Datalog
-module SS = Set.Make (String)
 
 (* Every rule instance compiles to one integer-slot form: the
    substitution is a [Value.t array] indexed by compile-time variable
@@ -64,117 +63,7 @@ type instance = { steps : step array; head : emit; nvars : int; zero : Value.t }
 type t = { rule : Rule.t; base : instance; delta : (int * instance) list }
 
 (* ------------------------------------------------------------------ *)
-(* Join order                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let term_vars t = SS.of_list (Term.vars t)
-let all_vars_bound bound t = SS.subset (term_vars t) bound
-
-(* Variables definitely ground after a successful [=]: once one side is
-   fully bound, matching grounds every variable of the other side
-   ({!Analysis.Pass_safety}'s binding model). *)
-let bound_after_eq bound l r =
-  let bound = if all_vars_bound bound l then SS.union bound (term_vars r) else bound in
-  if all_vars_bound bound r then SS.union bound (term_vars l) else bound
-
-let bound_after bound lit =
-  match lit with
-  | Rule.Pos a when Atom.is_builtin a -> begin
-    match a.Atom.pred, a.Atom.args with
-    | "=", [ l; r ] -> bound_after_eq bound l r
-    | _ -> bound
-  end
-  | Rule.Pos a -> SS.union bound (SS.of_list (Atom.vars a))
-  | Rule.Neg _ -> bound
-
-let is_filter = function Rule.Pos a -> Atom.is_builtin a | Rule.Neg _ -> true
-
-(* A builtin or negated literal is ready once enough of its variables are
-   bound to evaluate it; [=] is ready as soon as one side is fully bound
-   (it then grounds the other). *)
-let ready bound lit =
-  match lit with
-  | Rule.Pos a when Atom.is_builtin a -> begin
-    match a.Atom.pred, a.Atom.args with
-    | "=", [ l; r ] -> all_vars_bound bound l || all_vars_bound bound r
-    | _ -> List.for_all (all_vars_bound bound) a.Atom.args
-  end
-  | Rule.Neg a -> List.for_all (all_vars_bound bound) a.Atom.args
-  | Rule.Pos _ -> false
-
-(* The join order of one instance, and the filters that never become
-   ready.  Builtins and negations are filters: each runs at the first
-   step where it is ready, and never before the position it is written
-   at in the base instance ([forced = None]), whose relation literals
-   keep their written order — so the base instance probes exactly what a
-   left-to-right solve probes.  A delta instance scans its [forced]
-   literal first, so a round's work is proportional to the delta, then
-   greedily picks the relation literal with the most bound argument
-   positions (ties towards written order, the paper's default sip),
-   flushing every filter as soon as it is ready. *)
-let order ~forced body =
-  let emitted = ref [] in
-  let bound = ref SS.empty in
-  let emit ((_, lit) as entry) =
-    emitted := entry :: !emitted;
-    bound := bound_after !bound lit
-  in
-  let remaining = ref [] in
-  List.iter
-    (fun ((i, _) as entry) ->
-      if Some i = forced then emit entry else remaining := entry :: !remaining)
-    body;
-  remaining := List.rev !remaining;
-  let take entry = remaining := List.filter (fun e -> e != entry) !remaining in
-  let relations () = List.filter (fun (_, lit) -> not (is_filter lit)) !remaining in
-  let reached (i, _) =
-    match forced, relations () with None, (j, _) :: _ -> i < j | _ -> true
-  in
-  let rec flush () =
-    match
-      List.find_opt
-        (fun ((_, lit) as entry) -> is_filter lit && reached entry && ready !bound lit)
-        !remaining
-    with
-    | Some entry ->
-      take entry;
-      emit entry;
-      flush ()
-    | None -> ()
-  in
-  let next () =
-    match forced, relations () with
-    | _, [] -> None
-    | None, entry :: _ -> Some entry
-    | Some _, rels ->
-      let score (_, lit) =
-        match lit with
-        | Rule.Pos a | Rule.Neg a ->
-          List.length (List.filter (all_vars_bound !bound) a.Atom.args)
-      in
-      Some
-        (fst
-           (List.fold_left
-              (fun ((_, s') as acc) entry ->
-                let s = score entry in
-                if s > s' then (entry, s) else acc)
-              (List.hd rels, score (List.hd rels))
-              (List.tl rels)))
-  in
-  let rec loop () =
-    flush ();
-    match next () with
-    | Some entry ->
-      take entry;
-      emit entry;
-      loop ()
-    | None -> ()
-  in
-  loop ();
-  (List.rev !emitted, !remaining)
-
-(* ------------------------------------------------------------------ *)
-(* Compilation to slots                                                *)
+(* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Variable slots of the instance being compiled: a variable has a slot
@@ -225,7 +114,9 @@ let rec pat ~invert c t =
     match Hashtbl.find_opt c.slots x with Some i -> Pis (Slot i) | None -> Pbind (new_slot c x))
   | Term.Int _ | Term.Sym _ -> Pis (expr c t)
   | Term.App (f, xs) ->
-    if ground_in c t then Pis (expr c t)
+    (* a compound with variables is destructured even when they are all
+       bound: checking its parts interns no new value *)
+    if Term.is_ground t && not (has_arith t) then Pis (expr c t)
     else Papp (f, Array.of_list (List.map (pat ~invert c) xs))
   | Term.Add _ | Term.Mul _ | Term.Div _ when ground_in c t -> Pis (expr c t)
   | Term.Add (a, b) when invert ->
@@ -291,17 +182,83 @@ let compile_step c (i, lit) =
       { lit = i; sym = Atom.symbol a; key = Array.of_list (List.map (expr c) a.Atom.args) }
   | Rule.Pos a -> compile_scan c i a
 
-let compile_instance rule (ordered, unready) =
+let is_filter = function Rule.Pos a -> Atom.is_builtin a | Rule.Neg _ -> true
+
+(* A filter is ready once enough of its variables are bound to evaluate
+   it; [=] as soon as one side is (matching then grounds the other). *)
+let ready c = function
+  | Rule.Pos { Atom.pred = "="; args = [ l; r ] } -> ground_in c l || ground_in c r
+  | Rule.Pos a | Rule.Neg a -> List.for_all (ground_in c) a.Atom.args
+
+(* One instance: its join order, compiled step by step, so the slot
+   table is the one binding model.  Builtins and negations are filters:
+   each runs at the first step where it is ready, and in the base
+   instance ([forced = None]) never before the position it is written
+   at; the base instance keeps its relation literals in written order,
+   so it probes exactly what a left-to-right solve probes.  A delta
+   instance scans its [forced] literal first, so a round's work is
+   proportional to the delta, then greedily picks the relation literal
+   with the most bound argument positions (ties towards written order,
+   the paper's default sip), flushing every filter as soon as it is
+   ready. *)
+let compile_instance rule ~forced body =
   let c = { slots = Hashtbl.create 8; count = 0 } in
-  let steps = List.map (compile_step c) ordered in
+  let steps = ref [] in
+  let emit entry = steps := compile_step c entry :: !steps in
+  Option.iter (fun d -> emit (List.nth body d)) forced;
+  let remaining = ref (List.filter (fun (i, _) -> Some i <> forced) body) in
+  let take entry = remaining := List.filter (fun e -> e != entry) !remaining in
+  let relations () = List.filter (fun (_, lit) -> not (is_filter lit)) !remaining in
+  let reached (i, _) =
+    match forced, relations () with None, (j, _) :: _ -> i < j | _ -> true
+  in
+  let rec flush () =
+    match
+      List.find_opt
+        (fun ((_, lit) as entry) -> is_filter lit && reached entry && ready c lit)
+        !remaining
+    with
+    | Some entry ->
+      take entry;
+      emit entry;
+      flush ()
+    | None -> ()
+  in
+  let score (_, lit) =
+    match lit with
+    | Rule.Pos a | Rule.Neg a -> List.length (List.filter (ground_in c) a.Atom.args)
+  in
+  let next () =
+    match forced, relations () with
+    | _, [] -> None
+    | None, entry :: _ -> Some entry
+    | Some _, first :: rest ->
+      Some
+        (fst
+           (List.fold_left
+              (fun ((_, best) as acc) entry ->
+                let s = score entry in
+                if s > best then (entry, s) else acc)
+              (first, score first) rest))
+  in
+  let rec loop () =
+    flush ();
+    match next () with
+    | Some entry ->
+      take entry;
+      emit entry;
+      loop ()
+    | None -> ()
+  in
+  loop ();
   (* filters that never become ready wait until every relation literal
      has run; the first of them raises there *)
-  let stuck =
-    match unready with
-    | [] -> []
-    | (_, Rule.Pos atom) :: _ -> [ Stuck { kind = Unready_builtin; atom; known = known c } ]
-    | (_, Rule.Neg atom) :: _ -> [ Stuck { kind = Unready_negation; atom; known = known c } ]
-  in
+  (match !remaining with
+  | [] -> ()
+  | (_, Rule.Pos atom) :: _ ->
+    steps := Stuck { kind = Unready_builtin; atom; known = known c } :: !steps
+  | (_, Rule.Neg atom) :: _ ->
+    steps := Stuck { kind = Unready_negation; atom; known = known c } :: !steps);
   let h = rule.Rule.head in
   let head =
     if List.for_all (ground_in c) h.Atom.args then
@@ -309,7 +266,7 @@ let compile_instance rule (ordered, unready) =
     else Dynamic { kind = Unbound_head; atom = h; known = known c }
   in
   {
-    steps = Array.of_list (steps @ stuck);
+    steps = Array.of_list (List.rev !steps);
     head;
     nvars = c.count;
     zero = Value.intern (Term.Int 0);
@@ -330,10 +287,10 @@ let compile ~delta_preds rule =
   in
   {
     rule;
-    base = compile_instance rule (order ~forced:None body);
+    base = compile_instance rule ~forced:None body;
     delta =
       List.map
-        (fun dpos -> (dpos, compile_instance rule (order ~forced:(Some dpos) body)))
+        (fun dpos -> (dpos, compile_instance rule ~forced:(Some dpos) body))
         delta_positions;
   }
 
