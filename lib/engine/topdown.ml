@@ -96,7 +96,9 @@ module CallMap = Map.Make (struct
   let compare = Atom.compare
 end)
 
-let rec tabled ?(max_passes = 1_000_000) program ~edb query =
+(* [proving]: the negated subgoals whose nested evaluations enclose this
+   one; meeting one again means negation through recursion *)
+let rec tabled_within ~proving ~max_passes program ~edb query =
   let stats = Stats.create () in
   let derived = Program.derived program in
   let edb_source sym = Database.find edb sym in
@@ -131,7 +133,12 @@ let rec tabled ?(max_passes = 1_000_000) program ~edb query =
     match Hashtbl.find_opt proved a with
     | Some b -> b
     | None ->
-      let r = tabled ~max_passes program ~edb a in
+      if List.exists (Atom.equal a) proving then
+        raise
+          (Solve.Unsafe
+             (Fmt.str "negated literal %a depends on itself: the program is not stratifiable"
+                Atom.pp a));
+      let r = tabled_within ~proving:(a :: proving) ~max_passes program ~edb a in
       stats.Stats.probes <- stats.Stats.probes + r.stats.Stats.probes;
       stats.Stats.subqueries <- stats.Stats.subqueries + r.stats.Stats.subqueries;
       if not r.complete then complete := false;
@@ -220,3 +227,6 @@ let rec tabled ?(max_passes = 1_000_000) program ~edb query =
     stats;
     complete = !complete;
   }
+
+let tabled ?(max_passes = 1_000_000) program ~edb query =
+  tabled_within ~proving:[] ~max_passes program ~edb query

@@ -50,7 +50,13 @@ let test_tabled_negation_complete () =
   Alcotest.(check bool) "complete" true r.Engine.Topdown.complete;
   Alcotest.check tuple_list "answers = seminaive"
     (Engine.Eval.answers (Engine.Eval.seminaive p ~edb) q)
-    (List.sort Engine.Tuple.compare r.Engine.Topdown.answers)
+    (List.sort Engine.Tuple.compare r.Engine.Topdown.answers);
+  (* negation through recursion has no complete subgoal to read *)
+  let p, q, edb = load "q(a). p(X) :- q(X), not p(X). ?- p(X)." in
+  Alcotest.(check bool) "unstratifiable: Unsafe, not a stack overflow" true
+    (match Engine.Topdown.tabled p ~edb q with
+    | _ -> false
+    | exception Engine.Solve.Unsafe _ -> true)
 
 let test_sld_function_symbols () =
   let p = Workload.Programs.list_reverse in
