@@ -150,7 +150,7 @@ let codes : (string * Diagnostic.severity * string * string) list =
     ("W020", Diagnostic.Warning, "singleton variable", "pass_lints");
     ("W021", Diagnostic.Warning, "'_'-prefixed variable occurs more than once", "pass_lints");
     ("E001", Diagnostic.Error, "variable of a negated literal is not range-restricted", "pass_safety");
-    ("E002", Diagnostic.Error, "comparison over a variable that is never bound", "pass_safety");
+    ("E002", Diagnostic.Error, "comparison or equality over a variable that is never bound", "pass_safety");
     ("W001", Diagnostic.Warning, "head variable not bound by the positive body", "pass_safety");
     ("E010", Diagnostic.Error, "negation through recursion (not stratifiable)", "pass_deps");
     ("W010", Diagnostic.Warning, "dead rule: unreachable from the query", "pass_deps");

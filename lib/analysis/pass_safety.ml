@@ -3,7 +3,8 @@
    The binding model matches the evaluation engine: positive non-builtin
    literals bind their variables; an equality binds one side once the
    other side is fully bound (unification), iterated to a fixpoint;
-   comparisons bind nothing and require all their variables bound. *)
+   comparisons bind nothing and require all their variables bound, and
+   so does an equality neither side of which ever becomes bound. *)
 
 open Datalog
 module S = Set.Make (String)
@@ -69,7 +70,9 @@ let check_rule ctx i (r : Rule.t) =
       (List.mapi
          (fun j lit ->
            match lit with
-           | Rule.Pos a when Atom.is_builtin a && a.Atom.pred <> "=" -> (
+           | Rule.Pos a when Atom.is_builtin a -> (
+             (* an equality binds one side from the other, so its
+                variables are unbound only if neither side ever is *)
              match unrestricted (Atom.vars a) with
              | [] -> []
              | vs ->
@@ -77,8 +80,9 @@ let check_rule ctx i (r : Rule.t) =
                  Diagnostic.error ~code:"E002"
                    ~span:(Ctx.lit_span ctx i j)
                    (Fmt.str
-                      "comparison '%a' cannot be evaluated: variable%s %s %s \
-                       never bound"
+                      "%s '%a' cannot be evaluated: variable%s %s %s never \
+                       bound"
+                      (if a.Atom.pred = "=" then "equality" else "comparison")
                       Atom.pp a (plural vs) (quote_vars vs)
                       (match vs with [ _ ] -> "is" | _ -> "are"));
                ])

@@ -99,7 +99,8 @@ let derive program db goal =
             match Atom.unify rule.Rule.head goal Subst.empty with
             | None -> None
             | Some subst -> begin
-              match body ~bound:r rule subst rule.Rule.body [] with
+              let lits = List.mapi (fun i l -> (i, l)) rule.Rule.body in
+              match body ~bound:r rule subst lits [] with
               | Some (premises, subst) ->
                 let inst = Atom.apply_deep_eval subst rule.Rule.head in
                 if Atom.equal inst goal then begin
@@ -110,30 +111,38 @@ let derive program db goal =
                          (Rule.map_literal (Atom.apply_deep_eval subst))
                          rule.Rule.body)
                   in
-                  Some
-                    (Node { fact = goal; rule = instantiated; premises = List.rev premises })
+                  (* premises in body order, as [check] reads them *)
+                  let premises =
+                    List.map snd (List.sort (fun (i, _) (j, _) -> Int.compare i j) premises)
+                  in
+                  Some (Node { fact = goal; rule = instantiated; premises })
                 end
                 else None
               | None -> None
             end)
           (Program.rules_for program (Atom.symbol goal))
     end
-  (* solve the body left to right; derived premises must have rank
-     strictly below [bound], which guarantees termination *)
+  (* solve the body in the executor's order ({!Solve.select}: filters once
+     ready), collecting each premise with its body position; derived
+     premises must have rank strictly below [bound], which guarantees
+     termination *)
   and body ~bound rule subst lits acc =
-    match lits with
-    | [] -> Some (acc, subst)
-    | Rule.Pos a :: rest when Atom.is_builtin a -> begin
+    match Solve.select ~lit:snd subst lits with
+    | exception Solve.Unsafe _ -> None
+    | None -> Some (acc, subst)
+    | Some ((i, Rule.Pos a), rest) when Atom.is_builtin a -> begin
       let results = ref [] in
-      (try Solve.eval_builtin a subst (fun s -> results := s :: !results)
+      (try
+         Solve.eval_builtin (Atom.apply_deep_eval subst a) subst (fun s ->
+             results := s :: !results)
        with Solve.Unsafe _ -> ());
       List.find_map
         (fun s ->
           let inst = Atom.apply_deep_eval s a in
-          body ~bound rule s rest (Leaf inst :: acc))
+          body ~bound rule s rest ((i, Leaf inst) :: acc))
         !results
     end
-    | Rule.Pos a :: rest ->
+    | Some ((i, Rule.Pos a), rest) ->
       let inst = Atom.apply_deep_eval subst a in
       let candidates =
         match Database.find db (Atom.symbol inst) with
@@ -159,14 +168,14 @@ let derive program db goal =
             else
               match explain sub_goal with
               | None -> None
-              | Some premise -> body ~bound rule s rest (premise :: acc)
+              | Some premise -> body ~bound rule s rest ((i, premise) :: acc)
           end)
         candidates
-    | Rule.Neg a :: rest ->
+    | Some ((i, Rule.Neg a), rest) ->
       let inst = Atom.apply_deep_eval subst a in
       if Atom.is_ground inst && not (Database.mem db inst) then
         body ~bound rule subst rest
-          (Leaf (Atom.make ("not " ^ inst.Atom.pred) inst.Atom.args) :: acc)
+          ((i, Leaf (Atom.make ("not " ^ inst.Atom.pred) inst.Atom.args)) :: acc)
       else None
   in
   let goal = Atom.apply_eval Subst.empty goal in

@@ -221,31 +221,27 @@ let copy r =
    watermark arithmetic. *)
 let export_log r = (Array.sub r.log 0 r.len, Bytes.sub r.dead 0 r.len)
 
+(* Takes ownership of [log] and [dead]: a bulk load hands over the
+   arrays it decoded instead of paying a copy of each. *)
 let of_log ~arity ~log ~dead =
   let len = Array.length log in
   if Bytes.length dead <> len then
     invalid_arg "Relation.of_log: dead bitset length mismatch";
-  (* pre-size the stamp table for the known population: a bulk load
-     should pay one allocation, not a cascade of doubling rehashes *)
-  let r =
-    {
-      arity;
-      stamps = Ttbl.create ~initial:(4 * max 1 len) (-1);
-      log = Array.copy log;
-      dead = Bytes.copy dead;
-      len;
-      indexes = [];
-    }
-  in
-  Array.iteri
-    (fun stamp t ->
-      if Array.length t <> arity then
-        invalid_arg
-          (Fmt.str "Relation.of_log: tuple %a has arity %d, expected %d" Tuple.pp t
-             (Array.length t) arity);
-      if Bytes.get dead stamp = '\000' && not (Ttbl.add_if_absent r.stamps t stamp) then
-        invalid_arg (Fmt.str "Relation.of_log: duplicate live tuple %a" Tuple.pp t))
-    log;
+  (* pre-size the stamp table for the live population, at the load
+     limit {!Ttbl} keeps (1/2): one allocation, no doubling rehashes *)
+  let live_slots = ref 0 in
+  Bytes.iter (fun c -> if c = '\000' then incr live_slots) dead;
+  let stamps = Ttbl.create ~initial:(2 * !live_slots) (-1) in
+  let r = { arity; stamps; log; dead; len; indexes = [] } in
+  for stamp = 0 to len - 1 do
+    let t = Array.unsafe_get log stamp in
+    if Array.length t <> arity then
+      invalid_arg
+        (Fmt.str "Relation.of_log: tuple %a has arity %d, expected %d" Tuple.pp t
+           (Array.length t) arity);
+    if live r stamp && not (Ttbl.add_if_absent r.stamps t stamp) then
+      invalid_arg (Fmt.str "Relation.of_log: duplicate live tuple %a" Tuple.pp t)
+  done;
   r
 
 let pp ppf r =

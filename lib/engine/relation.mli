@@ -107,7 +107,13 @@ val export_log : t -> Tuple.t array * Bytes.t
 val of_log : arity:int -> log:Tuple.t array -> dead:Bytes.t -> t
 (** Rebuild a relation from an {!export_log} pair: the stamp table is
     reconstructed from the live slots and no indexes exist yet (they are
-    rebuilt lazily on first probe).  @raise Invalid_argument on a length
-    or arity mismatch, or if two live slots hold the same tuple. *)
+    rebuilt lazily on first probe).
+
+    The relation takes ownership of [log] and [dead] without copying
+    them: it stores both and writes to them on later {!add} and
+    {!remove} calls, so the caller must not read or modify either array
+    afterwards.  {!export_log} returns copies and may be passed straight
+    in.  @raise Invalid_argument on a length or arity mismatch, or if two
+    live slots hold the same tuple. *)
 
 val pp : t Fmt.t

@@ -74,40 +74,74 @@ let eval_builtin atom subst k =
   end
   | _ -> raise (Unsafe (Fmt.str "builtin %a must be binary" Atom.pp atom))
 
-let solve ?stats ~source ~neg_source body subst k =
-  let rec go i lits subst =
-    match lits with
-    | [] -> k subst
-    | Rule.Pos atom :: rest when Atom.is_builtin atom ->
-      eval_builtin atom subst (fun s -> go (i + 1) rest s)
-    | Rule.Pos atom :: rest ->
-      atom_matches ?stats (source i) atom subst (fun s -> go (i + 1) rest s)
-    | Rule.Neg atom :: rest ->
-      let a = Atom.apply_eval subst atom in
-      if not (Atom.is_ground a) then
-        raise (Unsafe (Fmt.str "negated literal %a reached with unbound variables" Atom.pp a))
-      else begin
-        (* negated builtins are evaluated natively and touch no relation;
-           only real relation membership tests count as probes *)
-        let holds =
-          if Atom.is_builtin a then begin
-            let found = ref false in
-            eval_builtin a subst (fun _ -> found := true);
-            !found
-          end
-          else
-            match neg_source (Atom.symbol a) with
-            | None -> false
-            | Some rel -> (
-              bump_probes stats;
-              match Tuple.find_of_list a.Atom.args with
-              | None -> false
-              | Some t -> Relation.mem rel t)
-        in
-        if not holds then go (i + 1) rest subst
-      end
+(* Filters (builtins and negated literals) run where {!Plan} runs them:
+   at the first point where they are ready, never before their written
+   position, so relation literals keep their written order. *)
+let is_filter = function Rule.Pos a -> Atom.is_builtin a | Rule.Neg _ -> true
+
+let ground_under subst t = Term.is_ground (Subst.apply_deep subst t)
+
+(* [=] is ready once one side is ground (unification grounds the other),
+   any other filter once all its arguments are *)
+let ready subst = function
+  | Rule.Pos { Atom.pred = "="; args = [ l; r ] } ->
+    ground_under subst l || ground_under subst r
+  | Rule.Pos a | Rule.Neg a -> List.for_all (ground_under subst) a.Atom.args
+
+let stuck subst lit =
+  let inst a = Atom.make a.Atom.pred (List.map (Subst.apply_deep subst) a.Atom.args) in
+  match lit with
+  | Rule.Pos a -> Unsafe (Fmt.str "builtin %a reached with unbound arguments" Atom.pp (inst a))
+  | Rule.Neg a ->
+    Unsafe (Fmt.str "negated literal %a reached with unbound variables" Atom.pp (inst a))
+
+let select ~lit subst goals =
+  let runnable g =
+    let l = lit g in
+    (not (is_filter l)) || ready subst l
   in
-  go 0 body subst
+  match goals with
+  | [] -> None
+  | g :: rest when runnable g -> Some (g, rest)
+  | first :: rest ->
+    let rec find skipped = function
+      | [] -> raise (stuck subst (lit first))
+      | g :: rest when runnable g -> Some (g, List.rev_append skipped rest)
+      | g :: rest -> find (g :: skipped) rest
+    in
+    find [ first ] rest
+
+let solve ?stats ~source ~neg_source body subst k =
+  let rec go goals subst =
+    match select ~lit:snd subst goals with
+    | None -> k subst
+    | Some ((_, Rule.Pos atom), rest) when Atom.is_builtin atom ->
+      eval_builtin atom subst (fun s -> go rest s)
+    | Some ((i, Rule.Pos atom), rest) ->
+      atom_matches ?stats (source i) atom subst (fun s -> go rest s)
+    | Some ((_, Rule.Neg atom), rest) ->
+      (* ground: [select] only returns a ready negated literal; negated
+         builtins are evaluated natively and touch no relation, so only
+         real relation membership tests count as probes *)
+      let a = Atom.apply_eval subst atom in
+      let holds =
+        if Atom.is_builtin a then begin
+          let found = ref false in
+          eval_builtin a subst (fun _ -> found := true);
+          !found
+        end
+        else
+          match neg_source (Atom.symbol a) with
+          | None -> false
+          | Some rel -> (
+            bump_probes stats;
+            match Tuple.find_of_list a.Atom.args with
+            | None -> false
+            | Some t -> Relation.mem rel t)
+      in
+      if not holds then go rest subst
+  in
+  go (List.mapi (fun i lit -> (i, lit)) body) subst
 
 let fire_rule ?stats ~source ~neg_source ~on_fact rule =
   solve ?stats ~source ~neg_source rule.Rule.body Subst.empty (fun subst ->

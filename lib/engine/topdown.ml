@@ -19,11 +19,13 @@ let sld ?(max_depth = 10_000) program ~edb query =
   let answers = ref Tuple.Set.empty in
   let edb_source sym = Database.find edb sym in
   let rec solve goals subst depth k =
-    match goals with
-    | [] -> k subst
-    | Rule.Pos g :: rest when Atom.is_builtin g ->
-      Solve.eval_builtin g subst (fun s -> solve rest s depth k)
-    | Rule.Pos g :: rest ->
+    match Solve.select ~lit:Fun.id subst goals with
+    | None -> k subst
+    | Some (Rule.Pos g, rest) when Atom.is_builtin g ->
+      (* unification leaves a triangular substitution: resolve it fully *)
+      Solve.eval_builtin (Atom.apply_deep_eval subst g) subst (fun s ->
+          solve rest s depth k)
+    | Some (Rule.Pos g, rest) ->
       if Symbol.Set.mem (Atom.symbol g) derived then begin
         if depth <= 0 then truncated := true
         else begin
@@ -42,15 +44,12 @@ let sld ?(max_depth = 10_000) program ~edb query =
         List.iter
           (fun s -> solve rest s depth k)
           (Solve.match_against ~stats edb_source (Atom.apply_deep_eval subst g) subst)
-    | Rule.Neg g :: rest ->
+    | Some (Rule.Neg g, rest) ->
+      (* ground: [select] only returns a ready negated literal *)
       let a = Atom.apply_deep_eval subst g in
-      if not (Atom.is_ground a) then
-        raise (Solve.Unsafe (Fmt.str "negated literal %a not ground" Atom.pp a))
-      else begin
-        let found = ref false in
-        solve [ Rule.Pos a ] subst depth (fun _ -> found := true);
-        if not !found then solve rest subst depth k
-      end
+      let found = ref false in
+      solve [ Rule.Pos a ] subst depth (fun _ -> found := true);
+      if not !found then solve rest subst depth k
   in
   solve [ Rule.Pos query ] Subst.empty max_depth (fun subst ->
       let a = Atom.apply_deep_eval subst query in
@@ -158,14 +157,14 @@ let rec tabled_within ~proving ~max_passes program ~edb query =
         | None -> ()
         | Some subst ->
           let rec go lits subst =
-            match lits with
-            | [] ->
+            match Solve.select ~lit:Fun.id subst lits with
+            | None ->
               let head = Atom.apply_deep_eval subst key in
               if Atom.is_ground head then
                 add_answer answers (Atom.symbol key) (Tuple.of_list head.Atom.args)
-            | Rule.Pos g :: rest when Atom.is_builtin g ->
-              Solve.eval_builtin g subst (fun s -> go rest s)
-            | Rule.Pos g :: rest ->
+            | Some (Rule.Pos g, rest) when Atom.is_builtin g ->
+              Solve.eval_builtin (Atom.apply_deep_eval subst g) subst (fun s -> go rest s)
+            | Some (Rule.Pos g, rest) ->
               if Symbol.Set.mem (Atom.symbol g) derived then begin
                 let inst = Atom.apply_deep_eval subst g in
                 let sub_answers = register inst in
@@ -185,23 +184,20 @@ let rec tabled_within ~proving ~max_passes program ~edb query =
                 List.iter
                   (fun s -> go rest s)
                   (Solve.match_against ~stats edb_source g subst)
-            | Rule.Neg g :: rest ->
+            | Some (Rule.Neg g, rest) ->
+              (* ground: [select] only returns a ready negated literal *)
               let a = Atom.apply_deep_eval subst g in
-              if not (Atom.is_ground a) then
-                raise (Solve.Unsafe (Fmt.str "negated literal %a not ground" Atom.pp a))
-              else begin
-                let holds =
-                  if Symbol.Set.mem (Atom.symbol a) derived then is_proved a
-                  else
-                    match edb_source (Atom.symbol a) with
+              let holds =
+                if Symbol.Set.mem (Atom.symbol a) derived then is_proved a
+                else
+                  match edb_source (Atom.symbol a) with
+                  | None -> false
+                  | Some rel -> (
+                    match Tuple.find_of_list a.Atom.args with
                     | None -> false
-                    | Some rel -> (
-                      match Tuple.find_of_list a.Atom.args with
-                      | None -> false
-                      | Some t -> Relation.mem rel t)
-                in
-                if not holds then go rest subst
-              end
+                    | Some t -> Relation.mem rel t)
+              in
+              if not holds then go rest subst
           in
           go rule.Rule.body subst)
       (Program.rules_for program (Atom.symbol key))

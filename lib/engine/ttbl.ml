@@ -6,7 +6,10 @@
    locality.  Tuple keys hash to an [int] ([Tuple.hash], FNV over the
    packed value ids), so a flat quadratic-probing table with a byte-coded
    slot state gets every stamp-table and index probe down to an array
-   walk with no allocation on hit or miss.
+   walk.  [get], [mem] and [add_if_absent] (when the table need not
+   grow) allocate nothing: the probe loops below are top-level
+   functions, not per-call closures, and the test suite measures it
+   ("ttbl: probes do not allocate").
 
    Deletion uses tombstones ([Sdead]): a deleted slot keeps probe chains
    intact and is recycled by the next insertion of a colliding key.
@@ -47,45 +50,44 @@ let dummy t = t.dummy
 (* quadratic probing: i, i+1, i+3, i+6, ... covers every slot of a
    power-of-two table exactly once *)
 
+(* The probe loops are top-level functions over explicit arguments: a
+   local [let rec] capturing the table and key would allocate a closure
+   on every call. *)
+
+let rec probe_find state keys mask key i step =
+  let c = Bytes.unsafe_get state i in
+  if c = sempty then -1
+  else if c = slive && Tuple.equal (Array.unsafe_get keys i) key then i
+  else probe_find state keys mask key ((i + step) land mask) (step + 1)
+
 (* slot of [key], or -1 if absent *)
-let find_slot t key =
-  let h = Tuple.hash key in
-  let mask = t.mask in
-  let rec probe i step =
-    match Bytes.unsafe_get t.state i with
-    | c when c = sempty -> -1
-    | c when c = slive && Tuple.equal (Array.unsafe_get t.keys i) key -> i
-    | _ -> probe ((i + step) land mask) (step + 1)
-  in
-  probe (h land mask) 1
+let find_slot t key = probe_find t.state t.keys t.mask key (Tuple.hash key land t.mask) 1
+
+let rec probe_find_proj state keys mask positions tuple i step =
+  let c = Bytes.unsafe_get state i in
+  if c = sempty then -1
+  else if c = slive && Tuple.equal_proj positions tuple (Array.unsafe_get keys i) then i
+  else probe_find_proj state keys mask positions tuple ((i + step) land mask) (step + 1)
 
 (* like {!find_slot} for the projection of [tuple] on [positions],
    without materializing the projected key *)
 let find_slot_proj t positions tuple =
-  let h = Tuple.hash_proj positions tuple in
-  let mask = t.mask in
-  let rec probe i step =
-    match Bytes.unsafe_get t.state i with
-    | c when c = sempty -> -1
-    | c when c = slive && Tuple.equal_proj positions tuple (Array.unsafe_get t.keys i)
-      -> i
-    | _ -> probe ((i + step) land mask) (step + 1)
-  in
-  probe (h land mask) 1
+  probe_find_proj t.state t.keys t.mask positions tuple
+    (Tuple.hash_proj positions tuple land t.mask)
+    1
+
+let rec probe_insert state keys mask key i step grave =
+  let c = Bytes.unsafe_get state i in
+  if c = sempty then if grave >= 0 then grave else i
+  else if c = slive && Tuple.equal (Array.unsafe_get keys i) key then i
+  else
+    let grave = if c = sdead && grave < 0 then i else grave in
+    probe_insert state keys mask key ((i + step) land mask) (step + 1) grave
 
 (* slot where [key] lives or should be inserted (first tombstone on the
    probe path, else the terminating empty slot) *)
 let insert_slot t key =
-  let h = Tuple.hash key in
-  let mask = t.mask in
-  let rec probe i step grave =
-    match Bytes.unsafe_get t.state i with
-    | c when c = sempty -> if grave >= 0 then grave else i
-    | c when c = slive && Tuple.equal (Array.unsafe_get t.keys i) key -> i
-    | c when c = sdead && grave < 0 -> probe ((i + step) land mask) (step + 1) i
-    | _ -> probe ((i + step) land mask) (step + 1) grave
-  in
-  probe (h land mask) 1 (-1)
+  probe_insert t.state t.keys t.mask key (Tuple.hash key land t.mask) 1 (-1)
 
 let resize t =
   let old_keys = t.keys and old_vals = t.vals and old_state = t.state in

@@ -21,12 +21,13 @@ let find_of_list ts =
 let to_list t = List.map Value.extern (Array.to_list t)
 let arity = Array.length
 
-let equal a b =
-  a == b
-  || Array.length a = Array.length b
-     &&
-     let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-     go 0
+(* top-level loops, not local closures: [equal] and [equal_proj] run on
+   every hash-table probe and must not allocate *)
+let rec equal_from a b i =
+  i >= Array.length a
+  || (Value.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && equal_from a b (i + 1))
+
+let equal a b = a == b || (Array.length a = Array.length b && equal_from a b 0)
 
 (* Structural order (via the denoted terms): keeps answer lists sorted
    the same way they were before interning, independent of intern order. *)
@@ -61,14 +62,13 @@ let hash_proj positions t =
   done;
   !h land max_int
 
+let rec equal_proj_from positions t key i =
+  i >= Array.length positions
+  || Value.equal key.(i) t.(Array.unsafe_get positions i)
+     && equal_proj_from positions t key (i + 1)
+
 let equal_proj positions t key =
-  Array.length key = Array.length positions
-  &&
-  let rec go i =
-    i >= Array.length positions
-    || (Value.equal key.(i) t.(Array.unsafe_get positions i) && go (i + 1))
-  in
-  go 0
+  Array.length key = Array.length positions && equal_proj_from positions t key 0
 
 let project positions t = Array.of_list (List.map (fun i -> t.(i)) positions)
 

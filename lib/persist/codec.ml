@@ -23,44 +23,45 @@ let str b s = u32 b (String.length s); Buffer.add_string b s
 (* ---- reading ---- *)
 
 type reader = {
-  data : string;
+  data : string;  (* the file image: data.[i] is the file's byte i *)
   file : string;
   section : string;
-  base : int;  (* file offset of data.[0] *)
+  lim : int;  (* end of the window: data.[lim] is past it *)
   mutable cur : int;
 }
 
-let reader ~file ~section ?(base = 0) data = { data; file; section; base; cur = 0 }
-let pos r = r.base + r.cur
-let at_end r = r.cur >= String.length r.data
+let reader ~file ~section ~off ~len data =
+  if off < 0 || len < 0 || off > String.length data - len then invalid_arg "Codec.reader";
+  { data; file; section; lim = off + len; cur = off }
+
+let pos r = r.cur
+let at_end r = r.cur >= r.lim
 
 let fail r message = corrupt ~file:r.file ~section:r.section ~offset:(pos r) message
 
 let need r n =
-  if r.cur + n > String.length r.data then
-    fail r (Fmt.str "truncated: need %d more bytes, have %d" n (String.length r.data - r.cur))
+  if n > r.lim - r.cur then
+    fail r (Fmt.str "truncated: need %d more bytes, have %d" n (r.lim - r.cur))
 
 let ru8 r =
   need r 1;
-  let v = Char.code r.data.[r.cur] in
+  let v = Char.code (String.unsafe_get r.data r.cur) in
   r.cur <- r.cur + 1;
   v
 
 let ru32 r =
   need r 4;
-  let b i = Char.code r.data.[r.cur + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  let v =
+    String.get_uint16_le r.data r.cur lor (String.get_uint16_le r.data (r.cur + 2) lsl 16)
+  in
   r.cur <- r.cur + 4;
   v
 
 let ri64 r =
   need r 8;
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code r.data.[r.cur + i]))
-  done;
+  let v = Int64.to_int (String.get_int64_le r.data r.cur) in
   r.cur <- r.cur + 8;
-  Int64.to_int !v
+  v
 
 let rstr r =
   let n = ru32 r in
@@ -69,6 +70,14 @@ let rstr r =
   r.cur <- r.cur + n;
   s
 
+let rbytes r =
+  let n = ru32 r in
+  need r n;
+  let b = Bytes.create n in
+  Bytes.blit_string r.data r.cur b 0 n;
+  r.cur <- r.cur + n;
+  b
+
 let expect_end r =
   if not (at_end r) then
-    fail r (Fmt.str "trailing garbage: %d unconsumed bytes" (String.length r.data - r.cur))
+    fail r (Fmt.str "trailing garbage: %d unconsumed bytes" (r.lim - r.cur))

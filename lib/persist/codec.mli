@@ -32,11 +32,16 @@ val str : Buffer.t -> string -> unit
 (** {1 Reading} *)
 
 type reader
-(** A cursor over an in-memory file image.  [base] is the absolute file
-    offset of the image's first byte, so {!Corrupt} offsets locate the
-    failure in the file even when the image is one section's payload. *)
+(** A cursor over a window of an in-memory file image, read in place.
+    Indexes into the image are file offsets, so every {!Corrupt} locates
+    its failure in the file. *)
 
-val reader : file:string -> section:string -> ?base:int -> string -> reader
+val reader : file:string -> section:string -> off:int -> len:int -> string -> reader
+(** [reader ~file ~section ~off ~len image] reads
+    [image.[off .. off + len - 1]] without copying it.  Reading past the
+    window is a truncation {!Corrupt}.
+    @raise Invalid_argument if the window does not fit [image]. *)
+
 val pos : reader -> int
 (** Absolute file offset of the cursor. *)
 
@@ -44,5 +49,10 @@ val ru8 : reader -> int
 val ru32 : reader -> int
 val ri64 : reader -> int
 val rstr : reader -> string
+
+val rbytes : reader -> Bytes.t
+(** {!rstr} into a fresh [Bytes.t], copied once. *)
+
 val expect_end : reader -> unit
-(** @raise Corrupt if bytes remain — trailing garbage is corruption. *)
+(** @raise Corrupt if bytes remain in the window — trailing garbage is
+    corruption. *)

@@ -17,7 +17,8 @@ let u32_string v =
   Codec.u32 b v;
   Buffer.contents b
 
-let crc_int payload = Int32.to_int (Crc32.digest payload) land 0xFFFFFFFF
+let crc_sub data ~pos ~len = Int32.to_int (Crc32.digest_sub data ~pos ~len) land 0xFFFFFFFF
+let crc_int payload = crc_sub payload ~pos:0 ~len:(String.length payload)
 
 let write_section sink tag payload =
   assert (String.length tag = 4);
@@ -69,7 +70,8 @@ let rels_payload db =
       Codec.str b sym.Symbol.name;
       Codec.u32 b sym.Symbol.arity;
       Codec.u32 b (Array.length log);
-      Codec.str b (Bytes.to_string dead);
+      Codec.u32 b (Bytes.length dead);
+      Buffer.add_bytes b dead;
       Array.iter (tuple b) log)
     syms;
   Buffer.contents b
@@ -151,16 +153,23 @@ let load_pool r =
   Codec.expect_end r;
   remap
 
-let load_tuple r ~dummy remap arity : Engine.Tuple.t =
-  let tu = Array.make arity dummy in
-  for i = 0 to arity - 1 do
-    let oid = Codec.ru32 r in
-    if oid >= Array.length remap then
-      Codec.corrupt ~file:"" ~section:"" ~offset:(Codec.pos r)
-        (Fmt.str "value id %d out of pool range %d" oid (Array.length remap));
-    tu.(i) <- remap.(oid)
-  done;
-  tu
+let load_value r remap =
+  let oid = Codec.ru32 r in
+  if oid >= Array.length remap then
+    Codec.corrupt ~file:"" ~section:"" ~offset:(Codec.pos r)
+      (Fmt.str "value id %d out of pool range %d" oid (Array.length remap));
+  Array.unsafe_get remap oid
+
+(* the common arities build their array in place, without the generic
+   [Array.init] call and its closure *)
+let load_tuple r remap arity : Engine.Tuple.t =
+  match arity with
+  | 1 -> [| load_value r remap |]
+  | 2 ->
+    let a = load_value r remap in
+    let b = load_value r remap in
+    [| a; b |]
+  | _ -> Array.init arity (fun _ -> load_value r remap)
 
 let load_symbol r =
   let name = Codec.rstr r in
@@ -168,20 +177,18 @@ let load_symbol r =
   Symbol.make name arity
 
 let load_rels r remap =
-  let dummy = Value.intern (Term.Int 0) in
   let db = Db.create () in
   let nrels = Codec.ru32 r in
   for _ = 1 to nrels do
     let sym = load_symbol r in
     let len = Codec.ru32 r in
-    let dead = Bytes.of_string (Codec.rstr r) in
+    let dead = Codec.rbytes r in
     if Bytes.length dead <> len then
       Codec.corrupt ~file:"" ~section:"RELS" ~offset:(Codec.pos r)
         (Fmt.str "dead bitset length %d does not match log length %d" (Bytes.length dead) len);
-    let log = Array.init len (fun _ -> [||]) in
-    for i = 0 to len - 1 do
-      log.(i) <- load_tuple r ~dummy remap sym.Symbol.arity
-    done;
+    (* [Array.init] fills in index order, so tuples decode in file order
+       straight into the log that [of_log] then owns *)
+    let log = Array.init len (fun _ -> load_tuple r remap sym.Symbol.arity) in
     match Rel.of_log ~arity:sym.Symbol.arity ~log ~dead with
     | rel -> Db.install db sym rel
     | exception Invalid_argument msg ->
@@ -191,7 +198,6 @@ let load_rels r remap =
   db
 
 let load_exts r remap =
-  let dummy = Value.intern (Term.Int 0) in
   let npreds = Codec.ru32 r in
   let out = ref [] in
   for _ = 1 to npreds do
@@ -199,7 +205,7 @@ let load_exts r remap =
     let n = Codec.ru32 r in
     let tus = ref [] in
     for _ = 1 to n do
-      tus := load_tuple r ~dummy remap sym.Symbol.arity :: !tus
+      tus := load_tuple r remap sym.Symbol.arity :: !tus
     done;
     out := (sym, List.rev !tus) :: !out
   done;
@@ -208,40 +214,36 @@ let load_exts r remap =
 
 let section_order = [ "META"; "VALS"; "RELS"; "CNTS"; "EXTS"; "END!" ]
 
+(* the u32 at [off], which the caller has checked lies inside [data] *)
+let u32_at ~file ~section data off = Codec.ru32 (Codec.reader ~file ~section ~off ~len:4 data)
+
+(* Every section is checksummed and parsed in place: readers are windows
+   over the one file string, so no payload is copied. *)
 let load path =
   let data = Io.read_file path in
   let len = String.length data in
   let fail section offset message = Codec.corrupt ~file:path ~section ~offset message in
   if len < 12 then fail "header" len "truncated header";
-  if String.sub data 0 8 <> magic then
+  if not (String.starts_with ~prefix:magic data) then
     fail "header" 0 "bad magic bytes: not a magic snapshot";
-  let hr = Codec.reader ~file:path ~section:"header" ~base:8 (String.sub data 8 4) in
-  let v = Codec.ru32 hr in
+  let v = u32_at ~file:path ~section:"header" data 8 in
   if v <> version then
     fail "header" 8 (Fmt.str "unsupported format version %d (this build reads %d)" v version);
-  (* frame pass: verify every section's checksum and collect payloads *)
+  (* frame pass: verify every section's checksum and collect payload
+     windows (tag, offset, length) *)
   let sections = ref [] in
   let pos = ref 12 in
   let ended = ref false in
   while not !ended do
     if len - !pos < 12 then fail "section" !pos "truncated section header";
     let tag = String.sub data !pos 4 in
-    let lr =
-      Codec.reader ~file:path ~section:tag ~base:(!pos + 4) (String.sub data (!pos + 4) 4)
-    in
-    let plen = Codec.ru32 lr in
+    let plen = u32_at ~file:path ~section:tag data (!pos + 4) in
     if len - !pos - 12 < plen then
       fail tag !pos (Fmt.str "truncated section: payload of %d bytes does not fit" plen);
-    let payload = String.sub data (!pos + 8) plen in
-    let stored =
-      let cr =
-        Codec.reader ~file:path ~section:tag ~base:(!pos + 8 + plen)
-          (String.sub data (!pos + 8 + plen) 4)
-      in
-      Codec.ru32 cr
-    in
-    if stored <> crc_int payload then fail tag !pos "section checksum mismatch";
-    sections := (tag, payload, !pos + 8) :: !sections;
+    let stored = u32_at ~file:path ~section:tag data (!pos + 8 + plen) in
+    if stored <> crc_sub data ~pos:(!pos + 8) ~len:plen then
+      fail tag !pos "section checksum mismatch";
+    sections := (tag, !pos + 8, plen) :: !sections;
     if tag = "END!" then ended := true;
     pos := !pos + 12 + plen
   done;
@@ -253,15 +255,14 @@ let load path =
       (Fmt.str "unexpected section order [%s] (format v%d is [%s])" (String.concat " " tags)
          version
          (String.concat " " section_order));
-  let payload tag = List.find (fun (t, _, _) -> t = tag) sections in
   let parse tag f =
-    let _, body, base = payload tag in
-    let r = Codec.reader ~file:path ~section:tag ~base body in
+    let _, off, plen = List.find (fun (t, _, _) -> t = tag) sections in
+    let r = Codec.reader ~file:path ~section:tag ~off ~len:plen data in
     try f r with
     | Codec.Corrupt c when c.file = "" ->
       raise (Codec.Corrupt { c with file = path; section = tag })
     | Invalid_argument msg | Failure msg ->
-      Codec.corrupt ~file:path ~section:tag ~offset:base msg
+      Codec.corrupt ~file:path ~section:tag ~offset:off msg
   in
   let meta = parse "META" load_meta in
   let remap = parse "VALS" load_pool in

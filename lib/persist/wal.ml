@@ -58,8 +58,9 @@ let parse_atom_field r =
     Codec.corrupt ~file:"" ~section:"record" ~offset:(Codec.pos r)
       (Fmt.str "unparsable atom %S: %s" text msg)
 
-let decode ~file ~offset payload =
-  let r = Codec.reader ~file ~section:"record" ~base:offset payload in
+(* the record payload at [data.[off .. off + len - 1]], read in place *)
+let decode ~file ~off ~len data =
+  let r = Codec.reader ~file ~section:"record" ~off ~len data in
   let record =
     match Codec.ru8 r with
     | 0 ->
@@ -73,7 +74,7 @@ let decode ~file ~offset payload =
       Txn (List.rev !ops)
     | 1 -> Install (parse_atom_field r)
     | kind ->
-      Codec.corrupt ~file ~section:"record" ~offset (Fmt.str "unknown record kind %d" kind)
+      Codec.corrupt ~file ~section:"record" ~offset:off (Fmt.str "unknown record kind %d" kind)
   in
   Codec.expect_end r;
   record
@@ -83,11 +84,10 @@ let replay path =
   let len = String.length data in
   if len < header_len then ([], Torn 0)
   else begin
-    if String.sub data 0 8 <> magic then
+    if not (String.starts_with ~prefix:magic data) then
       Codec.corrupt ~file:path ~section:"header" ~offset:0
         "bad magic bytes: not a magic WAL";
-    let hr = Codec.reader ~file:path ~section:"header" ~base:8 (String.sub data 8 4) in
-    let v = Codec.ru32 hr in
+    let v = Codec.ru32 (Codec.reader ~file:path ~section:"header" ~off:8 ~len:4 data) in
     if v <> version then
       Codec.corrupt ~file:path ~section:"header" ~offset:8
         (Fmt.str "unsupported WAL version %d (this build reads %d)" v version);
@@ -95,9 +95,7 @@ let replay path =
       if pos = len then (List.rev acc, Clean)
       else if len - pos < 8 then (List.rev acc, Torn pos)
       else begin
-        let lr =
-          Codec.reader ~file:path ~section:"record" ~base:pos (String.sub data pos 8)
-        in
+        let lr = Codec.reader ~file:path ~section:"record" ~off:pos ~len:8 data in
         let plen = Codec.ru32 lr in
         let stored = Codec.ru32 lr in
         if len - pos - 8 < plen then (List.rev acc, Torn pos)
@@ -111,9 +109,8 @@ let replay path =
               Codec.corrupt ~file:path ~section:"record" ~offset:pos
                 "record checksum mismatch with records following it"
           else begin
-            let payload = String.sub data (pos + 8) plen in
             let record =
-              try decode ~file:path ~offset:(pos + 8) payload with
+              try decode ~file:path ~off:(pos + 8) ~len:plen data with
               | Codec.Corrupt c when c.file = "" ->
                 raise (Codec.Corrupt { c with file = path })
             in
@@ -150,11 +147,10 @@ let open_append path =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic header_len)
       in
-      if String.sub hdr 0 8 <> magic then
+      if not (String.starts_with ~prefix:magic hdr) then
         Codec.corrupt ~file:path ~section:"header" ~offset:0
           "bad magic bytes: not a magic WAL";
-      let hr = Codec.reader ~file:path ~section:"header" ~base:8 (String.sub hdr 8 4) in
-      let v = Codec.ru32 hr in
+      let v = Codec.ru32 (Codec.reader ~file:path ~section:"header" ~off:8 ~len:4 hdr) in
       if v <> version then
         Codec.corrupt ~file:path ~section:"header" ~offset:8
           (Fmt.str "unsupported WAL version %d (this build reads %d)" v version);

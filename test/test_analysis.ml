@@ -39,6 +39,12 @@ let test_arity_clash () =
 let test_comparison_unbound () =
   check_errors "E002" "n(1).\nbig(X) :- n(X), Y > 3.\n?- big(1)." [ "E002" ]
 
+let test_equality_unbound () =
+  (* neither side of X = Y is ever bound *)
+  check_errors "E002 equality" "c(1).\na(1) :- X = Y, c(1).\n?- a(1)." [ "E002" ];
+  (* one bound side binds the other *)
+  check_errors "equality from a bound side" "c(1).\na(Y) :- c(X), X = Y.\n?- a(1)." []
+
 let test_parse_error () = check_errors "E100 syntax" "p(a, b.\n?- p(X, Y)." [ "E100" ]
 let test_lex_error () = check_errors "E100 lexical" "p(a) # q(b).\n?- p(X)." [ "E100" ]
 
@@ -405,6 +411,7 @@ let suite =
     Alcotest.test_case "E010 unstratified" `Quick test_unstratified;
     Alcotest.test_case "E020 arity clash" `Quick test_arity_clash;
     Alcotest.test_case "E002 comparison unbound" `Quick test_comparison_unbound;
+    Alcotest.test_case "E002 equality unbound" `Quick test_equality_unbound;
     Alcotest.test_case "E100 parse error" `Quick test_parse_error;
     Alcotest.test_case "E100 lex error" `Quick test_lex_error;
     Alcotest.test_case "E100 integer overflow" `Quick test_int_overflow;

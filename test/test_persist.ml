@@ -86,6 +86,45 @@ let test_crc32 () =
     "digest_sub agrees" (Persist.Crc32.digest "3456")
     (Persist.Crc32.digest_sub "123456789" ~pos:2 ~len:4)
 
+(* the slicing-by-8 digest against the definition: one byte at a time
+   over the standard table, at every offset and length the generator
+   picks (short strings, and lengths around multiples of 8, so both the
+   8-byte stride and the byte tail run with every alignment) *)
+let crc_reference s ~pos ~len =
+  let table n =
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    !c
+  in
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := table ((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let qcheck_crc_slicing =
+  let open QCheck2.Gen in
+  let length =
+    oneof
+      [
+        int_range 0 40;
+        map (fun (k, d) -> (8 * k) + d) (pair (int_range 1 40) (int_range (-1) 1));
+      ]
+  in
+  let gen =
+    length >>= fun n ->
+    string_size ~gen:char (return n) >>= fun s ->
+    int_range 0 n >>= fun pos ->
+    int_range 0 (n - pos) >>= fun len -> return (s, pos, len)
+  in
+  H.qtest ~count:500
+    ~print:(fun (s, pos, len) -> Fmt.str "%S ~pos:%d ~len:%d" s pos len)
+    "crc32 slicing-by-8 = bytewise reference" gen
+    (fun (s, pos, len) ->
+      Int32.equal (Persist.Crc32.digest_sub s ~pos ~len) (crc_reference s ~pos ~len))
+
 (* a directory fsync that fails must surface, or a checkpoint could
    publish a snapshot whose rename never reached the disk *)
 let test_fsync_dir_errors () =
@@ -524,6 +563,70 @@ let test_snapshot_bitflip_located () =
     !sections;
   rm_rf dir
 
+(* the u32 at [off] of [data] *)
+let u32_at data off = Int32.to_int (String.get_int32_le data off) land 0xFFFFFFFF
+
+(* A RELS section whose checksum is valid but whose relation holds the
+   same tuple in two live slots: the CRC cannot catch it, so the
+   relation rebuild must, and the refusal must name RELS.  The payload
+   is rewritten in place (tuple 1 := tuple 0) and re-checksummed. *)
+let test_duplicate_live_tuple_refused () =
+  let program, query, edb = H.load app_src in
+  let dir = fresh_dir () in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  Store.close st;
+  let spath = Store.snapshot_path dir in
+  let data = Bytes.of_string (Io.read_file spath) in
+  let s () = Bytes.unsafe_to_string data in
+  (* find RELS's frame *)
+  let rec find pos =
+    let plen = u32_at (s ()) (pos + 4) in
+    if Bytes.sub_string data pos 4 = "RELS" then (pos + 8, plen) else find (pos + 12 + plen)
+  in
+  let off, plen = find 12 in
+  (* walk its relations: name, arity, log length, dead bitset, tuples *)
+  let cur = ref (off + 4) in
+  let str () =
+    let n = u32_at (s ()) !cur in
+    let start = !cur + 4 in
+    cur := start + n;
+    (start, n)
+  in
+  let target = ref None in
+  for _ = 1 to u32_at (s ()) off do
+    ignore (str ());
+    let arity = u32_at (s ()) !cur in
+    let len = u32_at (s ()) (!cur + 4) in
+    cur := !cur + 8;
+    let dead, _ = str () in
+    if
+      !target = None && arity > 0 && len >= 2
+      && Bytes.get data dead = '\000'
+      && Bytes.get data (dead + 1) = '\000'
+    then target := Some (!cur, 4 * arity);
+    cur := !cur + (4 * arity * len)
+  done;
+  let first, width =
+    match !target with
+    | Some t -> t
+    | None -> Alcotest.fail "no relation with two live slots in the snapshot"
+  in
+  Bytes.blit data first data (first + width) width;
+  Bytes.set_int32_le data (off + plen) (Persist.Crc32.digest_sub (s ()) ~pos:off ~len:plen);
+  let oc = open_out_bin spath in
+  output_bytes oc data;
+  close_out oc;
+  (match Store.open_or_create ~dir program query ~edb with
+  | _ -> Alcotest.fail "duplicate live tuple loaded"
+  | exception Codec.Corrupt c ->
+    Alcotest.(check string) "RELS named" "RELS" c.section;
+    Alcotest.(check bool) "locates the file" true (c.file = spath);
+    Alcotest.(check bool) "says duplicate" true (contains ~sub:"duplicate" c.message);
+    Alcotest.(check bool)
+      "offset inside RELS" true
+      (c.offset >= off && c.offset <= off + plen));
+  rm_rf dir
+
 let test_snapshot_bad_version_refused () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
@@ -806,6 +909,7 @@ let test_corpus_older_counts () =
 let suite =
   [
     Alcotest.test_case "crc32 check values" `Quick test_crc32;
+    qcheck_crc_slicing;
     Alcotest.test_case "fsync_dir surfaces errors" `Quick test_fsync_dir_errors;
     Alcotest.test_case "snapshot round-trip with app terms" `Quick
       test_snapshot_roundtrip_app_terms;
@@ -827,6 +931,8 @@ let suite =
       test_snapshot_bitflip_located;
     Alcotest.test_case "snapshot version/magic refused" `Quick
       test_snapshot_bad_version_refused;
+    Alcotest.test_case "duplicate live tuple refused" `Quick
+      test_duplicate_live_tuple_refused;
     Alcotest.test_case "wal truncation sweep recovers prefix" `Quick
       test_wal_truncation_sweep;
     Alcotest.test_case "wal mid-file corruption refused" `Quick

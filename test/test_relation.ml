@@ -157,6 +157,100 @@ let test_remove_copy () =
   Alcotest.(check int) "copy drops tombstones" 1 (Engine.Relation.cardinal c);
   Alcotest.(check bool) "copy mem" true (Engine.Relation.mem c (tup [ "c"; "d" ]))
 
+(* a relation rebuilt by [of_log] from [export_log] continues exactly as
+   the original: the same further adds and removes stamp the same log
+   slots (equal exports), answer the same range and index queries, and
+   report the same [add]/[remove] results *)
+let prop_of_log_continues =
+  let gen_ops =
+    QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 30)
+      (QCheck2.Gen.triple QCheck2.Gen.bool (QCheck2.Gen.int_bound 5)
+         (QCheck2.Gen.int_bound 5))
+  in
+  qtest ~count:100 "of_log (export_log r) continues as r"
+    (QCheck2.Gen.triple gen_edges gen_ops gen_ops)
+    (fun (edges, before, after) ->
+      let n i = Fmt.str "n%d" i in
+      let apply r (add, a, b) =
+        let t = tup [ n a; n b ] in
+        if add then Engine.Relation.add r t else Engine.Relation.remove r t
+      in
+      let r = Engine.Relation.create 2 in
+      List.iter (fun (a, b) -> ignore (Engine.Relation.add r (tup [ n a; n b ]))) edges;
+      List.iter (fun op -> ignore (apply r op)) before;
+      let log, dead = Engine.Relation.export_log r in
+      let r' = Engine.Relation.of_log ~arity:2 ~log ~dead in
+      let w = Engine.Relation.size r in
+      let same_results = List.for_all (fun op -> apply r op = apply r' op) after in
+      let export x =
+        let log, dead = Engine.Relation.export_log x in
+        (Array.to_list log, Bytes.to_string dead)
+      in
+      let range x ~lo ~hi =
+        let acc = ref [] in
+        Engine.Relation.iter_in x ~lo ~hi (fun t -> acc := t :: !acc);
+        !acc
+      in
+      let hi = Engine.Relation.size r in
+      let probe x k =
+        List.sort Engine.Tuple.compare
+          (Engine.Relation.lookup x ~pattern:[| true; false |] ~key:(tup [ n k ]))
+      in
+      same_results
+      && Engine.Relation.size r' = hi
+      && Engine.Relation.cardinal r' = Engine.Relation.cardinal r
+      && List.equal
+           (fun (l1, d1) (l2, d2) -> List.equal Engine.Tuple.equal l1 l2 && d1 = d2)
+           [ export r ] [ export r' ]
+      && List.equal Engine.Tuple.equal (range r ~lo:0 ~hi:w) (range r' ~lo:0 ~hi:w)
+      && List.equal Engine.Tuple.equal (range r ~lo:w ~hi) (range r' ~lo:w ~hi)
+      && List.for_all
+           (fun k -> List.equal Engine.Tuple.equal (probe r k) (probe r' k))
+           [ 0; 1; 2; 3; 4; 5 ])
+
+(* probing a pre-sized table allocates nothing: the probe loops must not
+   build closures per call (they did, at 15 words per [get]) *)
+let test_ttbl_no_alloc () =
+  let n = 1000 in
+  let present = Array.init n (fun i -> tup [ Fmt.str "k%d" i; "v" ]) in
+  let absent = Array.init n (fun i -> tup [ Fmt.str "k%d" i; "w" ]) in
+  let t = Engine.Ttbl.create ~initial:(4 * n) (-1) in
+  let per_call calls f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let adds =
+    per_call (2 * n) (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Engine.Ttbl.add_if_absent t present.(i) i)
+        done;
+        (* every key now present: the second pass only probes *)
+        for i = 0 to n - 1 do
+          ignore (Engine.Ttbl.add_if_absent t present.(i) i)
+        done)
+  in
+  let gets =
+    per_call (2 * n) (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Engine.Ttbl.get t present.(i));
+          ignore (Engine.Ttbl.get t absent.(i))
+        done)
+  in
+  let mems =
+    per_call (2 * n) (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Engine.Ttbl.mem t present.(i));
+          ignore (Engine.Ttbl.mem t absent.(i))
+        done)
+  in
+  Alcotest.(check int) "all present" n (Engine.Ttbl.length t);
+  Alcotest.(check int) "hits answer" 7 (Engine.Ttbl.get t present.(7));
+  List.iter
+    (fun (what, words) ->
+      if words >= 1.0 then Alcotest.failf "%s allocates %.2f words per call" what words)
+    [ ("add_if_absent", adds); ("get", gets); ("mem", mems) ]
+
 let test_database () =
   let db = Engine.Database.create () in
   ignore (Engine.Database.add_fact db (atom "p(a, b)"));
@@ -191,6 +285,8 @@ let suite =
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "remove/re-add stamps" `Quick test_remove_readd_stamps;
     Alcotest.test_case "copy after remove" `Quick test_remove_copy;
+    prop_of_log_continues;
+    Alcotest.test_case "ttbl: probes do not allocate" `Quick test_ttbl_no_alloc;
     Alcotest.test_case "database" `Quick test_database;
     Alcotest.test_case "database arith" `Quick test_database_arith_normalized;
   ]
