@@ -39,11 +39,12 @@ val seminaive_reference :
 (** The seed engine's semi-naive evaluator (uncompiled rules, "delta at
     one position, full database elsewhere"), kept as a differential-
     testing baseline and as the "before" engine for BENCH_engine.json.
-    It solves each body through {!Solve}, strictly left to right: a
-    builtin or negation written before the literal that binds it raises
-    {!Solve.Unsafe}, where {!seminaive} waits until the filter is ready.
-    Otherwise it computes the same fact sets as {!seminaive}, but may
-    re-derive instantiations that join two same-round facts. *)
+    It solves each body through {!Solve}: relation literals in written
+    order, and each builtin or negation once it is ready
+    ({!Solve.select}), as {!seminaive} runs it.  A filter that never
+    becomes ready raises {!Solve.Unsafe}.  It computes the same fact sets
+    as {!seminaive}, but may re-derive instantiations that join two
+    same-round facts. *)
 
 val answers : outcome -> Atom.t -> Tuple.t list
 (** Tuples of the query's predicate matching the query atom's constant

@@ -1,4 +1,4 @@
-(** Left-to-right body solving over substitutions: the engine of the
+(** Body solving over substitutions: the engine of the
     labelled oracles ({!Eval.seminaive_reference}, the top-down
     evaluators, derivation checking and the Section 9 optimality check),
     independent of the compiled {!Plan} executor.

@@ -18,9 +18,14 @@ let sld ?(max_depth = 10_000) program ~edb query =
   let truncated = ref false in
   let answers = ref Tuple.Set.empty in
   let edb_source sym = Database.find edb sym in
+  (* [k] receives the depth left, so a resolution step anywhere in a
+     conjunction spends from one budget.  A rule body is solved as a
+     frame of its own: its filters wait only for its own literals
+     ({!Solve.select} raises once nothing else is left in the frame), and
+     the caller's remaining goals run on each of its solutions. *)
   let rec solve goals subst depth k =
     match Solve.select ~lit:Fun.id subst goals with
-    | None -> k subst
+    | None -> k subst depth
     | Some (Rule.Pos g, rest) when Atom.is_builtin g ->
       (* unification leaves a triangular substitution: resolve it fully *)
       Solve.eval_builtin (Atom.apply_deep_eval subst g) subst (fun s ->
@@ -36,7 +41,8 @@ let sld ?(max_depth = 10_000) program ~edb query =
               stats.Stats.probes <- stats.Stats.probes + 1;
               match Atom.unify rule.Rule.head (Atom.apply subst g) subst with
               | None -> ()
-              | Some subst' -> solve (rule.Rule.body @ rest) subst' (depth - 1) k)
+              | Some subst' ->
+                solve rule.Rule.body subst' (depth - 1) (fun s d -> solve rest s d k))
             (Program.rules_for program (Atom.symbol g))
         end
       end
@@ -48,10 +54,10 @@ let sld ?(max_depth = 10_000) program ~edb query =
       (* ground: [select] only returns a ready negated literal *)
       let a = Atom.apply_deep_eval subst g in
       let found = ref false in
-      solve [ Rule.Pos a ] subst depth (fun _ -> found := true);
+      solve [ Rule.Pos a ] subst depth (fun _ _ -> found := true);
       if not !found then solve rest subst depth k
   in
-  solve [ Rule.Pos query ] Subst.empty max_depth (fun subst ->
+  solve [ Rule.Pos query ] Subst.empty max_depth (fun subst _ ->
       let a = Atom.apply_deep_eval subst query in
       if Atom.is_ground a then begin
         let t = Tuple.of_list a.Atom.args in

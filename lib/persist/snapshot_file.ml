@@ -70,8 +70,8 @@ let rels_payload db =
       Codec.str b sym.Symbol.name;
       Codec.u32 b sym.Symbol.arity;
       Codec.u32 b (Array.length log);
-      Codec.u32 b (Bytes.length dead);
-      Buffer.add_bytes b dead;
+      (* [export_log] returns a fresh copy, so the bitset is not copied again *)
+      Codec.str b (Bytes.unsafe_to_string dead);
       Array.iter (tuple b) log)
     syms;
   Buffer.contents b
@@ -160,16 +160,8 @@ let load_value r remap =
       (Fmt.str "value id %d out of pool range %d" oid (Array.length remap));
   Array.unsafe_get remap oid
 
-(* the common arities build their array in place, without the generic
-   [Array.init] call and its closure *)
 let load_tuple r remap arity : Engine.Tuple.t =
-  match arity with
-  | 1 -> [| load_value r remap |]
-  | 2 ->
-    let a = load_value r remap in
-    let b = load_value r remap in
-    [| a; b |]
-  | _ -> Array.init arity (fun _ -> load_value r remap)
+  Array.init arity (fun _ -> load_value r remap)
 
 let load_symbol r =
   let name = Codec.rstr r in
