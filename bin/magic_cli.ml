@@ -16,7 +16,9 @@ let read_source path = In_channel.with_open_bin path In_channel.input_all
 let render_diagnostics ~src ~file ds =
   List.iter (fun d -> Fmt.epr "%a@." (Analysis.Diagnostic.render ~src ~file) d) ds
 
-let load path =
+(* the program, its query, and its EDB built on first use: a store
+   reopened from disk never reads the source file's facts *)
+let load_lazy path =
   let src = read_source path in
   match Parser.parse_program_spanned src with
   | Stdlib.Error { Parser.message; span } ->
@@ -34,7 +36,11 @@ let load path =
     let program, facts = Parser.split_facts program in
     match query with
     | None -> Fmt.failwith "%s: no ?- query found" path
-    | Some q -> (program, q, Engine.Database.of_facts facts))
+    | Some q -> (program, q, lazy (Engine.Database.of_facts facts)))
+
+let load path =
+  let program, q, edb = load_lazy path in
+  (program, q, Lazy.force edb)
 
 (* parse an update script with located diagnostics: malformed or
    truncated lines point into the script source instead of aborting
@@ -350,24 +356,46 @@ let eval_cmd =
        (T.app (T.app (T.app (T.const run) file_arg) method_arg) max_facts_arg)
        json_arg)
 
+(* A rewritten program derives the original query predicate's facts
+   under the rewritten query's predicate: [path(a, b)] is [path_bf(a, b)]
+   under gms.  A counting rewrite adds index fields (and its semijoin form
+   may drop bound arguments), so no fact maps over: name the predicate
+   to ask for instead, and exit 1. *)
+let as_rewritten ~meth query (rw : C.Rewritten.t) (fact : Atom.t) =
+  let target = rw.C.Rewritten.query in
+  if not (Symbol.equal (Atom.symbol fact) (Atom.symbol query)) then fact
+  else if rw.C.Rewritten.index_fields = 0 && rw.C.Rewritten.restore = [] then
+    Atom.make target.Atom.pred fact.Atom.args
+  else begin
+    Fmt.epr
+      "magic explain: under -m %s, %a is derived as %a, with %d counting-index \
+       arguments%s; explain a fact of %s instead@."
+      meth Atom.pp fact Symbol.pp (Atom.symbol target) rw.C.Rewritten.index_fields
+      (if rw.C.Rewritten.restore = [] then "" else " and without its bound arguments")
+      target.Atom.pred;
+    exit 1
+  end
+
 let explain_cmd =
-  let run file (_name, method_) fact_str =
+  let run file (name, method_) fact_str =
     let program, query, edb = load file in
     let fact = Parser.parse_atom fact_str in
     (* evaluate with the chosen method, then reconstruct a derivation over
        the program that actually ran (original or rewritten + seeds) *)
-    let explain_program, db =
+    let explain_program, db, fact =
       match method_ with
       | C.Rewrite.Original _ | C.Rewrite.Top_down _ ->
         let out = Engine.Eval.seminaive program ~edb in
-        (program, out.Engine.Eval.db)
+        (program, out.Engine.Eval.db, fact)
       | C.Rewrite.Rewritten_bottom_up (rewriting, options) ->
         let rw = C.Rewrite.rewrite ~options rewriting program query in
+        let fact = as_rewritten ~meth:name query rw fact in
         let out = C.Rewritten.run rw ~edb in
         ( Program.make
             (Program.rules rw.C.Rewritten.program
             @ List.map Rule.fact rw.C.Rewritten.seeds),
-          out.Engine.Eval.db )
+          out.Engine.Eval.db,
+          fact )
     in
     match Engine.Explain.derive explain_program db fact with
     | Some tree -> Fmt.pr "%a@." Engine.Explain.pp tree
@@ -512,7 +540,7 @@ let maint_row ~workload ~meth (s : Incr.Maintain.stats) ~time_s ~answers =
 
 let session_cmd =
   let run file script_path (strategy_name, strategy) max_facts json db =
-    let program, query, edb = load file in
+    let program, query, edb = load_lazy file in
     let items = load_script script_path in
     let store =
       open_db "session" db (fun () ->
@@ -641,7 +669,7 @@ let serve_cmd =
         Fmt.epr "magic serve: one of --socket PATH or --port N is required@.";
         exit 2
     in
-    let program, query, edb = load file in
+    let program, query, edb = load_lazy file in
     let registry =
       open_db "serve" db (fun () ->
           Server.Registry.create ~strategy ~max_facts ?db program query ~edb)

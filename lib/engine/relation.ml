@@ -214,13 +214,6 @@ let copy r =
   iter (fun t -> ignore (add r' t)) r;
   r'
 
-(* Exact-fidelity export for the snapshot writer: the full log including
-   tombstoned slots, so stamps survive a save/load round trip.  Replaying
-   add/remove would not do — a dead slot's tuple may coincide with a
-   later live slot, and stamp positions feed the maintenance layer's
-   watermark arithmetic. *)
-let export_log r = (Array.sub r.log 0 r.len, Bytes.sub r.dead 0 r.len)
-
 (* Takes ownership of [log] and [dead]: a bulk load hands over the
    arrays it decoded instead of paying a copy of each. *)
 let of_log ~arity ~log ~dead =

@@ -98,22 +98,25 @@ val copy : t -> t
 (** A fresh relation with the same tuples, re-stamped in insertion order,
     and no indexes. *)
 
-val export_log : t -> Tuple.t array * Bytes.t
-(** The full insertion log and its dead-slot bitset, tombstones included:
-    [log.(s)] is the tuple stamped [s] and [dead.(s) = '\001'] iff that
-    slot was removed.  Exact fidelity for the snapshot writer — stamps
-    survive a save/load round trip, unlike a {!copy}-style re-add. *)
-
 val of_log : arity:int -> log:Tuple.t array -> dead:Bytes.t -> t
-(** Rebuild a relation from an {!export_log} pair: the stamp table is
-    reconstructed from the live slots and no indexes exist yet (they are
-    rebuilt lazily on first probe).
+(** Rebuild a relation from an insertion log and its dead-slot bitset:
+    [log.(s)] is the tuple stamped [s], and [dead.(s) = '\001'] iff that
+    slot was removed.  The stamp table is reconstructed from the live
+    slots, and no indexes exist yet (they are rebuilt lazily on first
+    probe).
+
+    The snapshot writer emits the live tuples in stamp order with an
+    all-zero bitset, so a reload renumbers the stamps densely
+    ([size = cardinal]); snapshots of older builds hold tombstoned slots
+    and load as written.  Renumbering is safe because no stamp outlives
+    a commit: maintenance watermarks, fixpoint marks and published
+    read snapshots are all recaptured after it.  Live tuples keep their
+    relative order, so iteration and index-bucket order are unchanged.
 
     The relation takes ownership of [log] and [dead] without copying
     them: it stores both and writes to them on later {!add} and
     {!remove} calls, so the caller must not read or modify either array
-    afterwards.  {!export_log} returns copies and may be passed straight
-    in.  @raise Invalid_argument on a length or arity mismatch, or if two
-    live slots hold the same tuple. *)
+    afterwards.  @raise Invalid_argument on a length or arity mismatch,
+    or if two live slots hold the same tuple. *)
 
 val pp : t Fmt.t

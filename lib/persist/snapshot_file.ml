@@ -59,6 +59,9 @@ let vals_payload () =
   done;
   Buffer.contents b
 
+(* Live tuples only, in stamp order, behind an all-zero dead bitset: a
+   reload renumbers the stamps densely (see {!Engine.Relation.of_log}),
+   and tombstoned slots cost neither bytes nor decode time. *)
 let rels_payload db =
   let syms = Db.symbols db in
   let b = Buffer.create 4096 in
@@ -66,13 +69,12 @@ let rels_payload db =
   List.iter
     (fun sym ->
       let r = Db.relation db sym in
-      let log, dead = Rel.export_log r in
+      let live = Rel.cardinal r in
       Codec.str b sym.Symbol.name;
       Codec.u32 b sym.Symbol.arity;
-      Codec.u32 b (Array.length log);
-      (* [export_log] returns a fresh copy, so the bitset is not copied again *)
-      Codec.str b (Bytes.unsafe_to_string dead);
-      Array.iter (tuple b) log)
+      Codec.u32 b live;
+      Codec.str b (String.make live '\000');
+      Rel.iter (tuple b) r)
     syms;
   Buffer.contents b
 

@@ -1,9 +1,14 @@
 (** The versioned binary snapshot: one file holding a whole maintained
     session — the interned {!Engine.Value} pool as a flat array in
-    dense-id order, every relation's full insertion log with its
-    dead-slot bitset (stamps survive the round trip), the external seed
-    facts of the maintenance layer, and the session metadata (strategy,
-    current query, program digest).
+    dense-id order, every relation's insertion log with its dead-slot
+    bitset, the external seed facts of the maintenance layer, and the
+    session metadata (strategy, current query, program digest).
+
+    The writer emits each relation's live tuples only, in stamp order,
+    with an all-zero bitset, so a load renumbers the stamps densely
+    (nothing depends on a stamp across a commit; see
+    {!Engine.Relation.of_log}).  Snapshots of older builds, which kept
+    tombstoned slots, load as written.
 
     Layout (all integers little-endian):
     {v

@@ -40,6 +40,9 @@ let replayed t = t.n_replayed
 let wal_records t = t.appended
 let checkpoints t = t.n_checkpoints
 
+let wal_depth t =
+  match t.backing with Disk d -> d.since_checkpoint | Memory _ -> 0
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -152,6 +155,7 @@ let open_or_create ?strategy ?options ?max_facts ?(checkpoint_every = 64) ?dir p
   in
   match dir with
   | None ->
+    let edb = Lazy.force edb in
     let session = Session.create ?strategy ?options ?max_facts program query ~edb in
     make (Memory { edb = Db.copy edb; query }) session
   | Some _ when options <> None ->
@@ -172,7 +176,9 @@ let open_or_create ?strategy ?options ?max_facts ?(checkpoint_every = 64) ?dir p
     else begin
       mkdir_p dir;
       let strategy = Option.value strategy ~default:Session.Original in
-      let session = Session.create ~strategy ?max_facts program query ~edb in
+      let session =
+        Session.create ~strategy ?max_facts program query ~edb:(Lazy.force edb)
+      in
       let wal = Wal.create (wal_path dir) in
       let d = { dir; digest; checkpoint_every; wal; since_checkpoint = 0 } in
       write_snapshot d session;

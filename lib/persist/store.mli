@@ -50,16 +50,17 @@ val open_or_create :
   ?dir:string ->
   Program.t ->
   Atom.t ->
-  edb:Engine.Database.t ->
+  edb:Engine.Database.t Lazy.t ->
   t
 (** Without [dir], materialize a session over [edb] (strategy defaults
     to [Original]) and keep a copy of [edb] as the shadow.
 
     With [dir], reopen the store there if a snapshot exists — [edb] is
-    then ignored; the disk state wins — else create it: materialize a
-    fresh session over [edb], write the initial snapshot and an empty
-    WAL.  On reopen the snapshot's program digest must match [program],
-    and [strategy] (unless [Auto]) must match the stored one.  A torn
+    then never forced, so a reopen builds no EDB it would throw away;
+    the disk state wins — else create it: materialize a fresh session
+    over [edb], write the initial snapshot and an empty WAL.  On reopen
+    the snapshot's program digest must match [program], and [strategy]
+    (unless [Auto]) must match the stored one.  A torn
     WAL tail is truncated; intact records are replayed onto the loaded
     snapshot.  [checkpoint_every] (default 64, [0] = never) bounds the
     WAL between checkpoints.
@@ -87,6 +88,10 @@ val wal_records : t -> int
 val checkpoints : t -> int
 (** Checkpoints completed by this handle (the initial snapshot of a
     fresh store counts as one).  Always 0 in memory. *)
+
+val wal_depth : t -> int
+(** Records in the WAL since the last checkpoint: what a reopen would
+    replay now.  Always 0 in memory. *)
 
 val checkpoint : t -> unit
 (** Rewrite the snapshot from the live session and truncate the WAL.  A

@@ -479,6 +479,7 @@ let stats_fields t =
           ("persist_wal_records", string_of_int (Persist.Store.wal_records t.store));
           ("persist_checkpoints", string_of_int (Persist.Store.checkpoints t.store));
           ("persist_replayed", string_of_int (Persist.Store.replayed t.store));
+          ("persist_wal_depth", string_of_int (Persist.Store.wal_depth t.store));
         ])
 
 let close t = Rwlock.with_write t.lock (fun () -> Persist.Store.close t.store)

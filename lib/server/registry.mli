@@ -67,15 +67,15 @@ val create :
   ?checkpoint_every:int ->
   Program.t ->
   Atom.t ->
-  edb:Engine.Database.t ->
+  edb:Engine.Database.t Lazy.t ->
   t
 (** Open a {!Persist.Store} for the program and initial query (strategy
     defaults to [Auto]) and publish epoch-0 state.
 
     Without [db] the store keeps its committed state in memory.  With
     [db] the registry is durable: the directory is opened as the store's
-    snapshot and WAL — reused if present ([edb] is then ignored; the
-    disk state wins), created otherwise.  Every committed transaction
+    snapshot and WAL — reused if present ([edb] is then never forced;
+    the disk state wins), created otherwise.  Every committed transaction
     and seed install is journaled (fsync) under the write lock before
     the commit is acknowledged, and the snapshot is rewritten every
     [checkpoint_every] records.  Epochs restart at 0 on reopen — they

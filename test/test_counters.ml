@@ -118,7 +118,7 @@ let maint_line (s : Incr.Maintain.stats) =
    them: consecutive updates up to the next query form one transaction *)
 let maint_report ~strategy program_src script_src =
   let program, query, edb = Helpers.load program_src in
-  let store = Persist.Store.open_or_create ~strategy program query ~edb in
+  let store = Persist.Store.open_or_create ~strategy program query ~edb:(lazy edb) in
   let out = Buffer.create 256 in
   let pending = ref [] in
   let flush () =

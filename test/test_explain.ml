@@ -92,6 +92,49 @@ let test_derivation_of_function_terms () =
   | None -> Alcotest.fail "no derivation"
   | Some tree -> Alcotest.(check bool) "valid" true (E.check seeded out.Engine.Eval.db tree)
 
+(* The CLI explains a fact of the original query predicate under a
+   rewritten method as the rewritten query predicate's fact, and refuses
+   a counting method (whose predicate adds index fields) with a message
+   that names the predicate to ask for.  It runs the built executable:
+   from _build/default/test under dune runtest, from the root under dune
+   exec. *)
+let cli =
+  let local = Filename.concat ".." (Filename.concat "bin" "magic_cli.exe") in
+  if Sys.file_exists local then local
+  else Filename.concat "_build" (Filename.concat "default" local)
+
+let repo_file path =
+  if Sys.file_exists (Filename.concat ".." path) then Filename.concat ".." path else path
+
+let run_cli args =
+  let out = Filename.temp_file "magic-explain" ".out" in
+  let err = Filename.temp_file "magic-explain" ".err" in
+  let code = Sys.command (Filename.quote_command cli args ~stdout:out ~stderr:err) in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let result = (code, read out, read err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_cli_query_predicate () =
+  let paths = repo_file (Filename.concat "examples" "paths.dl") in
+  let code, out, _ = run_cli [ "explain"; "-m"; "gms"; paths; "path(a, b)" ] in
+  Alcotest.(check int) "gms exit" 0 code;
+  Alcotest.(check bool)
+    "gms explains path_bf(a, b)" true
+    (String.starts_with ~prefix:"path_bf(a, b)   [by " out);
+  let code, out, _ = run_cli [ "explain"; "-m"; "gms"; paths; "edge(a, b)" ] in
+  Alcotest.(check (pair int string)) "an EDB fact is kept" (0, "edge(a, b)\n") (code, out);
+  let code, out, err = run_cli [ "explain"; "-m"; "gc"; paths; "path(a, b)" ] in
+  Alcotest.(check int) "gc exit" 1 code;
+  Alcotest.(check string) "gc prints no tree" "" out;
+  Alcotest.(check bool) "gc names path_ind_bf/5" true (contains ~sub:"path_ind_bf/5" err)
+
 let suite =
   [
     Alcotest.test_case "base fact" `Quick test_base_fact;
@@ -102,4 +145,5 @@ let suite =
     Alcotest.test_case "negation premise" `Quick test_negation_premise;
     Alcotest.test_case "magic fact explained" `Quick test_explaining_magic_fact;
     Alcotest.test_case "function terms" `Quick test_derivation_of_function_terms;
+    Alcotest.test_case "cli: query predicate as rewritten" `Quick test_cli_query_predicate;
   ]

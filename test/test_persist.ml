@@ -149,14 +149,14 @@ let app_src =
 let test_snapshot_roundtrip_app_terms () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   let live = store_answers st in
   Alcotest.(check int) "two answers live" 2 (List.length live);
   ignore
     (Store.update st [ Incr.Maintain.Insert (H.atom "p(g(f(n2), 7), f(n3))") ]);
   let live = store_answers st in
   Store.close st;
-  let st2 = Store.open_or_create ~dir program query ~edb in
+  let st2 = Store.open_or_create ~dir program query ~edb:(lazy edb) in
   Alcotest.check H.tuple_list "reopened answers" live (store_answers st2);
   Alcotest.(check bool) "restored" true (Store.restored st2);
   Store.close st2;
@@ -167,14 +167,15 @@ let test_snapshot_roundtrip_app_terms () =
 let test_reopen_mismatch_refused () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   Store.close st;
   let other = H.program "a(X, Y) :- q(X, Y)." in
-  (match Store.open_or_create ~dir other query ~edb with
+  (match Store.open_or_create ~dir other query ~edb:(lazy edb) with
   | _ -> Alcotest.fail "foreign program accepted"
   | exception Codec.Corrupt c ->
     Alcotest.(check string) "META named" "META" c.section);
-  (match Store.open_or_create ~strategy:Session.Original ~dir program query ~edb with
+  (match Store.open_or_create ~strategy:Session.Original ~dir
+      program query ~edb:(lazy edb) with
   | _ -> Alcotest.fail "foreign strategy accepted"
   | exception Codec.Corrupt c ->
     Alcotest.(check bool) "strategy diagnostic" true
@@ -216,9 +217,9 @@ let run_differential strategy (src, facts, txns, close_before_reopen) =
   (* checkpoint_every=2: most histories cross at least one snapshot
      rewrite, so both the replay path and the checkpoint path run *)
   let st =
-    Store.open_or_create ~strategy ~checkpoint_every:2 ~dir program query ~edb
+    Store.open_or_create ~strategy ~checkpoint_every:2 ~dir program query ~edb:(lazy edb)
   in
-  let mem = Store.open_or_create ~strategy program query ~edb in
+  let mem = Store.open_or_create ~strategy program query ~edb:(lazy edb) in
   List.iter
     (fun ops ->
       ignore (Session.update reference ops);
@@ -233,7 +234,8 @@ let run_differential strategy (src, facts, txns, close_before_reopen) =
   if close_before_reopen then Store.close st;
   (* else: the handle is abandoned mid-life — the crash case; every
      acknowledged commit was fsynced, so reopening must still agree *)
-  let st2 = Store.open_or_create ~strategy ~checkpoint_every:2 ~dir program query ~edb in
+  let st2 = Store.open_or_create ~strategy ~checkpoint_every:2 ~dir
+      program query ~edb:(lazy edb) in
   let got = store_answers st2 in
   Store.close st2;
   rm_rf dir;
@@ -250,6 +252,62 @@ let qcheck_roundtrip_original =
 let qcheck_roundtrip_gms =
   H.qtest ~count:25 "save/reopen = never persisted (gms)" gen_persist_case
     (run_differential Session.GMS)
+
+(* A checkpoint writes live tuples only.  After a random history and a
+   checkpoint, every relation of the reloaded snapshot has [size =
+   cardinal] and iterates the live relation's tuples in the same order;
+   after a further history journaled to the WAL and an abandoned
+   handle, the reopened store (snapshot plus replay) answers as the
+   live one did. *)
+let gen_compaction_case =
+  let open QCheck2.Gen in
+  let* case = gen_persist_case in
+  let* suffix = list_size (int_range 0 3) (list_size (int_range 1 4) gen_op) in
+  return (case, suffix)
+
+let check_compacted_reload ((src, facts, txns, _), suffix) =
+  let module Rel = Engine.Relation in
+  let program = H.program src in
+  let query = Atom.make "i0" [ Term.Sym "n0"; Term.Var "Ans" ] in
+  let edb = lazy (Engine.Database.of_facts facts) in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let st =
+        Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program query
+          ~edb
+      in
+      List.iter (fun ops -> ignore (Store.update st ops)) txns;
+      Store.checkpoint st;
+      let live = Session.db (Store.session st) in
+      let _, image = Persist.Snapshot_file.load (Store.snapshot_path dir) in
+      let reloaded = image.Incr.Maintain.im_db in
+      List.iter
+        (fun sym ->
+          let r = Engine.Database.relation live sym in
+          let r' = Engine.Database.relation reloaded sym in
+          if Rel.size r' <> Rel.cardinal r' then
+            QCheck2.Test.fail_reportf "%a reloaded with %d dead slots" Symbol.pp sym
+              (Rel.size r' - Rel.cardinal r');
+          if not (List.equal Engine.Tuple.equal (Rel.to_list r) (Rel.to_list r')) then
+            QCheck2.Test.fail_reportf "%a reloaded out of order" Symbol.pp sym)
+        (Engine.Database.symbols live);
+      List.iter (fun ops -> ignore (Store.update st ops)) suffix;
+      let expected = store_answers st in
+      (* [st] is abandoned: the suffix is only in the WAL *)
+      let st2 = Store.open_or_create ~checkpoint_every:0 ~dir program query ~edb in
+      let got = store_answers st2 in
+      let replayed = Store.replayed st2 in
+      Store.close st2;
+      if replayed <> List.length suffix then
+        QCheck2.Test.fail_reportf "replayed %d of %d records" replayed (List.length suffix);
+      if got <> expected then QCheck2.Test.fail_reportf "reopened store diverged on %s" src;
+      true)
+
+let qcheck_compacted_reload =
+  H.qtest ~count:25 "checkpoint reload = live store" gen_compaction_case
+    check_compacted_reload
 
 (* ------------------------------------------------------------------ *)
 (* a durable session's life: checkpoint, journal, abandon, reopen      *)
@@ -279,7 +337,7 @@ let test_reopen_replays_suffix () =
     (fun () ->
       let st =
         Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program q
-          ~edb:(edb ())
+          ~edb:(lazy (edb ()))
       in
       Store.checkpoint st;
       Alcotest.check H.tuple_list "after checkpoint" expected (store_answers st);
@@ -300,7 +358,7 @@ let test_reopen_replays_suffix () =
       (* [st] is abandoned, not closed: every record is already fsynced *)
       let st2 =
         Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program q
-          ~edb:(edb ())
+          ~edb:(lazy (edb ()))
       in
       Alcotest.check H.tuple_list "after reopen" expected (store_answers st2);
       Alcotest.(check bool) "restored" true (Store.restored st2);
@@ -329,7 +387,7 @@ let test_backings_agree () =
   let dir = fresh_dir () in
   let open_store ?dir () =
     Store.open_or_create ~strategy:Session.GMS ~max_facts:60 ?dir program
-      (H.atom "path(n0, Y)") ~edb
+      (H.atom "path(n0, Y)") ~edb:(lazy edb)
   in
   let mem = open_store () in
   let disk = ref (open_store ~dir ()) in
@@ -418,7 +476,7 @@ let test_derived_seed_install_recovered ~durable () =
   let open_store () =
     Store.open_or_create ~strategy:Session.GMS ~max_facts:100
       ?dir:(if durable then Some dir else None)
-      W.ancestor (q 0) ~edb:(G.db (G.chain ~pred:"p" 10))
+      W.ancestor (q 0) ~edb:(lazy (G.db (G.chain ~pred:"p" 10)))
   in
   let image = Alcotest.(triple (list string) (list string) string) in
   Fun.protect
@@ -456,12 +514,12 @@ let test_derived_seed_install_recovered ~durable () =
 let test_crash_mid_checkpoint () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   ignore
     (Store.update st [ Incr.Maintain.Insert (H.atom "p(g(f(n2), 7), f(n3))") ]);
   Store.close st;
   let expected =
-    let st = Store.open_or_create ~dir program query ~edb in
+    let st = Store.open_or_create ~dir program query ~edb:(lazy edb) in
     let a = store_answers st in
     Store.close st;
     a
@@ -475,7 +533,7 @@ let test_crash_mid_checkpoint () =
     }
   in
   let image =
-    let st = Store.open_or_create ~dir program query ~edb in
+    let st = Store.open_or_create ~dir program query ~edb:(lazy edb) in
     let im = Session.image (Store.session st) in
     Store.close st;
     im.Session.i_maintain
@@ -489,7 +547,7 @@ let test_crash_mid_checkpoint () =
        with
       | () -> Alcotest.failf "crash_after %d did not crash" budget
       | exception Io.Crash -> ());
-      let st = Store.open_or_create ~dir program query ~edb in
+      let st = Store.open_or_create ~dir program query ~edb:(lazy edb) in
       let got = store_answers st in
       Store.close st;
       if got <> expected then
@@ -504,7 +562,7 @@ let test_crash_mid_checkpoint () =
 let test_truncated_snapshot_refused () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   Store.close st;
   let data = Io.read_file (Store.snapshot_path dir) in
   let size = String.length data in
@@ -519,7 +577,7 @@ let test_truncated_snapshot_refused () =
       let oc = open_out_bin (Store.snapshot_path dir2) in
       output_string oc (String.sub data 0 k);
       close_out oc;
-      match open_outcome ~dir:dir2 program query ~edb with
+      match open_outcome ~dir:dir2 program query ~edb:(lazy edb) with
       | `Opened _ -> Alcotest.failf "snapshot truncated to %d bytes loaded" k
       | `Refused -> ())
     points;
@@ -531,7 +589,7 @@ let test_truncated_snapshot_refused () =
 let test_snapshot_bitflip_located () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   Store.close st;
   let spath = Store.snapshot_path dir in
   let data = Io.read_file spath in
@@ -554,7 +612,7 @@ let test_snapshot_bitflip_located () =
     (fun (tag, off, plen) ->
       copy_file spath (spath ^ ".orig");
       flip_byte spath (off + (plen / 2));
-      (match Store.open_or_create ~dir program query ~edb with
+      (match Store.open_or_create ~dir program query ~edb:(lazy edb) with
       | _ -> Alcotest.failf "bit flip in %s went undetected" tag
       | exception Codec.Corrupt c ->
         Alcotest.(check string) (tag ^ " named") tag c.section;
@@ -573,7 +631,7 @@ let u32_at data off = Int32.to_int (String.get_int32_le data off) land 0xFFFFFFF
 let test_duplicate_live_tuple_refused () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   Store.close st;
   let spath = Store.snapshot_path dir in
   let data = Bytes.of_string (Io.read_file spath) in
@@ -616,7 +674,7 @@ let test_duplicate_live_tuple_refused () =
   let oc = open_out_bin spath in
   output_bytes oc data;
   close_out oc;
-  (match Store.open_or_create ~dir program query ~edb with
+  (match Store.open_or_create ~dir program query ~edb:(lazy edb) with
   | _ -> Alcotest.fail "duplicate live tuple loaded"
   | exception Codec.Corrupt c ->
     Alcotest.(check string) "RELS named" "RELS" c.section;
@@ -630,11 +688,11 @@ let test_duplicate_live_tuple_refused () =
 let test_snapshot_bad_version_refused () =
   let program, query, edb = H.load app_src in
   let dir = fresh_dir () in
-  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.GMS ~dir program query ~edb:(lazy edb) in
   Store.close st;
   let spath = Store.snapshot_path dir in
   flip_byte spath 8;
-  (match Store.open_or_create ~dir program query ~edb with
+  (match Store.open_or_create ~dir program query ~edb:(lazy edb) with
   | _ -> Alcotest.fail "wrong version accepted"
   | exception Codec.Corrupt c ->
     Alcotest.(check bool) "says version" true
@@ -642,7 +700,7 @@ let test_snapshot_bad_version_refused () =
   flip_byte spath 8;
   (* restore, then break the magic bytes *)
   flip_byte spath 0;
-  (match Store.open_or_create ~dir program query ~edb with
+  (match Store.open_or_create ~dir program query ~edb:(lazy edb) with
   | _ -> Alcotest.fail "bad magic accepted"
   | exception Codec.Corrupt c ->
     Alcotest.(check bool) "says magic" true
@@ -673,7 +731,7 @@ let test_wal_truncation_sweep () =
   let dir = fresh_dir () in
   let st =
     Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program
-      query ~edb
+      query ~edb:(lazy edb)
   in
   (* watermarks.(i) = wal size with i txns committed; prefixes.(i) =
      the answers acknowledged at that point *)
@@ -696,7 +754,8 @@ let test_wal_truncation_sweep () =
     (* the longest i with watermarks.(i) <= cut is what survives *)
     let expect = ref prefixes.(0) in
     Array.iteri (fun i w -> if w <= cut then expect := prefixes.(i)) watermarks;
-    let st2 = Store.open_or_create ~checkpoint_every:0 ~dir:dir2 program query ~edb in
+    let st2 = Store.open_or_create ~checkpoint_every:0 ~dir:dir2
+        program query ~edb:(lazy edb) in
     let got = store_answers st2 in
     if got <> !expect then begin
       Store.close st2;
@@ -708,7 +767,7 @@ let test_wal_truncation_sweep () =
       ignore (Store.update st2 [ Incr.Maintain.Insert (H.atom "p(f(n4), f(n6))") ]);
       let after = store_answers st2 in
       Store.close st2;
-      let st3 = Store.open_or_create ~dir:dir2 program query ~edb in
+      let st3 = Store.open_or_create ~dir:dir2 program query ~edb:(lazy edb) in
       Alcotest.check H.tuple_list "append after torn-tail repair" after
         (store_answers st3);
       Store.close st3
@@ -725,7 +784,7 @@ let test_wal_midfile_corruption_refused () =
   let dir = fresh_dir () in
   let st =
     Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir program
-      query ~edb
+      query ~edb:(lazy edb)
   in
   let first_end = ref 0 in
   ignore (Store.update st [ Incr.Maintain.Insert (H.atom "p(f(n3), f(n4))") ]);
@@ -735,7 +794,7 @@ let test_wal_midfile_corruption_refused () =
   (* inside the first record's payload (after the 12-byte header and the
      8-byte record frame) *)
   flip_byte wpath (12 + 8 + 2);
-  (match Store.open_or_create ~checkpoint_every:0 ~dir program query ~edb with
+  (match Store.open_or_create ~checkpoint_every:0 ~dir program query ~edb:(lazy edb) with
   | _ -> Alcotest.fail "mid-file corruption silently accepted"
   | exception Codec.Corrupt c ->
     Alcotest.(check bool) "names the wal" true (c.file = wpath));
@@ -743,7 +802,7 @@ let test_wal_midfile_corruption_refused () =
      write: dropped, recovering the first commit *)
   flip_byte wpath (12 + 8 + 2);
   flip_byte wpath (!first_end + 8 + 2);
-  let st2 = Store.open_or_create ~checkpoint_every:0 ~dir program query ~edb in
+  let st2 = Store.open_or_create ~checkpoint_every:0 ~dir program query ~edb:(lazy edb) in
   Alcotest.(check int) "replayed up to the torn record" 1 (Store.replayed st2);
   Store.close st2;
   rm_rf dir
@@ -773,7 +832,7 @@ let test_crash_mid_append () =
   let dir = fresh_dir () in
   ignore
     (Store.open_or_create ~strategy:Session.GMS ~checkpoint_every:0 ~dir
-       program query ~edb);
+       program query ~edb:(lazy edb));
   let committed =
     let s = Session.create ~strategy:Session.GMS program query ~edb in
     answers_of s
@@ -792,7 +851,8 @@ let test_crash_mid_append () =
     in
     output_string oc (String.sub frame 0 cut);
     close_out oc;
-    let st2 = Store.open_or_create ~checkpoint_every:0 ~dir:dir2 program query ~edb in
+    let st2 = Store.open_or_create ~checkpoint_every:0 ~dir:dir2
+        program query ~edb:(lazy edb) in
     let got = store_answers st2 in
     let replayed = Store.replayed st2 in
     Store.close st2;
@@ -830,7 +890,7 @@ let open_corpus variant =
   let dir = fresh_dir () in
   copy_store (Filename.concat corpus variant) dir;
   let r =
-    match Store.open_or_create ~dir program query ~edb with
+    match Store.open_or_create ~dir program query ~edb:(lazy edb) with
     | st ->
       let a = store_answers st in
       let replayed = Store.replayed st in
@@ -890,7 +950,8 @@ let test_corpus_older_counts () =
   in
   let dir = fresh_dir () in
   copy_store (Filename.concat corpus "tiny_counts") dir;
-  let st = Store.open_or_create ~strategy:Session.Original ~dir program query ~edb in
+  let st = Store.open_or_create ~strategy:Session.Original ~dir
+      program query ~edb:(lazy edb) in
   Alcotest.(check bool) "restored" true (Store.restored st);
   let fresh = Session.create ~strategy:Session.Original program query ~edb in
   Alcotest.check H.tuple_list "reopened = fresh" (answers_of fresh) (store_answers st);
@@ -906,6 +967,46 @@ let test_corpus_older_counts () =
   Store.close st;
   rm_rf dir
 
+(* [tiny_dead] was written by a build whose checkpoints kept tombstoned
+   log slots (see data/db/README).  It must reopen to the facts, the
+   external support and the answers of the same history run from
+   scratch, and the next checkpoint must write no dead slot. *)
+let test_corpus_tombstoned () =
+  let module Rel = Engine.Relation in
+  let program, query, edb = load_corpus_program () in
+  let dir = fresh_dir () in
+  copy_store (Filename.concat corpus "tiny_dead") dir;
+  let dead_slots () =
+    let _, image = Persist.Snapshot_file.load (Store.snapshot_path dir) in
+    let db = image.Incr.Maintain.im_db in
+    List.fold_left
+      (fun acc sym ->
+        let r = Engine.Database.relation db sym in
+        acc + Rel.size r - Rel.cardinal r)
+      0 (Engine.Database.symbols db)
+  in
+  Alcotest.(check bool) "the golden holds dead slots" true (dead_slots () > 0);
+  let scratch = Store.open_or_create ~strategy:Session.GMS program query ~edb:(lazy edb) in
+  let p23 = H.atom "p(n2, n3)" in
+  ignore (Store.query scratch query);
+  ignore (Store.update scratch [ Incr.Maintain.Delete p23 ]);
+  ignore (Store.query scratch query);
+  ignore (Store.update scratch [ Incr.Maintain.Insert p23 ]);
+  ignore (Store.query scratch query);
+  let image = Alcotest.(triple (list string) (list string) string) in
+  let st = Store.open_or_create ~dir program query ~edb:(lazy (assert false)) in
+  Alcotest.(check bool) "restored" true (Store.restored st);
+  Alcotest.check image "reopened image = scratch" (image_of scratch) (image_of st);
+  Alcotest.check H.tuple_list "reopened answers = scratch" (store_answers scratch)
+    (store_answers st);
+  Store.checkpoint st;
+  Alcotest.(check int) "checkpoint writes no dead slot" 0 (dead_slots ());
+  Store.close st;
+  let st = Store.open_or_create ~dir program query ~edb:(lazy (assert false)) in
+  Alcotest.check image "compacted image = scratch" (image_of scratch) (image_of st);
+  Store.close st;
+  rm_rf dir
+
 let suite =
   [
     Alcotest.test_case "crc32 check values" `Quick test_crc32;
@@ -916,6 +1017,7 @@ let suite =
     Alcotest.test_case "reopen mismatch refused" `Quick test_reopen_mismatch_refused;
     qcheck_roundtrip_original;
     qcheck_roundtrip_gms;
+    qcheck_compacted_reload;
     Alcotest.test_case "reopen replays the journaled suffix" `Quick
       test_reopen_replays_suffix;
     Alcotest.test_case "in-memory and disk stores agree" `Quick test_backings_agree;
@@ -945,4 +1047,6 @@ let suite =
     Alcotest.test_case "golden corpus: wrong version" `Quick test_corpus_bad_version;
     Alcotest.test_case "golden corpus: older support counts ignored" `Quick
       test_corpus_older_counts;
+    Alcotest.test_case "golden corpus: tombstoned log compacts" `Quick
+      test_corpus_tombstoned;
   ]

@@ -157,56 +157,81 @@ let test_remove_copy () =
   Alcotest.(check int) "copy drops tombstones" 1 (Engine.Relation.cardinal c);
   Alcotest.(check bool) "copy mem" true (Engine.Relation.mem c (tup [ "c"; "d" ]))
 
-(* a relation rebuilt by [of_log] from [export_log] continues exactly as
-   the original: the same further adds and removes stamp the same log
-   slots (equal exports), answer the same range and index queries, and
-   report the same [add]/[remove] results *)
-let prop_of_log_continues =
+(* [of_log] continues a relation from a log.  Two logs are fed to it:
+   - the live log, which the snapshot writer emits: live tuples in stamp
+     order behind an all-zero bitset, so the stamps are renumbered
+     densely;
+   - the tombstoned log, which older snapshots hold: every slot ever
+     stamped, removed ones marked dead, rebuilt here from the history.
+   Either way the rebuilt relation must iterate the same tuples in the
+   same order, and after the same further adds and removes report the
+   same results, iterate alike, split alike at a watermark taken at the
+   rebuild, and answer index probes in the same bucket order. *)
+let gen_of_log_case =
   let gen_ops =
     QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 30)
       (QCheck2.Gen.triple QCheck2.Gen.bool (QCheck2.Gen.int_bound 5)
          (QCheck2.Gen.int_bound 5))
   in
-  qtest ~count:100 "of_log (export_log r) continues as r"
-    (QCheck2.Gen.triple gen_edges gen_ops gen_ops)
-    (fun (edges, before, after) ->
-      let n i = Fmt.str "n%d" i in
-      let apply r (add, a, b) =
+  QCheck2.Gen.triple gen_edges gen_ops gen_ops
+
+let of_log_continues ~tombstoned (edges, before, after) =
+  let module R = Engine.Relation in
+  let n i = Fmt.str "n%d" i in
+  let apply r (add, a, b) =
+    let t = tup [ n a; n b ] in
+    if add then R.add r t else R.remove r t
+  in
+  (* the history as a log: every successful add appends a slot, every
+     successful remove marks its tuple's live slot dead *)
+  let r = R.create 2 in
+  let slots = ref [] in
+  let record ((add, a, b) as op) =
+    if apply r op then
+      if add then slots := (tup [ n a; n b ], ref false) :: !slots
+      else
         let t = tup [ n a; n b ] in
-        if add then Engine.Relation.add r t else Engine.Relation.remove r t
-      in
-      let r = Engine.Relation.create 2 in
-      List.iter (fun (a, b) -> ignore (Engine.Relation.add r (tup [ n a; n b ]))) edges;
-      List.iter (fun op -> ignore (apply r op)) before;
-      let log, dead = Engine.Relation.export_log r in
-      let r' = Engine.Relation.of_log ~arity:2 ~log ~dead in
-      let w = Engine.Relation.size r in
-      let same_results = List.for_all (fun op -> apply r op = apply r' op) after in
-      let export x =
-        let log, dead = Engine.Relation.export_log x in
-        (Array.to_list log, Bytes.to_string dead)
-      in
-      let range x ~lo ~hi =
-        let acc = ref [] in
-        Engine.Relation.iter_in x ~lo ~hi (fun t -> acc := t :: !acc);
-        !acc
-      in
-      let hi = Engine.Relation.size r in
-      let probe x k =
-        List.sort Engine.Tuple.compare
-          (Engine.Relation.lookup x ~pattern:[| true; false |] ~key:(tup [ n k ]))
-      in
-      same_results
-      && Engine.Relation.size r' = hi
-      && Engine.Relation.cardinal r' = Engine.Relation.cardinal r
-      && List.equal
-           (fun (l1, d1) (l2, d2) -> List.equal Engine.Tuple.equal l1 l2 && d1 = d2)
-           [ export r ] [ export r' ]
-      && List.equal Engine.Tuple.equal (range r ~lo:0 ~hi:w) (range r' ~lo:0 ~hi:w)
-      && List.equal Engine.Tuple.equal (range r ~lo:w ~hi) (range r' ~lo:w ~hi)
-      && List.for_all
-           (fun k -> List.equal Engine.Tuple.equal (probe r k) (probe r' k))
-           [ 0; 1; 2; 3; 4; 5 ])
+        snd (List.find (fun (u, d) -> (not !d) && Engine.Tuple.equal u t) !slots) := true
+  in
+  List.iter (fun (a, b) -> record (true, a, b)) edges;
+  List.iter record before;
+  let log, dead =
+    if tombstoned then
+      let slots = Array.of_list (List.rev !slots) in
+      ( Array.map fst slots,
+        Bytes.init (Array.length slots) (fun i ->
+            if !(snd slots.(i)) then '\001' else '\000') )
+    else
+      let live = Array.of_list (R.to_list r |> List.rev) in
+      (live, Bytes.make (Array.length live) '\000')
+  in
+  let tuples = List.equal Engine.Tuple.equal in
+  let r' = R.of_log ~arity:2 ~log ~dead in
+  let rebuilt_size = if tombstoned then R.size r else R.cardinal r in
+  let same_order = tuples (R.to_list r) (R.to_list r') in
+  let w = R.size r and w' = R.size r' in
+  let same_results = List.for_all (fun op -> apply r op = apply r' op) after in
+  let range x ~lo ~hi =
+    let acc = ref [] in
+    R.iter_in x ~lo ~hi (fun t -> acc := t :: !acc);
+    !acc
+  in
+  let probe x k = R.lookup x ~pattern:[| true; false |] ~key:(tup [ n k ]) in
+  w' = rebuilt_size && same_order && same_results
+  && R.cardinal r' = R.cardinal r
+  && R.size r' - w' = R.size r - w
+  && tuples (R.to_list r) (R.to_list r')
+  && tuples (range r ~lo:0 ~hi:w) (range r' ~lo:0 ~hi:w')
+  && tuples (range r ~lo:w ~hi:(R.size r)) (range r' ~lo:w' ~hi:(R.size r'))
+  && List.for_all (fun k -> tuples (probe r k) (probe r' k)) [ 0; 1; 2; 3; 4; 5 ]
+
+let prop_of_log_live =
+  qtest ~count:100 "of_log: live log continues as r" gen_of_log_case
+    (of_log_continues ~tombstoned:false)
+
+let prop_of_log_tombstoned =
+  qtest ~count:100 "of_log: tombstoned log continues as r" gen_of_log_case
+    (of_log_continues ~tombstoned:true)
 
 (* probing a pre-sized table allocates nothing: the probe loops must not
    build closures per call (they did, at 15 words per [get]) *)
@@ -285,7 +310,8 @@ let suite =
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "remove/re-add stamps" `Quick test_remove_readd_stamps;
     Alcotest.test_case "copy after remove" `Quick test_remove_copy;
-    prop_of_log_continues;
+    prop_of_log_live;
+    prop_of_log_tombstoned;
     Alcotest.test_case "ttbl: probes do not allocate" `Quick test_ttbl_no_alloc;
     Alcotest.test_case "database" `Quick test_database;
     Alcotest.test_case "database arith" `Quick test_database_arith_normalized;

@@ -231,7 +231,7 @@ let test_registry_cache () =
   let p = program tc_src in
   let edb = chain_edb 3 [ edge (Term.Sym "m0") (Term.Sym "m1") ] in
   let r =
-    Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0)) ~edb
+    Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0)) ~edb:(lazy edb)
   in
   (* first read misses, second hits — up to variable renaming *)
   (match Server.Registry.query r (path_q (n 0)) with
@@ -289,7 +289,7 @@ let test_registry_full_mode_wipes () =
   let edb = chain_edb 3 [ Atom.make "link" [ Term.Sym "u0"; Term.Sym "u1" ] ] in
   let mk mode =
     Server.Registry.create ~strategy:Incr.Session.Original ~cache_mode:mode p
-      (path_q (n 0)) ~edb
+      (path_q (n 0)) ~edb:(lazy edb)
   in
   let reach_q = Atom.make "reach" [ Term.Sym "u0"; Term.Var "Ans" ] in
   let probe r =
@@ -321,7 +321,7 @@ let test_reads_after_commit () =
   let base = G.chain len in
   let r =
     Server.Registry.create ~strategy:Incr.Session.GMS p (W.tc_query (G.node "n" 0))
-      ~edb:(G.db base)
+      ~edb:(lazy (G.db base))
   in
   let stop = Atomic.make false in
   let reader i () =
@@ -388,7 +388,7 @@ let test_registry_rejects_derived_op () =
   let p = program tc_src in
   let r =
     Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
-      ~edb:(chain_edb 3 [])
+      ~edb:(lazy (chain_edb 3 []))
   in
   (match Server.Registry.transact r [ M.Insert (atom "path(n0, n9)") ] with
   | P.Error { code = P.Bad_request; _ } -> ()
@@ -420,7 +420,7 @@ let test_registry_rejects_derived_op () =
    not the one it was cached at. *)
 let test_noop_commit_advances_cached_epoch () =
   let p, q, edb = load (Cost_cases.read "../examples/paths.dl") in
-  let r = Server.Registry.create ~strategy:Incr.Session.GMS p q ~edb in
+  let r = Server.Registry.create ~strategy:Incr.Session.GMS p q ~edb:(lazy edb) in
   ignore (answers_exn r q);
   let committed =
     match Server.Registry.transact r [ M.Insert (atom "edge(a, b)") ] with
@@ -465,7 +465,7 @@ let test_registry_budget_recovery ~durable ~blowout () =
       let db = if durable then Some dir else None in
       let open_registry () =
         Server.Registry.create ~strategy:Incr.Session.GMS ~max_facts:60 ?db p
-          (path_q (n 0)) ~edb
+          (path_q (n 0)) ~edb:(lazy edb)
       in
       let r = open_registry () in
       let before = answers_exn r (path_q (n 0)) in
@@ -503,6 +503,42 @@ let test_registry_budget_recovery ~durable ~blowout () =
         Server.Registry.close r2
       end)
 
+(* [persist_wal_depth] counts the records journaled since the last
+   checkpoint: every commit adds one, a checkpoint (every 3 records
+   here) empties it, and a reopen over an abandoned registry starts at
+   the replayed suffix. *)
+let test_registry_wal_depth () =
+  let p = program tc_src in
+  with_scratch_dir "depth-db" (fun dir ->
+      let open_registry () =
+        Server.Registry.create ~strategy:Incr.Session.GMS ~db:dir ~checkpoint_every:3 p
+          (path_q (n 0)) ~edb:(lazy (chain_edb 3 []))
+      in
+      let depth r = counter r "persist_wal_depth" in
+      let commit r i =
+        match Server.Registry.transact r [ M.Insert (edge (n (10 + i)) (n (11 + i))) ] with
+        | P.Committed _ -> ()
+        | _ -> Alcotest.failf "txn %d refused" i
+      in
+      let r = open_registry () in
+      Alcotest.(check (float 0.)) "fresh store" 0. (depth r);
+      let seen =
+        List.map
+          (fun i ->
+            commit r i;
+            depth r)
+          [ 1; 2; 3; 4; 5 ]
+      in
+      Alcotest.(check (list (float 0.))) "depth per commit" [ 1.; 2.; 0.; 1.; 2. ] seen;
+      (* [r] is abandoned: its two journaled records are replayed *)
+      let r2 = open_registry () in
+      Alcotest.(check (float 0.)) "replayed suffix" 2. (counter r2 "persist_replayed");
+      Alcotest.(check (float 0.)) "depth after reopen" 2. (depth r2);
+      Server.Registry.close r2;
+      let r3 = open_registry () in
+      Alcotest.(check (float 0.)) "depth after a clean close" 0. (depth r3);
+      Server.Registry.close r3)
+
 (* ------------------------------------------------------------------ *)
 (* partitioned workload: the footprint cache keeps the unwritten side  *)
 (* ------------------------------------------------------------------ *)
@@ -523,7 +559,7 @@ let test_partitioned_cache () =
   let base = G.chain ~pred:"ea" ~prefix:"a" n @ G.chain ~pred:"eb" ~prefix:"b" n in
   let mk mode =
     Server.Registry.create ~strategy:Incr.Session.Original ~cache_mode:mode p
-      (W.tca_query (G.node "a" 0)) ~edb:(G.db base)
+      (W.tca_query (G.node "a" 0)) ~edb:(lazy (G.db base))
   in
   let rp = mk Server.Registry.Partial and rf = mk Server.Registry.Full in
   let registries = [ rp; rf ] in
@@ -639,7 +675,7 @@ let test_daemon_socket_roundtrip () =
   let p = program tc_src in
   let r =
     Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
-      ~edb:(chain_edb 3 [])
+      ~edb:(lazy (chain_edb 3 []))
   in
   with_daemon r (fun c ->
       (match Server.Client.request c (P.Query (path_q (n 0))) with
@@ -671,7 +707,7 @@ let test_daemon_shutdown_loop () =
   for _ = 1 to 200 do
     let r =
       Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
-        ~edb:(chain_edb 3 [])
+        ~edb:(lazy (chain_edb 3 []))
     in
     with_daemon r (fun c ->
         match Server.Client.request c (P.Query (path_q (n 0))) with
@@ -694,7 +730,7 @@ let test_concurrent_reads_verified () =
   let base = G.chain n in
   let r =
     Server.Registry.create ~strategy:Incr.Session.GMS p (W.tc_query (G.node "n" 0))
-      ~edb:(G.db base)
+      ~edb:(lazy (G.db base))
   in
   (* one client's stream: its (epoch, (k, rows)) answers and its
      (epoch, op) commits *)
@@ -773,7 +809,7 @@ let test_daemon_restart_durable () =
       (* first lifetime: serve, commit a transaction, shut down cleanly *)
       let r1 =
         Server.Registry.create ~strategy:Incr.Session.GMS ~db:dir p
-          (path_q (n 0)) ~edb:(chain_edb 3 [])
+          (path_q (n 0)) ~edb:(lazy (chain_edb 3 []))
       in
       with_daemon r1 (fun c ->
           (match Server.Client.request c (P.Txn [ M.Insert (edge (n 3) (n 4)) ]) with
@@ -787,7 +823,7 @@ let test_daemon_restart_durable () =
          ignored — disk wins — and epochs restart at 0 *)
       let r2 =
         Server.Registry.create ~strategy:Incr.Session.GMS ~db:dir p
-          (path_q (n 0)) ~edb:(Engine.Database.of_facts [])
+          (path_q (n 0)) ~edb:(lazy (Engine.Database.of_facts []))
       in
       Alcotest.(check int) "epoch restarts at 0" 0 (Server.Registry.epoch r2);
       Alcotest.(check (option string)) "restored from disk" (Some "true")
@@ -831,7 +867,7 @@ let prop_serve_consistency =
       let base = List.init 4 (fun i -> edge (n i) (n (i + 1))) in
       let r =
         Server.Registry.create ~strategy:Incr.Session.GMS p (path_q (n 0))
-          ~edb:(Engine.Database.of_facts base)
+          ~edb:(lazy (Engine.Database.of_facts base))
       in
       let mirror = Engine.Database.of_facts base in
       List.for_all
@@ -894,7 +930,7 @@ let prop_partial_equals_full =
       let base = List.init 4 (fun i -> edge (n i) (n (i + 1))) in
       let mk mode =
         Server.Registry.create ~strategy ~cache_mode:mode p (path_q (n 0))
-          ~edb:(Engine.Database.of_facts base)
+          ~edb:(lazy (Engine.Database.of_facts base))
       in
       let rp = mk Server.Registry.Partial in
       let rf = mk Server.Registry.Full in
@@ -955,6 +991,7 @@ let suite =
       (test_registry_budget_recovery ~durable:false ~blowout:`Install);
     Alcotest.test_case "registry: seed-install budget recovery (durable)" `Quick
       (test_registry_budget_recovery ~durable:true ~blowout:`Install);
+    Alcotest.test_case "registry: wal depth in stats" `Quick test_registry_wal_depth;
     Alcotest.test_case "registry: partitioned cache beats full wipe" `Quick
       test_partitioned_cache;
     Alcotest.test_case "daemon: socket roundtrip" `Quick
