@@ -377,27 +377,34 @@ let as_rewritten ~meth query (rw : C.Rewritten.t) (fact : Atom.t) =
   end
 
 let explain_cmd =
-  let run file (name, method_) fact_str =
+  let run file (name, method_) max_facts fact_str =
     let program, query, edb = load file in
     let fact = Parser.parse_atom fact_str in
+    (* a diverged evaluation has no fixpoint to explain, and replaying it
+       would diverge again: counting over cyclic data overflows its
+       indices, other programs exhaust the fact budget *)
+    let diverged () =
+      Fmt.epr "magic explain: the %s evaluation diverged; no derivation to explain@." name;
+      exit 1
+    in
     (* evaluate with the chosen method, then reconstruct a derivation over
        the program that actually ran (original or rewritten + seeds) *)
-    let explain_program, db, fact =
+    let explain_program, out, fact =
       match method_ with
       | C.Rewrite.Original _ | C.Rewrite.Top_down _ ->
-        let out = Engine.Eval.seminaive program ~edb in
-        (program, out.Engine.Eval.db, fact)
+        (program, Engine.Eval.seminaive ~max_facts program ~edb, fact)
       | C.Rewrite.Rewritten_bottom_up (rewriting, options) ->
         let rw = C.Rewrite.rewrite ~options rewriting program query in
         let fact = as_rewritten ~meth:name query rw fact in
-        let out = C.Rewritten.run rw ~edb in
         ( Program.make
             (Program.rules rw.C.Rewritten.program
             @ List.map Rule.fact rw.C.Rewritten.seeds),
-          out.Engine.Eval.db,
+          C.Rewritten.run ~max_facts rw ~edb,
           fact )
     in
-    match Engine.Explain.derive explain_program db fact with
+    if out.Engine.Eval.diverged then diverged ();
+    match Engine.Explain.derive explain_program out.Engine.Eval.db fact with
+    | exception Term.Arithmetic_overflow -> diverged ()
     | Some tree -> Fmt.pr "%a@." Engine.Explain.pp tree
     | None ->
       Fmt.epr "%a has no derivation@." Atom.pp fact;
@@ -414,7 +421,7 @@ let explain_cmd =
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Print a derivation tree for a ground fact.")
-    (T.app (T.app (T.app (T.const run) file_arg) method_arg) fact_arg)
+    (T.app (T.app (T.app (T.app (T.const run) file_arg) method_arg) max_facts_arg) fact_arg)
 
 let compare_cmd =
   let run file max_facts strategy json =

@@ -27,13 +27,13 @@ type t = {
 }
 
 let run ?(engine = `Seminaive) ?max_iterations ?max_facts t ~edb =
-  let edb' = Engine.Database.copy edb in
-  List.iter (fun seed -> ignore (Engine.Database.add_fact edb' seed)) t.seeds;
-  match engine with
-  | `Seminaive -> Engine.Eval.seminaive ?max_iterations ?max_facts t.program ~edb:edb'
-  | `Naive -> Engine.Eval.naive ?max_iterations ?max_facts t.program ~edb:edb'
-  | `Seminaive_reference ->
-    Engine.Eval.seminaive_reference ?max_iterations ?max_facts t.program ~edb:edb'
+  let run =
+    match engine with
+    | `Seminaive -> Engine.Eval.seminaive
+    | `Naive -> Engine.Eval.naive
+    | `Seminaive_reference -> Engine.Eval.seminaive_reference
+  in
+  run ?max_iterations ?max_facts ~seeds:t.seeds t.program ~edb
 
 let rec drop n xs = if n = 0 then xs else match xs with [] -> [] | _ :: r -> drop (n - 1) r
 
@@ -51,17 +51,24 @@ let project ~index_fields ~restore args =
   else weave 0 (List.sort (fun (a, _) (b, _) -> Int.compare a b) restore) args
 
 let answers t outcome =
-  match Engine.Database.find outcome.Engine.Eval.db (Atom.symbol t.query) with
-  | None -> []
-  | Some rel ->
-    let add tuple acc =
-      let args = Engine.Tuple.to_list tuple in
-      if Option.is_none (Subst.match_list t.query.Atom.args args Subst.empty) then acc
+  match
+    ( Engine.Database.find outcome.Engine.Eval.db (Atom.symbol t.query),
+      Engine.Tuple.matcher t.query.Atom.args )
+  with
+  | None, _ | _, None -> []
+  | Some rel, Some matches ->
+    let row =
+      if t.index_fields = 0 && t.restore = [] then Fun.id
       else
-        let row = project ~index_fields:t.index_fields ~restore:t.restore args in
-        Engine.Tuple.Set.add (Engine.Tuple.of_list row) acc
+        (* the same projection, over interned ids *)
+        let restore = lazy (List.map (fun (p, c) -> (p, Engine.Value.intern c)) t.restore) in
+        fun tuple ->
+          Array.of_list
+            (project ~index_fields:t.index_fields ~restore:(Lazy.force restore)
+               (Array.to_list tuple))
     in
-    Engine.Tuple.Set.elements (Engine.Relation.fold add rel Engine.Tuple.Set.empty)
+    List.sort_uniq Engine.Tuple.compare
+      (Engine.Relation.fold (fun tu acc -> if matches tu then row tu :: acc else acc) rel [])
 
 let pp ppf t =
   Fmt.pf ppf "%a@\n%a@\n?- %a." Program.pp t.program

@@ -56,7 +56,7 @@ let naive_round ~stats ~budget db plans =
     (fun plan ->
       Plan.run ~stats ~source ~neg_source:source
         ~on_fact:(fun sym tuple ->
-          let is_new = Database.add_tuple db sym tuple in
+          let is_new = Relation.add_borrowed (Database.relation db sym) tuple in
           Stats.record_fact stats sym ~is_new;
           if is_new then begin
             incr added;
@@ -99,8 +99,9 @@ let run_stratum_seminaive ~stats ~budget db rules =
     let hrel = Database.relation db hsym in
     fun sym tuple ->
       let is_new =
-        if Symbol.equal sym hsym then Relation.add hrel tuple
-        else Database.add_tuple db sym tuple
+        Relation.add_borrowed
+          (if Symbol.equal sym hsym then hrel else Database.relation db sym)
+          tuple
       in
       Stats.record_fact stats sym ~is_new;
       if is_new then spend_fact budget
@@ -206,23 +207,17 @@ let run_stratum_seminaive_reference ~stats ~budget ~derived db rules =
 (* ------------------------------------------------------------------ *)
 
 let answers outcome query =
-  match Database.find outcome.db (Atom.symbol query) with
-  | None -> []
-  | Some rel ->
-    let matching =
-      Relation.fold
-        (fun t acc ->
-          match Subst.match_list query.Atom.args (Tuple.to_list t) Subst.empty with
-          | Some _ -> t :: acc
-          | None -> acc)
-        rel []
-    in
-    List.sort Tuple.compare matching
+  match (Database.find outcome.db (Atom.symbol query), Tuple.matcher query.Atom.args) with
+  | None, _ | _, None -> []
+  | Some rel, Some matches ->
+    List.sort Tuple.compare
+      (Relation.fold (fun t acc -> if matches t then t :: acc else acc) rel [])
 
-let run ~engine ?max_iterations ?max_facts program ~edb =
+let run ~engine ?max_iterations ?max_facts ?(seeds = []) program ~edb =
   let stats = Stats.create () in
   let budget = make_budget ?max_iterations ?max_facts () in
   let db = Database.copy edb in
+  List.iter (fun seed -> ignore (Database.add_fact db seed)) seeds;
   let derived = Program.derived program in
   let diverged =
     List.fold_left
@@ -241,11 +236,11 @@ let run ~engine ?max_iterations ?max_facts program ~edb =
   in
   { db; stats; diverged }
 
-let naive ?max_iterations ?max_facts program ~edb =
-  run ~engine:`Naive ?max_iterations ?max_facts program ~edb
+let naive ?max_iterations ?max_facts ?seeds program ~edb =
+  run ~engine:`Naive ?max_iterations ?max_facts ?seeds program ~edb
 
-let seminaive ?max_iterations ?max_facts program ~edb =
-  run ~engine:`Seminaive ?max_iterations ?max_facts program ~edb
+let seminaive ?max_iterations ?max_facts ?seeds program ~edb =
+  run ~engine:`Seminaive ?max_iterations ?max_facts ?seeds program ~edb
 
-let seminaive_reference ?max_iterations ?max_facts program ~edb =
-  run ~engine:`Seminaive_reference ?max_iterations ?max_facts program ~edb
+let seminaive_reference ?max_iterations ?max_facts ?seeds program ~edb =
+  run ~engine:`Seminaive_reference ?max_iterations ?max_facts ?seeds program ~edb

@@ -18,13 +18,25 @@ type outcome = {
 }
 
 val naive :
-  ?max_iterations:int -> ?max_facts:int -> Program.t -> edb:Database.t -> outcome
-(** Naive evaluation: every rule is re-evaluated against the whole database
-    in every round.  Rules are compiled to join plans ({!Plan}) once per
-    stratum. *)
+  ?max_iterations:int ->
+  ?max_facts:int ->
+  ?seeds:Atom.t list ->
+  Program.t ->
+  edb:Database.t ->
+  outcome
+(** Naive evaluation of [program] over a copy of [edb] plus the ground
+    [seeds] (default none; the magic seeds of a rewritten query): every
+    rule is re-evaluated against the whole database in every round.
+    Rules are compiled to join plans ({!Plan}) once per stratum.  The
+    other evaluators take [seeds] alike. *)
 
 val seminaive :
-  ?max_iterations:int -> ?max_facts:int -> Program.t -> edb:Database.t -> outcome
+  ?max_iterations:int ->
+  ?max_facts:int ->
+  ?seeds:Atom.t list ->
+  Program.t ->
+  edb:Database.t ->
+  outcome
 (** Semi-naive evaluation: in each round after the first, a rule instance
     must use at least one fact derived in the previous round.  Rules are
     compiled to join plans once per stratum.  Round 0 fires every rule's
@@ -35,7 +47,12 @@ val seminaive :
     instantiation exactly once. *)
 
 val seminaive_reference :
-  ?max_iterations:int -> ?max_facts:int -> Program.t -> edb:Database.t -> outcome
+  ?max_iterations:int ->
+  ?max_facts:int ->
+  ?seeds:Atom.t list ->
+  Program.t ->
+  edb:Database.t ->
+  outcome
 (** The seed engine's semi-naive evaluator (uncompiled rules, "delta at
     one position, full database elsewhere"), kept as a differential-
     testing baseline and as the "before" engine for BENCH_engine.json.

@@ -50,14 +50,14 @@ type step =
 
 type emit = Direct of Symbol.t * expr array | Dynamic of stuck
 
-(* The compiled form is immutable: all executor scratch (the env array
-   and the per-step key buffers) is allocated per {!run} call, a handful
-   of small arrays per rule firing.  Probes within a run still reuse the
-   same buffers, so the inner join loop stays allocation-free — but two
-   executors of the same instance, nested through an [on_fact] that
-   fires another run, can never corrupt each other's keys.  [zero] is a
-   pre-interned filler for those scratch arrays, so a run never touches
-   the value pool for them. *)
+(* The compiled form is immutable: all executor scratch (the env array,
+   the per-step key buffers, the head buffer and the scan continuations)
+   is allocated per {!run} call, a handful of small blocks per run.
+   Probes and firings within a run reuse them, so the join loop
+   allocates nothing — but two executors of the same instance, nested
+   through an [on_fact] that fires another run, can never corrupt each
+   other's keys.  [zero] is a pre-interned filler for those scratch
+   arrays, so a run never touches the value pool for them. *)
 type instance = { steps : step array; head : emit; nvars : int; zero : Value.t }
 
 type t = { rule : Rule.t; base : instance; delta : (int * instance) list }
@@ -435,6 +435,19 @@ let unsafe env s =
        | Unbound_head ->
          Fmt.str "rule for %a derived non-ground head %a" Atom.pp s.atom Atom.pp inst))
 
+(* the free positions of a scan against a retrieved tuple, binding
+   slots as it goes: a top-level function, so a retrieved tuple costs
+   no closure *)
+let rec apply_free env free tuple j =
+  j >= Array.length free
+  || (match Array.unsafe_get free j with
+     | Bind (pos, slot) ->
+       env.(slot) <- tuple.(pos);
+       true
+     | Check (pos, slot) -> Value.equal env.(slot) tuple.(pos)
+     | Match (pos, p) -> matches env p tuple.(pos))
+     && apply_free env free tuple (j + 1)
+
 let run ?stats ~source ~neg_source ~on_fact inst =
   let env = Array.make (max 1 inst.nvars) inst.zero in
   let keybufs =
@@ -444,17 +457,26 @@ let run ?stats ~source ~neg_source ~on_fact inst =
         | Unify _ | Test _ | Stuck _ -> [||])
       inst.steps
   in
+  (* the borrowed head buffer: refilled for every firing *)
+  let head =
+    match inst.head with
+    | Direct (_, h) -> Array.make (Array.length h) inst.zero
+    | Dynamic _ -> [||]
+  in
   let bump =
     match stats with
     | None -> fun () -> ()
     | Some s -> fun () -> s.Stats.probes <- s.Stats.probes + 1
   in
   let nsteps = Array.length inst.steps in
+  (* one continuation per enumerating scan, built before the join starts *)
+  let conts = Array.make nsteps ignore in
   let rec go i =
     if i >= nsteps then
       match inst.head with
       | Direct (sym, h) ->
-        on_fact sym (Array.map (function Const v -> v | Slot w -> env.(w) | e -> eval env e) h)
+        fill env head h;
+        on_fact sym head
       | Dynamic s -> unsafe env s
     else
       match inst.steps.(i) with
@@ -468,21 +490,7 @@ let run ?stats ~source ~neg_source ~on_fact inst =
           if s.all_bound then begin
             if view_mem views key then go (i + 1)
           end
-          else
-            views_iter_matching views ~pattern:s.pattern ~key (fun tuple ->
-                let nfree = Array.length s.free in
-                let rec apply j =
-                  if j >= nfree then go (i + 1)
-                  else
-                    match s.free.(j) with
-                    | Bind (pos, slot) ->
-                      env.(slot) <- tuple.(pos);
-                      apply (j + 1)
-                    | Check (pos, slot) ->
-                      if Value.equal env.(slot) tuple.(pos) then apply (j + 1)
-                    | Match (pos, p) -> if matches env p tuple.(pos) then apply (j + 1)
-                in
-                apply 0)
+          else views_iter_matching views ~pattern:s.pattern ~key conts.(i)
       end
       | Neg_scan { lit; sym; key } ->
         let holds =
@@ -501,4 +509,10 @@ let run ?stats ~source ~neg_source ~on_fact inst =
         if test op a (eval env r) <> negated then go (i + 1)
       | Stuck s -> unsafe env s
   in
+  Array.iteri
+    (fun i -> function
+      | Scan { free; all_bound = false; _ } ->
+        conts.(i) <- (fun tuple -> if apply_free env free tuple 0 then go (i + 1))
+      | Scan _ | Neg_scan _ | Unify _ | Test _ | Stuck _ -> ())
+    inst.steps;
   go 0

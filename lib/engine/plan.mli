@@ -114,8 +114,9 @@ type instance = { steps : step array; head : emit; nvars : int; zero : Value.t }
 (** One executable join order for the rule.  Steps carry original body
     positions, so the same [source] works for every instance.  [nvars]
     is the env size; [zero] a pre-interned filler for scratch arrays.
-    Executing an instance only reads it: all scratch is allocated per
-    {!run}, so the same instance can run nested (re-entrant [on_fact]). *)
+    Executing an instance only reads it: all scratch, the head buffer
+    included, is allocated per {!run}, so the same instance can run
+    nested (re-entrant [on_fact]). *)
 
 type t = {
   rule : Rule.t;
@@ -167,6 +168,11 @@ val run :
   unit
 (** Execute one instance: enumerate all body solutions by nested index
     scans and call [on_fact] with the ground head tuple of each.
+
+    The head tuple is {e borrowed}: it is one buffer per run, refilled
+    for every firing, and valid only during the call.  A consumer that
+    keeps it copies it ({!Relation.add_borrowed} copies only a new
+    fact), so a firing allocates nothing of its own.
     [neg_source] must be complete for every negated predicate
     (guaranteed by stratification); it receives the negated literal's
     original body position, so maintenance passes can serve different

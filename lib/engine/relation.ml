@@ -22,18 +22,26 @@
    constructed tuple is physically unique) and costs one byte per log
    slot.
 
-   Index buckets hold [(stamp, tuple)] pairs in descending stamp order
-   (newest first), so a range-restricted probe skips the too-new prefix
-   and stops at the first too-old entry.  Buckets are mutable list refs,
-   so maintaining an index on insert is a single hash lookup (find +
-   in-place push); the bound positions of each index are precomputed for
-   the same reason.  Probes resolve the index for a binding pattern by
-   physical equality first — the executors pass the same compile-time
-   pattern array on every probe — so the common case is a pointer walk
-   over a one- or two-element list. *)
+   An index bucket is a flat array of stamps in ascending order, appended
+   in place (doubling when full), with the tuples read from
+   [log.(stamp)]: one [int] per entry instead of a pair in a cons cell
+   behind a ref.  A probe walks it newest first, skipping stamps [>= hi]
+   and stopping at the first one below [lo].  A removal installs a fresh
+   array without the stamp, so a scan in progress, which holds the
+   array and count it started with, never sees its entries move: appends
+   land beyond that count, and removals leave its array untouched (the
+   removed tuple stays in the log).  Callbacks may therefore add to the
+   relation being scanned, and rederivation removes from the relation it
+   scans.  Buckets are mutated only by writers, which the serving layer
+   runs under its write lock ({!Snapshot}).  The bound positions of each
+   index are precomputed, and probes resolve the index for a binding
+   pattern by physical equality first — the executors pass the same
+   compile-time pattern array on every probe. *)
 
-type bucket = (int * Tuple.t) list
-type index = bucket ref Ttbl.t
+type bucket = { mutable st : int array; mutable n : int }
+(* [st.(0 .. n-1)]: the stamps of the bucket's live tuples, ascending *)
+
+type index = bucket Ttbl.t
 
 type t = {
   arity : int;
@@ -70,13 +78,44 @@ let bound_positions pattern =
   Array.iteri (fun i b -> if b then acc := i :: !acc) pattern;
   Array.of_list (List.rev !acc)
 
+let new_index () = Ttbl.create { st = [||]; n = 0 }
+
 (* probe by projection ({!Ttbl.get_proj}); the key array is only
-   materialized when this bucket is new *)
+   materialized when this bucket is new.  Stamps are appended in
+   increasing order, so the bucket stays sorted. *)
 let index_add idx positions stamp t =
-  let bucket = Ttbl.get_proj idx positions t in
-  if bucket != Ttbl.dummy idx then bucket := (stamp, t) :: !bucket
-  else
-    Ttbl.replace idx (Array.map (fun i -> t.(i)) positions) (ref [ (stamp, t) ])
+  let b = Ttbl.get_proj idx positions t in
+  if b != Ttbl.dummy idx then begin
+    if b.n = Array.length b.st then begin
+      let st = Array.make (max 2 (2 * b.n)) 0 in
+      Array.blit b.st 0 st 0 b.n;
+      b.st <- st
+    end;
+    b.st.(b.n) <- stamp;
+    b.n <- b.n + 1
+  end
+  else Ttbl.replace idx (Array.map (fun i -> t.(i)) positions) { st = [| stamp |]; n = 1 }
+
+(* a fresh array without [stamp]: a scan holding the old one keeps
+   seeing what it started with *)
+let index_remove idx positions stamp t =
+  let b = Ttbl.get_proj idx positions t in
+  if b != Ttbl.dummy idx then
+    if b.n = 1 && b.st.(0) = stamp then
+      Ttbl.remove idx (Array.map (fun i -> t.(i)) positions)
+    else begin
+      let st = Array.make (Array.length b.st) 0 in
+      let j = ref 0 in
+      for i = 0 to b.n - 1 do
+        let s = b.st.(i) in
+        if s <> stamp then begin
+          st.(!j) <- s;
+          incr j
+        end
+      done;
+      b.st <- st;
+      b.n <- !j
+    end
 
 let push r t =
   if r.len = Array.length r.log then begin
@@ -92,25 +131,25 @@ let push r t =
   Bytes.set r.dead r.len '\000';
   r.len <- r.len + 1
 
+(* log and index [t] under the stamp the stamp table just gave it *)
+let append r t =
+  let stamp = r.len in
+  push r t;
+  List.iter (fun (_, positions, idx) -> index_add idx positions stamp t) r.indexes
+
 let add r t =
   if Array.length t <> r.arity then
     invalid_arg
       (Fmt.str "Relation.add: tuple %a has arity %d, expected %d" Tuple.pp t
          (Array.length t) r.arity);
-  let stamp = r.len in
-  if not (Ttbl.add_if_absent r.stamps t stamp) then false
-  else begin
-    push r t;
-    List.iter (fun (_, positions, idx) -> index_add idx positions stamp t) r.indexes;
+  Ttbl.add_if_absent r.stamps t r.len
+  && begin
+    append r t;
     true
   end
 
-(* stamps are unique per bucket: drop the single matching entry and stop,
-   sharing the unscanned tail instead of rebuilding the whole list *)
-let rec drop_stamp stamp = function
-  | [] -> []
-  | (s, _) :: rest when s = stamp -> rest
-  | entry :: rest -> entry :: drop_stamp stamp rest
+(* a tuple of the wrong arity is never a member, so [add] rejects it *)
+let add_borrowed r t = (not (Ttbl.mem r.stamps t)) && add r (Array.copy t)
 
 let remove r t =
   let stamp = Ttbl.get r.stamps t in
@@ -118,14 +157,7 @@ let remove r t =
   else begin
     Ttbl.remove r.stamps t;
     Bytes.set r.dead stamp '\001';
-    List.iter
-      (fun (_, positions, idx) ->
-        let bucket = Ttbl.get_proj idx positions t in
-        if bucket != Ttbl.dummy idx then
-          match drop_stamp stamp !bucket with
-          | [] -> Ttbl.remove idx (Array.map (fun i -> t.(i)) positions)
-          | remaining -> bucket := remaining)
-      r.indexes;
+    List.iter (fun (_, positions, idx) -> index_remove idx positions stamp t) r.indexes;
     true
   end
 
@@ -146,61 +178,78 @@ let to_list r = fold List.cons r []
 
 let pattern_equal a b = Array.length a = Array.length b && Array.for_all2 Bool.equal a b
 
+let no_index = new_index ()
+
 (* physical equality first: executors pass the same pattern array on
-   every probe of a compiled scan *)
+   every probe of a compiled scan.  Returns [no_index] rather than an
+   option, so a probe allocates nothing. *)
 let rec find_index pattern = function
-  | [] -> None
+  | [] -> no_index
   | (p, _, idx) :: rest ->
-    if p == pattern || pattern_equal p pattern then Some idx else find_index pattern rest
+    if p == pattern || pattern_equal p pattern then idx else find_index pattern rest
 
 let ensure_index r pattern =
-  match find_index pattern r.indexes with
-  | Some idx -> idx
-  | None ->
-    let idx = Ttbl.create (ref []) in
+  let idx = find_index pattern r.indexes in
+  if idx != no_index then idx
+  else begin
+    let idx = new_index () in
     let positions = bound_positions pattern in
     for i = 0 to r.len - 1 do
       if live r i then index_add idx positions i r.log.(i)
     done;
     r.indexes <- (pattern, positions, idx) :: r.indexes;
     idx
+  end
 
 let prepare_index r pattern =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.prepare_index: pattern arity mismatch";
   if not (Array.for_all not pattern) then ignore (ensure_index r pattern)
 
-(* newest first: skip stamps >= hi, stop below lo *)
-let rec iter_bucket ~lo ~hi f = function
-  | [] -> ()
-  | (stamp, t) :: rest ->
-    if stamp >= hi then iter_bucket ~lo ~hi f rest
-    else if stamp >= lo then begin
-      f t;
-      iter_bucket ~lo ~hi f rest
-    end
+(* first position of the ascending [st.(0 .. n-1)] holding a stamp
+   [>= hi], or [n] *)
+let rec first_from st hi a b =
+  if a >= b then a
+  else
+    let m = (a + b) lsr 1 in
+    if Array.unsafe_get st m < hi then first_from st hi (m + 1) b else first_from st hi a m
 
-let iter_index idx ~key ~lo ~hi f =
-  let bucket = Ttbl.get idx key in
-  if bucket != Ttbl.dummy idx then iter_bucket ~lo ~hi f !bucket
+(* newest first from position [i] down, stopping below [lo]; tuples are
+   read from the log, whose slots outlive a removal *)
+let rec iter_stamps r st lo f i =
+  if i >= 0 then begin
+    let stamp = Array.unsafe_get st i in
+    if stamp >= lo then begin
+      f (Array.unsafe_get r.log stamp);
+      iter_stamps r st lo f (i - 1)
+    end
+  end
+
+(* the array and count are read once: what the callback adds lands
+   beyond [n], and a removal installs a fresh array *)
+let iter_index r idx ~key ~lo ~hi f =
+  let b = Ttbl.get idx key in
+  let st = b.st and n = b.n in
+  if n > 0 then
+    let top = if Array.unsafe_get st (n - 1) < hi then n else first_from st hi 0 n in
+    iter_stamps r st lo f (top - 1)
 
 let iter_matching_in r ~pattern ~key ~lo ~hi f =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.iter_matching_in: pattern arity mismatch";
   if Array.for_all not pattern then iter_in r ~lo ~hi f
-  else iter_index (ensure_index r pattern) ~key ~lo ~hi f
+  else iter_index r (ensure_index r pattern) ~key ~lo ~hi f
 
-let indexed r pattern =
-  Array.for_all not pattern || Option.is_some (find_index pattern r.indexes)
+let indexed r pattern = Array.for_all not pattern || find_index pattern r.indexes != no_index
 
 let probe_in r ~pattern ~key ~lo ~hi f =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.probe_in: pattern arity mismatch";
   if Array.for_all not pattern then iter_in r ~lo ~hi f
   else
-    match find_index pattern r.indexes with
-    | Some idx -> iter_index idx ~key ~lo ~hi f
-    | None -> invalid_arg "Relation.probe_in: no index prepared for this pattern"
+    let idx = find_index pattern r.indexes in
+    if idx == no_index then invalid_arg "Relation.probe_in: no index prepared for this pattern"
+    else iter_index r idx ~key ~lo ~hi f
 
 let iter_matching r ~pattern ~key f = iter_matching_in r ~pattern ~key ~lo:0 ~hi:max_int f
 

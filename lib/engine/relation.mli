@@ -35,7 +35,14 @@ val size : t -> int
     removed — stamps are never reused, so [size] never decreases. *)
 
 val add : t -> Tuple.t -> bool
-(** Insert; returns [true] iff the tuple is new. *)
+(** Insert; returns [true] iff the tuple is new.  The relation keeps
+    [t] itself: the caller must not modify it afterwards. *)
+
+val add_borrowed : t -> Tuple.t -> bool
+(** {!add} for a tuple the caller will reuse (the head buffer of
+    {!Plan.run}): the stamp table is probed with [t] as given, and a
+    copy is stored only when it is new, so a duplicate allocates
+    nothing. *)
 
 val remove : t -> Tuple.t -> bool
 (** Delete; returns [true] iff the tuple was present.  The tuple's log
@@ -66,9 +73,10 @@ val iter_matching : t -> pattern:bool array -> key:Tuple.t -> (Tuple.t -> unit) 
 (** Streaming {!lookup}: applies the callback to every matching tuple
     without materializing a list.  An all-false pattern streams the whole
     relation; otherwise the bucket of the on-demand index for [pattern]
-    is traversed in place.  The traversal sees a snapshot: tuples the
-    callback inserts (into any relation, including this one) are not
-    visited. *)
+    is traversed in place, newest first.  The traversal sees a snapshot:
+    tuples the callback inserts (into any relation, including this one)
+    are not visited.  A bucket traversal still visits the tuples the
+    callback removes from this relation; a log traversal skips them. *)
 
 val iter_matching_in :
   t -> pattern:bool array -> key:Tuple.t -> lo:int -> hi:int -> (Tuple.t -> unit) -> unit

@@ -26,9 +26,9 @@ let record_fact s sym ~is_new =
   if is_new then begin
     s.facts <- s.facts + 1;
     (* counters are refs so the common case is one hash lookup + incr *)
-    match Symbol.Tbl.find_opt s.per_pred sym with
-    | Some n -> incr n
-    | None -> Symbol.Tbl.add s.per_pred sym (ref 1)
+    match Symbol.Tbl.find s.per_pred sym with
+    | n -> incr n
+    | exception Not_found -> Symbol.Tbl.add s.per_pred sym (ref 1)
   end
   else s.rederivations <- s.rederivations + 1
 

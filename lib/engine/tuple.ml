@@ -72,6 +72,28 @@ let equal_proj positions t key =
 
 let project positions t = Array.of_list (List.map (fun i -> t.(i)) positions)
 
+(* ground arguments and pairwise distinct variables: a tuple matches as
+   soon as its ground positions do *)
+let rec linear seen = function
+  | [] -> true
+  | Term.Var v :: rest -> (not (List.mem v seen)) && linear (v :: seen) rest
+  | arg :: rest -> Term.is_ground arg && linear seen rest
+
+let matcher args =
+  match find_of_list (List.filter Term.is_ground args) with
+  | None -> None
+  | Some key ->
+    let positions =
+      Array.of_list
+        (List.concat (List.mapi (fun i a -> if Term.is_ground a then [ i ] else []) args))
+    in
+    if linear [] args then Some (fun t -> equal_proj positions t key)
+    else
+      Some
+        (fun t ->
+          equal_proj positions t key
+          && Option.is_some (Subst.match_list args (to_list t) Subst.empty))
+
 let pp ppf t =
   Fmt.pf ppf "(%a)" (Fmt.list ~sep:(Fmt.any ", ") Value.pp) (Array.to_list t)
 

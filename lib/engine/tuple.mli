@@ -24,6 +24,14 @@ val hash : t -> int
 val project : int list -> t -> t
 (** [project positions t] keeps the given 0-based positions, in order. *)
 
+val matcher : Datalog.Term.t list -> (t -> bool) option
+(** [matcher args] tests whether a tuple matches atom arguments [args]
+    (variables bind, a repeated variable must agree, ground arguments
+    must be equal).  Ground arguments are compared by interned id, so
+    only a repeated variable or a non-ground compound argument builds
+    terms, and only for the tuples whose ids already agree.  [None]
+    when a ground argument was never interned: no tuple matches. *)
+
 val hash_proj : int array -> t -> int
 (** [hash_proj positions t] = [hash] of the projection of [t] on
     [positions], computed without materializing it. *)

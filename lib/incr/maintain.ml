@@ -308,7 +308,7 @@ let rederive t ~stats s =
   let before = Rel.cardinal s.gone in
   let restore _ tu =
     if Rel.remove s.gone tu then begin
-      ignore (Rel.add s.rel tu);
+      ignore (Rel.add_borrowed s.rel tu);
       stats.rederived <- stats.rederived + 1
     end
   in
@@ -345,7 +345,7 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
   let slot sym = List.find (fun s -> Symbol.equal s.p sym) slots in
   (* ---- phase 1: overdeletion (nothing is physically removed yet, so
      every non-delta literal reads the old state in place) ---- *)
-  let mark s tuple = if Rel.mem s.rel tuple then ignore (Rel.add s.gone tuple) in
+  let mark s tuple = if Rel.mem s.rel tuple then ignore (Rel.add_borrowed s.gone tuple) in
   (* a retracted assertion loses its external support; rederivation
      restores the tuple if some rule still proves it.  A new assertion
      supports its tuple from here on: rederivation restores it in place
@@ -425,7 +425,7 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
   (* ---- phase 5: semi-naive insertion fixpoint ---- *)
   let record sym tuple =
     fired stats;
-    if Rel.add (slot sym).rel tuple then spend budget
+    if Rel.add_borrowed (slot sym).rel tuple then spend budget
   in
   (* seed round: insertion deltas of lower units, with the unit's own
      predicates read up to the watermark; external insertions and seed

@@ -14,6 +14,11 @@ let load src =
   let p, facts = Parser.split_facts p in
   (p, Option.get q, Engine.Database.of_facts facts)
 
+(* a file of the repository: dune runtest runs in _build/default/test,
+   where it is one level up; dune exec runs from the root *)
+let repo_file path =
+  if Sys.file_exists (Filename.concat ".." path) then Filename.concat ".." path else path
+
 let tuple_list = Alcotest.testable (Fmt.list ~sep:Fmt.sp Engine.Tuple.pp) ( = )
 
 let sorted_answers (r : C.Rewrite.result) =

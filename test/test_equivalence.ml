@@ -170,6 +170,7 @@ let prop_all_strategies_on_random_graphs =
 type engine_run =
   ?max_iterations:int ->
   ?max_facts:int ->
+  ?seeds:Atom.t list ->
   Program.t ->
   edb:Engine.Database.t ->
   Engine.Eval.outcome

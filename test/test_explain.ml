@@ -99,12 +99,10 @@ let test_derivation_of_function_terms () =
    from _build/default/test under dune runtest, from the root under dune
    exec. *)
 let cli =
-  let local = Filename.concat ".." (Filename.concat "bin" "magic_cli.exe") in
+  let exe = Filename.concat "bin" "magic_cli.exe" in
+  let local = Filename.concat ".." exe in
   if Sys.file_exists local then local
-  else Filename.concat "_build" (Filename.concat "default" local)
-
-let repo_file path =
-  if Sys.file_exists (Filename.concat ".." path) then Filename.concat ".." path else path
+  else Filename.concat "_build" (Filename.concat "default" exe)
 
 let run_cli args =
   let out = Filename.temp_file "magic-explain" ".out" in
@@ -135,6 +133,24 @@ let test_cli_query_predicate () =
   Alcotest.(check string) "gc prints no tree" "" out;
   Alcotest.(check bool) "gc names path_ind_bf/5" true (contains ~sub:"path_ind_bf/5" err)
 
+(* a diverged evaluation is reported, not explained: counting over the
+   cyclic paths graph overflows its indices, and an unbounded program
+   exhausts the fact budget *)
+let test_cli_diverged () =
+  let paths = repo_file (Filename.concat "examples" "paths.dl") in
+  let code, out, err = run_cli [ "explain"; "-m"; "gc"; paths; "edge(a, b)" ] in
+  Alcotest.(check (pair int string)) "gc overflow exits 1, no tree" (1, "") (code, out);
+  Alcotest.(check bool) "gc says diverged" true (contains ~sub:"diverged" err);
+  let file = Filename.temp_file "magic-explain" ".dl" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc "n(z).\nn(s(X)) :- n(X).\n?- n(Y).\n");
+  let code, out, err =
+    run_cli [ "explain"; "--max-facts"; "20"; file; "n(s(z))" ]
+  in
+  Sys.remove file;
+  Alcotest.(check (pair int string)) "budget blowout exits 1, no tree" (1, "") (code, out);
+  Alcotest.(check bool) "budget blowout says diverged" true (contains ~sub:"diverged" err)
+
 let suite =
   [
     Alcotest.test_case "base fact" `Quick test_base_fact;
@@ -146,4 +162,5 @@ let suite =
     Alcotest.test_case "magic fact explained" `Quick test_explaining_magic_fact;
     Alcotest.test_case "function terms" `Quick test_derivation_of_function_terms;
     Alcotest.test_case "cli: query predicate as rewritten" `Quick test_cli_query_predicate;
+    Alcotest.test_case "cli: a diverged evaluation exits 1" `Quick test_cli_diverged;
   ]

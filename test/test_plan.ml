@@ -153,9 +153,10 @@ let test_missing_relation_not_probed () =
     plan.E.Plan.base;
   Alcotest.(check int) "only b is probed" 1 s.E.Stats.probes
 
-(* regression: executor scratch (env + key buffers) is allocated per
-   run — a nested run fired from inside on_fact must not corrupt the
-   outer run's keys the way the old shared key buffer did *)
+(* regression: executor scratch (env, key and head buffers) is allocated
+   per run — a nested run fired from inside on_fact must not corrupt the
+   outer run's keys the way the old shared key buffer did.  The head
+   tuple is borrowed, so every tuple kept here is copied. *)
 let test_run_reentrant () =
   let facts =
     List.init 8 (fun i -> atom (Fmt.str "e(n%d, n%d)" i (i + 1)))
@@ -168,7 +169,7 @@ let test_run_reentrant () =
   let run_with on_fact = E.Plan.run ~source ~neg_source:source ~on_fact inst in
   let run_one () =
     let acc = ref [] in
-    run_with (fun _ t -> acc := t :: !acc);
+    run_with (fun _ t -> acc := Array.copy t :: !acc);
     !acc
   in
   let expected = run_one () in
@@ -176,11 +177,53 @@ let test_run_reentrant () =
   let outer = ref [] in
   let nested_ok = ref true in
   run_with (fun _ t ->
-      outer := t :: !outer;
+      outer := Array.copy t :: !outer;
       (* a full nested run of the same compiled form, mid-solution *)
       if run_one () <> expected then nested_ok := false);
   Alcotest.(check bool) "nested runs see correct keys" true !nested_ok;
   Alcotest.(check bool) "outer run unaffected by nested runs" true (!outer = expected)
+
+(* A firing allocates nothing of its own: the head is a borrowed buffer,
+   scans reuse one continuation per step, and a duplicate fact is
+   rejected by probing the stamp table with that buffer.  A run whose
+   firings are all duplicates allocates only its per-run scratch. *)
+let test_duplicate_firings_no_alloc () =
+  let n = 40 in
+  let facts =
+    List.concat
+      (List.init n (fun i ->
+           [
+             atom (Fmt.str "e(n%d, z%d)" i (i mod 2));
+             atom (Fmt.str "t(z%d, m%d)" (i mod 2) i);
+             atom (Fmt.str "t(z%d, m%d)" ((i + 1) mod 2) i);
+           ]))
+  in
+  let db = E.Database.of_facts facts in
+  let arel = E.Database.relation db (sym "a" 2) in
+  let views =
+    [| [ E.Plan.full (E.Database.relation db (sym "e" 2)) ];
+       [ E.Plan.full (E.Database.relation db (sym "t" 2)) ] |]
+  in
+  let source lit _ = views.(lit) in
+  let inst = (compile "a(X, Y) :- e(X, Z), t(Z, Y), X <> Y.").E.Plan.base in
+  let firings = ref 0 and fresh = ref 0 in
+  let on_fact _ t =
+    incr firings;
+    if E.Relation.add_borrowed arel t then incr fresh
+  in
+  E.Plan.run ~source ~neg_source:source ~on_fact inst;
+  Alcotest.(check int) "first run stores every fact" (n * n) !fresh;
+  firings := 0;
+  fresh := 0;
+  let before = Gc.minor_words () in
+  E.Plan.run ~source ~neg_source:source ~on_fact inst;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "second run: every firing a duplicate" 0 !fresh;
+  Alcotest.(check int) "second run fires" (n * n) !firings;
+  let per_firing = words /. float_of_int !firings in
+  if per_firing >= 1.0 then
+    Alcotest.failf "a duplicate firing allocates %.2f words (%.0f for %d firings)" per_firing
+      words !firings
 
 (* A filter written before the literal that binds it waits until it is
    ready; relation literals keep their written order. *)
@@ -287,6 +330,8 @@ let suite =
     Alcotest.test_case "missing relation not probed" `Quick
       test_missing_relation_not_probed;
     Alcotest.test_case "run is re-entrant (fast form)" `Quick test_run_reentrant;
+    Alcotest.test_case "duplicate firings do not allocate" `Quick
+      test_duplicate_firings_no_alloc;
     Alcotest.test_case "filter waits until ready" `Quick test_filter_waits;
     Alcotest.test_case "filters before binders = tabled" `Quick test_filters_before_binders;
     Alcotest.test_case "never-ready filter is unsafe" `Quick test_never_ready_unsafe;

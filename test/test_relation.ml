@@ -233,6 +233,112 @@ let prop_of_log_tombstoned =
   qtest ~count:100 "of_log: tombstoned log continues as r" gen_of_log_case
     (of_log_continues ~tombstoned:true)
 
+(* Index buckets against a list model.  A history of adds, removes and
+   re-adds is interleaved with probes at random patterns, keys and stamp
+   ranges; every probe, through [iter_matching_in] and through
+   [probe_in], must see the model's live tuples of that range whose
+   projection is the key, newest first (oldest first for the all-free
+   pattern, which walks the log).  Two indexes exist before the
+   history, so every mutation maintains them; the others are built by
+   the first probe on them.  A probe may also remove and re-add each
+   tuple it visits and, on a bucket, remove the oldest tuple it has yet
+   to visit: the traversal must still see exactly the tuples it started
+   with. *)
+type bucket_op =
+  | Badd of int * int
+  | Bremove of int * int
+  | Bprobe of int * (int * int) * (int * int) * bool
+
+let patterns = [| [| false; false |]; [| true; false |]; [| false; true |]; [| true; true |] |]
+
+let gen_bucket_ops =
+  let open QCheck2.Gen in
+  let v = int_bound 4 in
+  let range = pair (int_bound 30) (oneofl [ 0; 5; 10; 20; 30; max_int ]) in
+  list_size (int_range 0 60)
+    (frequency
+       [
+         (4, map2 (fun a b -> Badd (a, b)) v v);
+         (2, map2 (fun a b -> Bremove (a, b)) v v);
+         ( 2,
+           map (fun (p, k, rg, m) -> Bprobe (p, k, rg, m)) (quad (int_bound 3) (pair v v) range bool)
+         );
+       ])
+
+let print_bucket_op = function
+  | Badd (a, b) -> Fmt.str "+(%d,%d)" a b
+  | Bremove (a, b) -> Fmt.str "-(%d,%d)" a b
+  | Bprobe (p, (a, b), (lo, hi), m) -> Fmt.str "?p%d(%d,%d)[%d,%d)%s" p a b lo hi (if m then "!" else "")
+
+let buckets_match_model ops =
+  let module R = Engine.Relation in
+  let t a b = tup [ Fmt.str "n%d" a; Fmt.str "n%d" b ] in
+  let r = R.create 2 in
+  R.prepare_index r patterns.(1);
+  R.prepare_index r patterns.(3);
+  (* (stamp, tuple, live), newest first *)
+  let model = ref [] in
+  let present u = List.exists (fun (_, v, live) -> !live && Engine.Tuple.equal u v) !model in
+  let ok = ref true in
+  let add u =
+    let fresh = not (present u) in
+    if R.add r u <> fresh then ok := false;
+    if fresh then model := (List.length !model, u, ref true) :: !model
+  in
+  let remove u =
+    let was = present u in
+    if R.remove r u <> was then ok := false;
+    List.iter (fun (_, v, live) -> if Engine.Tuple.equal u v then live := false) !model
+  in
+  let expected pattern u lo hi =
+    let hits =
+      List.filter_map
+        (fun (stamp, v, live) ->
+          let on_key = ref true in
+          Array.iteri
+            (fun i b -> if b && not (Engine.Value.equal u.(i) v.(i)) then on_key := false)
+            pattern;
+          if !live && lo <= stamp && stamp < hi && !on_key then Some v else None)
+        !model
+    in
+    if Array.for_all not pattern then List.rev hits else hits
+  in
+  List.iter
+    (function
+      | Badd (a, b) -> add (t a b)
+      | Bremove (a, b) -> remove (t a b)
+      | Bprobe (p, (a, b), (lo, hi), mutate) ->
+        let pattern = patterns.(p) in
+        let u = t a b in
+        let key = Array.of_list (List.filteri (fun i _ -> pattern.(i)) (Array.to_list u)) in
+        let want = expected pattern u lo hi in
+        let oldest =
+          match List.rev want with
+          | v :: _ when Array.exists Fun.id pattern -> [ v ]
+          | _ -> []
+        in
+        let seen = ref [] in
+        R.iter_matching_in r ~pattern ~key ~lo ~hi (fun v ->
+            seen := v :: !seen;
+            if mutate then begin
+              remove v;
+              add v;
+              List.iter remove oldest
+            end);
+        if List.rev !seen <> want then ok := false;
+        let want = expected pattern u lo hi in
+        let seen = ref [] in
+        R.prepare_index r pattern;
+        R.probe_in r ~pattern ~key ~lo ~hi (fun v -> seen := v :: !seen);
+        if List.rev !seen <> want then ok := false)
+    ops;
+  !ok
+
+let prop_buckets_match_model =
+  qtest ~count:300
+    ~print:(fun ops -> String.concat " " (List.map print_bucket_op ops))
+    "buckets = list model, newest first" gen_bucket_ops buckets_match_model
+
 (* probing a pre-sized table allocates nothing: the probe loops must not
    build closures per call (they did, at 15 words per [get]) *)
 let test_ttbl_no_alloc () =
@@ -312,6 +418,7 @@ let suite =
     Alcotest.test_case "copy after remove" `Quick test_remove_copy;
     prop_of_log_live;
     prop_of_log_tombstoned;
+    prop_buckets_match_model;
     Alcotest.test_case "ttbl: probes do not allocate" `Quick test_ttbl_no_alloc;
     Alcotest.test_case "database" `Quick test_database;
     Alcotest.test_case "database arith" `Quick test_database_arith_normalized;

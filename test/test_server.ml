@@ -419,7 +419,7 @@ let test_registry_rejects_derived_op () =
    advances the epoch: a cached entry must be served at the new epoch,
    not the one it was cached at. *)
 let test_noop_commit_advances_cached_epoch () =
-  let p, q, edb = load (Cost_cases.read "../examples/paths.dl") in
+  let p, q, edb = load (Cost_cases.read (repo_file "examples/paths.dl")) in
   let r = Server.Registry.create ~strategy:Incr.Session.GMS p q ~edb:(lazy edb) in
   ignore (answers_exn r q);
   let committed =
