@@ -85,10 +85,14 @@ let json_arg =
               BENCH_engine.json, session with the maintenance counters of each \
               transaction and query.")
 
-let status_string = function
-  | C.Rewrite.Ok -> "ok"
-  | C.Rewrite.Diverged -> "diverged"
-  | C.Rewrite.Unsafe _ -> "unsafe"
+(* rewrite, or exit 1 with a one-line error when the counting rewrite
+   cannot index the program *)
+let rewrite_or_exit cmd ~options rewriting program query =
+  match C.Rewrite.rewrite ~options rewriting program query with
+  | rw -> rw
+  | exception C.Counting.Inapplicable msg ->
+    Fmt.epr "magic %s: %s@." cmd msg;
+    exit 1
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -134,24 +138,11 @@ let semijoin_arg =
 let no_simplify_arg =
   Arg.(value & flag & info [ "no-simplify" ] ~doc:"Emit the unsimplified construction.")
 
-let path_encoding_arg =
-  Arg.(
-    value & flag
-    & info [ "path-indices" ]
-        ~doc:"Use structured-term counting indices (Section 11) instead of numeric ones.")
-
 let rewrite_cmd =
-  let run file (_, sip) strategy semijoin no_simplify path_encoding =
+  let run file (_, sip) strategy semijoin no_simplify =
     let program, query, _ = load file in
-    let options =
-      {
-        C.Rewrite.sip;
-        simplify = not no_simplify;
-        semijoin;
-        encoding = (if path_encoding then C.Indexing.Path else C.Indexing.Numeric);
-      }
-    in
-    let rw = C.Rewrite.rewrite ~options strategy program query in
+    let options = { C.Rewrite.sip; simplify = not no_simplify; semijoin } in
+    let rw = rewrite_or_exit "rewrite" ~options strategy program query in
     Fmt.pr "%a@." C.Rewritten.pp rw
   in
   Cmd.v
@@ -159,12 +150,9 @@ let rewrite_cmd =
        ~doc:"Rewrite the program for its query (Sections 4-8) and print the result.")
     (T.app
        (T.app
-          (T.app
-             (T.app (T.app (T.app (T.const run) file_arg) sip_arg)
-                strategy_arg)
-             semijoin_arg)
-          no_simplify_arg)
-       path_encoding_arg)
+          (T.app (T.app (T.app (T.const run) file_arg) sip_arg) strategy_arg)
+          semijoin_arg)
+       no_simplify_arg)
 
 let safety_cmd =
   let run file (_, sip) =
@@ -314,16 +302,17 @@ let eval_cmd =
         (Engine.Json_out.result_row
            ~workload:(Filename.basename file)
            ~meth:name
-           ~status:(status_string r.C.Rewrite.status)
+           ~status:(C.Rewrite.status_name r.C.Rewrite.status)
            ?cost r.C.Rewrite.stats ~time_s
            ~answers:(List.length r.C.Rewrite.answers))
     else begin
       List.iter (fun t -> Fmt.pr "%a@." Engine.Tuple.pp t) r.C.Rewrite.answers;
       Fmt.pr "%% method=%s status=%s %a@." name
-        (match r.C.Rewrite.status with
-        | C.Rewrite.Ok -> "ok"
-        | C.Rewrite.Diverged -> "diverged"
-        | C.Rewrite.Unsafe m -> "unsafe: " ^ m)
+        (C.Rewrite.status_name r.C.Rewrite.status
+        ^
+        match r.C.Rewrite.status with
+        | C.Rewrite.Unsafe m | C.Rewrite.Inapplicable m -> ": " ^ m
+        | C.Rewrite.Ok | C.Rewrite.Diverged -> "")
         Engine.Stats.pp r.C.Rewrite.stats
     end
   in
@@ -381,8 +370,8 @@ let explain_cmd =
     let program, query, edb = load file in
     let fact = Parser.parse_atom fact_str in
     (* a diverged evaluation has no fixpoint to explain, and replaying it
-       would diverge again: counting over cyclic data overflows its
-       indices, other programs exhaust the fact budget *)
+       would diverge again: counting over cyclic data and other unbounded
+       programs exhaust the fact budget, arithmetic may overflow *)
     let diverged () =
       Fmt.epr "magic explain: the %s evaluation diverged; no derivation to explain@." name;
       exit 1
@@ -394,7 +383,7 @@ let explain_cmd =
       | C.Rewrite.Original _ | C.Rewrite.Top_down _ ->
         (program, Engine.Eval.seminaive ~max_facts program ~edb, fact)
       | C.Rewrite.Rewritten_bottom_up (rewriting, options) ->
-        let rw = C.Rewrite.rewrite ~options rewriting program query in
+        let rw = rewrite_or_exit "explain" ~options rewriting program query in
         let fact = as_rewritten ~meth:name query rw fact in
         ( Program.make
             (Program.rules rw.C.Rewritten.program
@@ -455,7 +444,7 @@ let compare_cmd =
             Engine.Json_out.result_row
               ~workload:(Filename.basename file)
               ~meth:name
-              ~status:(status_string r.C.Rewrite.status)
+              ~status:(C.Rewrite.status_name r.C.Rewrite.status)
               r.C.Rewrite.stats ~time_s
               ~answers:(List.length r.C.Rewrite.answers))
           rows_spec
@@ -463,13 +452,13 @@ let compare_cmd =
       Fmt.pr "%s@." (Engine.Json_out.arr rows)
     end
     else begin
-      Fmt.pr "%-14s %-9s %8s %10s %10s %10s %8s@." "method" "status" "answers" "facts"
+      Fmt.pr "%-14s %-12s %8s %10s %10s %10s %8s@." "method" "status" "answers" "facts"
         "firings" "probes" "iters";
       List.iter
         (fun (name, method_) ->
           let r = C.Rewrite.run ~max_facts method_ program query ~edb in
-          Fmt.pr "%-14s %-9s %8d %10d %10d %10d %8d@." name
-            (status_string r.C.Rewrite.status)
+          Fmt.pr "%-14s %-12s %8d %10d %10d %10d %8d@." name
+            (C.Rewrite.status_name r.C.Rewrite.status)
             (List.length r.C.Rewrite.answers)
             r.C.Rewrite.stats.Engine.Stats.facts r.C.Rewrite.stats.Engine.Stats.firings
             r.C.Rewrite.stats.Engine.Stats.probes r.C.Rewrite.stats.Engine.Stats.iterations)

@@ -24,10 +24,7 @@ let () =
     (fun (name, method_) ->
       let r = C.Rewrite.run ~max_facts:2_000_000 method_ program query ~edb in
       Fmt.pr "%-10s %-9s %8d %8d %9d@." name
-        (match r.C.Rewrite.status with
-        | C.Rewrite.Ok -> "ok"
-        | C.Rewrite.Diverged -> "diverged"
-        | C.Rewrite.Unsafe _ -> "unsafe")
+        (C.Rewrite.status_name r.C.Rewrite.status)
         (List.length r.C.Rewrite.answers)
         r.C.Rewrite.stats.Engine.Stats.facts r.C.Rewrite.stats.Engine.Stats.probes)
     C.Rewrite.methods;

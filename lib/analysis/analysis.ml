@@ -84,7 +84,7 @@ let query_checks ctx ~sip ~rewritings =
                   { C.Rewrite.default_options with C.Rewrite.sip }
                 in
                 match C.Rewrite.rewrite ~options strategy idb q with
-                | exception Invalid_argument msg ->
+                | exception C.Counting.Inapplicable msg ->
                   (* the strategy rejects the program (e.g. counting needs
                      indices to flow from the query): inapplicable, not broken *)
                   [

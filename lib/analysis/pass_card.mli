@@ -88,10 +88,10 @@ val diagnostics : t -> Diagnostic.t list
 (** {1 Data-shape analysis}
 
     Used by {!Pass_cost} to decide whether the counting strategies'
-    numeric derivation indices stay representable: the indices encode
-    the derivation path, so they are bounded exactly when the guard
-    descent graph reachable from the seeds is acyclic, shallow enough
-    for the [~2^depth] encoding, and without path-count explosion. *)
+    derivation indices stay bounded: the indices encode the derivation
+    path, so they are bounded exactly when the guard descent graph
+    reachable from the seeds is acyclic and without path-count
+    explosion; its longest path bounds the derivation depth. *)
 
 type shape = {
   acyclic : bool;

@@ -34,8 +34,8 @@ let fact_weight = 4.
 
 (* Constant runtime weight of each strategy's machinery.  [est_probes]
    and [est_facts] count operations, but not every operation costs the
-   same: a counting derivation carries index arithmetic on every tuple
-   and reconstructs answers through the index-decrement rules, which
+   same: a counting derivation builds index terms for every tuple and
+   reconstructs answers through the index-matching rules, which
    the plan engine executes 2-3x slower than a plain magic probe of
    equal cardinality (Table OPT calibrates this).  The semijoin
    variants shed join probes but keep the index machinery. *)
@@ -45,20 +45,19 @@ let runtime_weight = function
   | _ -> 1.
 
 (* tie-break order: cheaper machinery first at equal scores.  The
-   [-chain] and [-bound] variants vary the sip {e collection}: chain
-   passes only adjacent-literal bindings, bound passes only the head's
-   bound variables — both can beat the full sip when intermediate
-   bindings blow up the supplementary relations, and lose badly when
-   dropping a binding unleashes an unrestricted sub-join.  They sit
-   after their full-sip counterparts so ties keep the historical
-   pick. *)
+   [-bound] variants vary the sip {e collection}: they pass only the
+   head's bound variables, which can beat the full sip when
+   intermediate bindings blow up the supplementary relations, and lose
+   badly when dropping a binding unleashes an unrestricted sub-join.
+   They sit after their full-sip counterparts so ties keep the
+   historical pick.  The [-chain] variants stay out: no measured
+   workload ranks them apart from their full-sip counterparts, and each
+   would cost a rewrite and an estimate per selection. *)
 let candidate_names =
   [
     "seminaive";
     "gms";
     "gsms";
-    "gms-chain";
-    "gsms-chain";
     "gms-bound";
     "gsms-bound";
     "gc";
@@ -89,6 +88,13 @@ let is_guard naming pred =
 
 let is_magic naming pred =
   match C.Naming.role naming pred with Some (C.Naming.Magic _) -> true | _ -> false
+
+(* leading index arguments of a counting predicate's atoms: they range
+   over derivation paths, not data constants *)
+let index_arity (rw : C.Rewritten.t) pred =
+  match C.Naming.role rw.C.Rewritten.naming pred with
+  | Some (C.Naming.Cnt _) -> C.Indexing.fields
+  | _ -> 0
 
 (* ---- descent shape: how the guards walk the extensional data ----
 
@@ -144,19 +150,15 @@ let descent_shape (rw : C.Rewritten.t) profile =
     (Program.rules rw.C.Rewritten.program);
   let roots =
     List.concat_map
-      (fun (s : Atom.t) -> List.filter Term.is_ground s.Atom.args)
+      (fun (s : Atom.t) ->
+        List.filteri
+          (fun i t -> i >= index_arity rw s.Atom.pred && Term.is_ground t)
+          s.Atom.args)
       rw.C.Rewritten.seeds
   in
   (Pass_card.profile_shape profile ~orient:!orient ~roots, !opaque)
 
-(* depth at which the numeric counting indices (Section 6: K*m+i, H*t+j
-   per level) overflow a native int, with margin *)
-let numeric_depth_limit (rw : C.Rewritten.t) =
-  let m = max 2 (C.Indexing.rule_count rw.C.Rewritten.adorned) in
-  let t = max 2 (C.Indexing.position_base rw.C.Rewritten.adorned) in
-  Float.of_int 60 /. (Float.log (Float.of_int (max m t)) /. Float.log 2.)
-
-let counting_exclusion (report : C.Safety.report) rw shape_opt =
+let counting_exclusion (report : C.Safety.report) shape_opt =
   if report.C.Safety.counting_statically_diverges then
     Some
       "the bound-argument graph is cyclic: counting diverges regardless of \
@@ -170,22 +172,13 @@ let counting_exclusion (report : C.Safety.report) rw shape_opt =
     | Some (s, false) ->
       if not s.Pass_card.acyclic then
         Some
-          "the data reachable from the seeds is cyclic: numeric counting \
-           indices would grow without bound"
-      else begin
-        let limit = numeric_depth_limit rw in
-        if s.Pass_card.longest > limit then
-          Some
-            (Fmt.str
-               "derivation depth %.0f overflows the numeric counting indices \
-                (limit ~%.0f for this program)"
-               s.Pass_card.longest limit)
-        else if s.Pass_card.saturated then
-          Some
-            "derivation paths multiply beyond the saturation bound: the \
-             counting relations would explode"
-        else None
-      end
+          "the data reachable from the seeds is cyclic: counting indices \
+           would grow without bound"
+      else if s.Pass_card.saturated then
+        Some
+          "derivation paths multiply beyond the saturation bound: the \
+           counting relations would explode"
+      else None
 
 let seminaive_exclusion program =
   if
@@ -248,39 +241,12 @@ let rounds_horizon ?profile ~universe program =
     else if s.Pass_card.acyclic then s.Pass_card.longest +. 2.
     else universe
 
-(* per-column distinct caps for a counting candidate: index columns
-   (those receiving arithmetic index terms in heads or seeds) range
-   over derivation paths, not data constants *)
-let counting_caps (rw : C.Rewritten.t) ~universe ~idx_cap =
-  let rec has_index_term (t : Term.t) =
-    match t with
-    | Term.Int _ | Term.Add _ | Term.Mul _ | Term.Div _ -> true
-    | Term.Var _ | Term.Sym _ -> false
-    | Term.App (_, ts) -> List.exists has_index_term ts
-  in
-  let flags : (Symbol.t, bool array) Hashtbl.t = Hashtbl.create 16 in
-  let mark (a : Atom.t) =
-    let sym = Atom.symbol a in
-    let arr =
-      match Hashtbl.find_opt flags sym with
-      | Some arr -> arr
-      | None ->
-        let arr = Array.make (max sym.Symbol.arity 0) false in
-        Hashtbl.replace flags sym arr;
-        arr
-    in
-    List.iteri
-      (fun i arg ->
-        if i < Array.length arr && has_index_term arg then arr.(i) <- true)
-      a.Atom.args
-  in
-  List.iter (fun (r : Rule.t) -> mark r.Rule.head) (Program.rules rw.C.Rewritten.program);
-  List.iter mark rw.C.Rewritten.seeds;
-  fun sym ->
-    match Hashtbl.find_opt flags sym with
-    | Some arr when Array.exists Fun.id arr ->
-      Some (Array.map (fun idx -> if idx then idx_cap else universe) arr)
-    | _ -> None
+(* per-column distinct caps for a counting candidate: the index columns
+   of its counting predicates are capped at [idx_cap] *)
+let counting_caps (rw : C.Rewritten.t) ~universe ~idx_cap (sym : Symbol.t) =
+  match index_arity rw sym.Symbol.name with
+  | 0 -> None
+  | n -> Some (Array.init sym.Symbol.arity (fun i -> if i < n then idx_cap else universe))
 
 let score_candidate ~profile ~rewrite ~measured ~universe ~rounds_bound
     program (name, method_) =
@@ -296,7 +262,7 @@ let score_candidate ~profile ~rewrite ~measured ~universe ~rounds_bound
       viable name method_ ~est_magic:0. card)
   | C.Rewrite.Rewritten_bottom_up (rewriting, options) -> (
     match rewrite name rewriting options with
-    | Error (Invalid_argument msg) -> inapplicable name method_ msg
+    | Error (C.Counting.Inapplicable msg) -> inapplicable name method_ msg
     | Error exn -> inapplicable name method_ (Printexc.to_string exn)
     | Ok rw -> (
       let report = C.Safety.analyze rw.C.Rewritten.adorned in
@@ -315,7 +281,7 @@ let score_candidate ~profile ~rewrite ~measured ~universe ~rounds_bound
       else
         let shape = Option.map (descent_shape rw) profile in
         match
-          if is_counting method_ then counting_exclusion report rw shape
+          if is_counting method_ then counting_exclusion report shape
           else None
         with
         | Some why -> excluded name method_ why
@@ -380,6 +346,18 @@ let score_candidate ~profile ~rewrite ~measured ~universe ~rounds_bound
                    (fun i c ->
                      if i < Array.length b then Float.min c b.(i) else c)
                    a)
+          in
+          (* a counting candidate's index level is the guards' descent
+             depth, so on measured data whose descent from the seeds is
+             acyclic its fixpoint needs no longer horizon than the
+             descent's longest path *)
+          let rounds_bound =
+            match shape with
+            | Some (s, false)
+              when is_counting method_ && measured && s.Pass_card.acyclic
+                   && s.Pass_card.reachable >= 1. ->
+              Float.min rounds_bound (s.Pass_card.longest +. 2.)
+            | _ -> rounds_bound
           in
           let card =
             Pass_card.analyze ?profile ~seeds:rw.C.Rewritten.seeds

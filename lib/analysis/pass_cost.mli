@@ -6,12 +6,11 @@
     over the rewritten program with the query's magic seeds installed,
     and ranks them by [weight * (est_probes + 4 * est_facts)], where
     [weight] prices each strategy's constant per-operation machinery
-    (counting's index arithmetic costs 2-3x a plain probe).  Strategies
+    (counting's index machinery costs 2-3x a plain probe).  Strategies
     the Section 10 report or the data shape rule out (cyclic data under
-    counting, overflow-deep chains, path-count explosion, unsafe
-    non-Datalog magic, unbound heads under direct evaluation or under a
-    rewrite's sip) are excluded with a human-readable reason rather than
-    mis-scored. *)
+    counting, path-count explosion, unsafe non-Datalog magic, unbound
+    heads under direct evaluation or under a rewrite's sip) are excluded
+    with a human-readable reason rather than mis-scored. *)
 
 open Datalog
 module C := Magic_core

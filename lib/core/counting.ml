@@ -1,5 +1,7 @@
 open Datalog
 
+exception Inapplicable of string
+
 (* Is the i-th body literal an occurrence that carries index fields
    (derived with at least one bound argument)? *)
 let indexed_occurrence ~naming (ar : Adorn.adorned_rule) i =
@@ -35,15 +37,18 @@ let check_supported ~naming (ar : Adorn.adorned_rule) =
     List.exists (fun i -> indexed_occurrence ~naming ar i <> None) (List.init n Fun.id)
   in
   if has_indexed_body && not (Adornment.has_bound ar.Adorn.head_adornment) then
-    invalid_arg
-      (Fmt.str
-         "Counting: rule for %s has bound derived body occurrences but an unbound \
-          head; counting indices must flow from the query"
-         ar.Adorn.head_pred);
+    raise
+      (Inapplicable
+         (Fmt.str
+            "Counting: rule for %s has bound derived body occurrences but an unbound \
+             head; counting indices must flow from the query"
+            ar.Adorn.head_pred));
   List.iter
     (fun i ->
       if List.length (Sip.arcs_into ar.Adorn.sip i) > 1 then
-        invalid_arg "Counting: multiple sip arcs into one occurrence are not supported")
+        raise
+          (Inapplicable
+             "Counting: multiple sip arcs into one occurrence are not supported"))
     (List.init n Fun.id)
 
 (* Counting rule for the sip arc into body position [j0] (0-based). *)
@@ -120,14 +125,14 @@ let modified_rule ~naming ~adorned_index ~rule_number ix (ar : Adorn.adorned_rul
   ( Rule.make head (List.map snd lits),
     { Rewritten.kind = Rewritten.Modified adorned_index; origins = List.map fst lits } )
 
-let seed ~naming ~encoding (adorned : Adorn.t) =
+let seed ~naming ?encoding (adorned : Adorn.t) =
   let pred, qa = adorned.Adorn.query_pred in
   if not (Adornment.has_bound qa) then None
   else begin
     match adorned.Adorn.rules with
     | [] -> None
     | ar :: _ ->
-      let ix = Indexing.create ~encoding adorned ar in
+      let ix = Indexing.create ?encoding adorned ar in
       Some
         (Atom.make (Naming.cnt naming pred qa)
            (Indexing.seed_indices ix
@@ -144,9 +149,9 @@ let indexed_query ~naming (adorned : Adorn.t) =
       let rec go base = if List.mem base used then go (base ^ "0") else base in
       [ Term.Var (go "I"); Term.Var (go "KK"); Term.Var (go "HH") ]
     in
-    (Atom.make (Naming.indexed naming pred qa) (fresh @ q.Atom.args), 3)
+    (Atom.make (Naming.indexed naming pred qa) (fresh @ q.Atom.args), Indexing.fields)
 
-let rewrite ?(simplify = true) ?(encoding = Indexing.Numeric) (adorned : Adorn.t) =
+let rewrite ?(simplify = true) ?encoding (adorned : Adorn.t) =
   let naming = adorned.Adorn.naming in
   let rules_with_meta =
     List.concat
@@ -154,7 +159,7 @@ let rewrite ?(simplify = true) ?(encoding = Indexing.Numeric) (adorned : Adorn.t
          (fun adorned_index ar ->
            check_supported ~naming ar;
            let rule_number = adorned_index + 1 in
-           let ix = Indexing.create ~encoding adorned ar in
+           let ix = Indexing.create ?encoding adorned ar in
            let n = List.length ar.Adorn.rule.Rule.body in
            let cnt_rules =
              List.filter_map
@@ -170,7 +175,7 @@ let rewrite ?(simplify = true) ?(encoding = Indexing.Numeric) (adorned : Adorn.t
            cnt_rules @ [ modified_rule ~naming ~adorned_index ~rule_number ix ar ])
          adorned.Adorn.rules)
   in
-  let seeds = Option.to_list (seed ~naming ~encoding adorned) in
+  let seeds = Option.to_list (seed ~naming ?encoding adorned) in
   let query, index_fields = indexed_query ~naming adorned in
   {
     Rewritten.program = Program.make (List.map fst rules_with_meta);

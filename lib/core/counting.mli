@@ -10,9 +10,14 @@
     by themselves: projecting them out yields exactly the facts of the
     magic-sets program (tested in the suite).
 
-    Encodings follow the paper: with [m] adorned rules (numbered from 1)
-    and [t] the maximum body length, expanding body position [j] of rule
-    [i] maps [(I, K, H)] to [(I+1, K*m+i, H*t+j)].
+    The indices are the path terms of Section 11 by default: expanding
+    body position [j] of rule [i] maps [(I, K, H)] to
+    [(s(I), k(i, K), h(j, H))], so derivations of any depth evaluate.
+    [~encoding:Numeric] gives the paper's printed form instead: with [m]
+    adorned rules (numbered from 1) and [t] the maximum body length,
+    [(I+1, K*m+i, H*t+j)], which overflows native integers past depth
+    ~62.  The choice cannot change answers: the index fields carry no
+    selectivity.
 
     The paper's [H/t] notation in modified rules is normalized to a shared
     index variable between guard, head and body (an equivalent program;
@@ -23,13 +28,17 @@
     program; use {!Safety.counting_terminates} to check, and evaluation
     budgets to cut off.
 
-    @raise Invalid_argument for rules whose head has no bound argument but
+    @raise Inapplicable for rules whose head has no bound argument but
     whose body contains a bound derived occurrence: counting indices must
     flow from the query. *)
 
+exception Inapplicable of string
+(** The counting methods cannot index this program; the message says
+    why. *)
+
 val rewrite : ?simplify:bool -> ?encoding:Indexing.encoding -> Adorn.t -> Rewritten.t
-(** [encoding] defaults to the paper's numeric indices; [Path] uses the
-    structured-term identifiers of Section 11, which cannot overflow. *)
+(** [encoding] defaults to [Path]; [Numeric] is the paper's printed
+    form. *)
 
 (** {1 Building blocks}
 
@@ -55,7 +64,7 @@ val indexed_atom :
   position:int ->
   string * Adornment.t * Atom.t ->
   Atom.t
-(** [q_ind^a(I+1, K*m+i, H*t+j, theta)]. *)
+(** [q_ind^a(s(I), k(i, K), h(j, H), theta)]. *)
 
 val cnt_atom :
   naming:Naming.t ->
@@ -64,13 +73,13 @@ val cnt_atom :
   position:int ->
   string * Adornment.t * Atom.t ->
   Atom.t
-(** [cnt_q^a(I+1, K*m+i, H*t+j, theta^b)]. *)
+(** [cnt_q^a(s(I), k(i, K), h(j, H), theta^b)]. *)
 
 val check_supported : naming:Naming.t -> Adorn.adorned_rule -> unit
-(** @raise Invalid_argument on rules the counting methods cannot index. *)
+(** @raise Inapplicable on rules the counting methods cannot index. *)
 
-val seed : naming:Naming.t -> encoding:Indexing.encoding -> Adorn.t -> Atom.t option
-(** [cnt_q^a(0, 0, 0, c)] (or the path-encoded root). *)
+val seed : naming:Naming.t -> ?encoding:Indexing.encoding -> Adorn.t -> Atom.t option
+(** [cnt_q^a(0, e, e, c)] (path) or [cnt_q^a(0, 0, 0, c)] (numeric). *)
 
 val indexed_query : naming:Naming.t -> Adorn.t -> Atom.t * int
 (** Query over the indexed predicate (3 fresh index variables prepended)

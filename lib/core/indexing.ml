@@ -11,6 +11,8 @@ type t = {
   hv : string;
 }
 
+let fields = 3
+
 let rule_count (adorned : Adorn.t) = List.length adorned.Adorn.rules
 
 let position_base (adorned : Adorn.t) =
@@ -18,7 +20,7 @@ let position_base (adorned : Adorn.t) =
     (fun acc ar -> max acc (List.length ar.Adorn.rule.Rule.body))
     1 adorned.Adorn.rules
 
-let create ?(encoding = Numeric) adorned (ar : Adorn.adorned_rule) =
+let create ?(encoding = Path) adorned (ar : Adorn.adorned_rule) =
   let used = Rule.vars ar.Adorn.rule in
   let fresh base =
     let rec go candidate = if List.mem candidate used then go (candidate ^ "0") else candidate in

@@ -3,18 +3,18 @@
 
     Two encodings are supported:
 
-    - [Numeric] — the paper's encoding: with [m] adorned rules (numbered
-      from 1) and [t] the maximum body length, expanding body position
-      [j] (1-based) of rule number [i] maps the guard indices [(I, K, H)]
-      to [(I+1, K*m+i, H*t+j)].  [K] and [H] grow exponentially with
-      derivation depth, so evaluations deeper than ~62 overflow native
-      integers and are reported as divergent.
-    - [Path] — the dynamic identifiers suggested in Section 11 (after
-      Vieille): the same information as structured terms,
+    - [Path] (the default, and the one every counting method evaluates
+      with) — the dynamic identifiers suggested in Section 11 (after
+      Vieille): with [m] adorned rules (numbered from 1) and [t] the
+      maximum body length, expanding body position [j] (1-based) of rule
+      number [i] maps the guard indices [(I, K, H)] to
       [(s(I), k(i, K), h(j, H))].  Structural matching replaces index
-      arithmetic, no overflow can occur, and deep derivations work; the
-      growth of the terms still makes counting diverge on cyclic data,
-      as it must. *)
+      arithmetic, so derivations of any depth work; the growth of the
+      terms still makes counting diverge on cyclic data, as it must.
+    - [Numeric] — the paper's printed form, [(I+1, K*m+i, H*t+j)], kept
+      as the reference the appendix listings are checked against.  [K]
+      and [H] grow as [m^depth], so evaluations deeper than ~62 overflow
+      native integers. *)
 
 open Datalog
 
@@ -22,10 +22,13 @@ type encoding = Numeric | Path
 
 type t
 
+val fields : int
+(** Index arguments that lead every indexed and counting atom: 3. *)
+
 val create : ?encoding:encoding -> Adorn.t -> Adorn.adorned_rule -> t
 (** Fresh index variable names for one adorned rule (avoiding its
     variables) plus the program-wide bases [m] and [t].  [encoding]
-    defaults to [Numeric]. *)
+    defaults to [Path]. *)
 
 val rule_count : Adorn.t -> int
 val position_base : Adorn.t -> int
@@ -34,9 +37,8 @@ val guard_indices : t -> Term.t list
 (** [[I; K; H]] as variables. *)
 
 val body_indices : t -> rule_number:int -> position:int -> Term.t list
-(** [[I+1; K*m+i; H*t+j]] (numeric) or [[s(I); k(i, K); h(j, H)]] (path)
+(** [[s(I); k(i, K); h(j, H)]] (path) or [[I+1; K*m+i; H*t+j]] (numeric)
     for 1-based rule number [i] and body position [j]. *)
 
 val seed_indices : t -> Term.t list
-(** [[0; 0; 0]] (numeric) or [[0; e; e]] (path). *)
-
+(** [[0; e; e]] (path) or [[0; 0; 0]] (numeric). *)

@@ -5,16 +5,9 @@ type options = {
   sip : Sip.strategy;
   simplify : bool;
   semijoin : bool;
-  encoding : Indexing.encoding;
 }
 
-let default_options =
-  {
-    sip = Sip.full_left_to_right;
-    simplify = true;
-    semijoin = false;
-    encoding = Indexing.Numeric;
-  }
+let default_options = { sip = Sip.full_left_to_right; simplify = true; semijoin = false }
 
 let rewriting_of_string = function
   | "gms" | "magic" -> Some GMS
@@ -35,9 +28,8 @@ let rewrite ?(options = default_options) rewriting program query =
     match rewriting with
     | GMS -> Magic_sets.rewrite ~simplify:options.simplify adorned
     | GSMS -> Supplementary.rewrite ~simplify:options.simplify adorned
-    | GC -> Counting.rewrite ~simplify:options.simplify ~encoding:options.encoding adorned
-    | GSC ->
-      Sup_counting.rewrite ~simplify:options.simplify ~encoding:options.encoding adorned
+    | GC -> Counting.rewrite ~simplify:options.simplify adorned
+    | GSC -> Sup_counting.rewrite ~simplify:options.simplify adorned
   in
   if options.semijoin then Semijoin.optimize rewritten else rewritten
 
@@ -46,7 +38,13 @@ type method_ =
   | Rewritten_bottom_up of rewriting * options
   | Top_down of [ `SLD | `Tabled ]
 
-type status = Ok | Diverged | Unsafe of string
+type status = Ok | Diverged | Unsafe of string | Inapplicable of string
+
+let status_name = function
+  | Ok -> "ok"
+  | Diverged -> "diverged"
+  | Unsafe _ -> "unsafe"
+  | Inapplicable _ -> "inapplicable"
 
 type result = { answers : Engine.Tuple.t list; stats : Engine.Stats.t; status : status }
 
@@ -76,8 +74,11 @@ let run ?max_facts ?max_iterations method_ program query ~edb =
         stats = out.Engine.Eval.stats;
         status = (if out.Engine.Eval.diverged then Diverged else Ok);
       }
-    with Engine.Solve.Unsafe msg ->
+    with
+    | Engine.Solve.Unsafe msg ->
       { answers = []; stats = Engine.Stats.create (); status = Unsafe msg }
+    | Counting.Inapplicable msg ->
+      { answers = []; stats = Engine.Stats.create (); status = Inapplicable msg }
   end
   | Top_down mode -> begin
     try
@@ -111,8 +112,4 @@ let methods =
     ("gsc", Rewritten_bottom_up (GSC, default_options));
     ("gc-sj", Rewritten_bottom_up (GC, { default_options with semijoin = true }));
     ("gsc-sj", Rewritten_bottom_up (GSC, { default_options with semijoin = true }));
-    ("gc-path", Rewritten_bottom_up (GC, { default_options with encoding = Indexing.Path }));
-    ( "gc-path-sj",
-      Rewritten_bottom_up
-        (GC, { default_options with encoding = Indexing.Path; semijoin = true }) );
   ]

@@ -12,10 +12,9 @@ type options = {
   sip : Sip.strategy;  (** default {!Sip.full_left_to_right} *)
   simplify : bool;  (** apply the paper's per-strategy simplifications *)
   semijoin : bool;  (** apply Section 8 to the counting strategies *)
-  encoding : Indexing.encoding;
-      (** counting-index encoding: the paper's numeric indices (default)
-          or the overflow-free path terms of Section 11 *)
 }
+(** The counting strategies index with the path terms of Section 11
+    ({!Indexing.Path}), so they answer at any derivation depth. *)
 
 val default_options : options
 
@@ -37,6 +36,12 @@ type status =
   | Unsafe of string
       (** the evaluation derived a non-ground head or reached an unbound
           builtin: the method is unsafe for this program *)
+  | Inapplicable of string
+      (** the counting rewrite cannot index this program
+          ({!Counting.Inapplicable}) *)
+
+val status_name : status -> string
+(** ["ok"], ["diverged"], ["unsafe"] or ["inapplicable"]. *)
 
 type result = {
   answers : Engine.Tuple.t list;  (** full argument tuples of the query *)
@@ -53,10 +58,11 @@ val run :
   edb:Engine.Database.t ->
   result
 (** Answer [query] over [program] and [edb] with one method.  Unsafe
-    rewrites report [Unsafe]; an exhausted [max_facts]/[max_iterations]
-    budget reports [Diverged]. *)
+    rewrites report [Unsafe], counting rewrites that do not apply report
+    [Inapplicable]; an exhausted [max_facts]/[max_iterations] budget
+    reports [Diverged]. *)
 
 val methods : (string * method_) list
 (** Named methods for CLIs and benches: naive, seminaive, sld, tabled,
-    gms, gsms, gms-chain, gsms-chain, gc, gsc, gc-sj, gsc-sj, gc-path,
-    gc-path-sj. *)
+    gms, gsms, gms-chain, gsms-chain, gms-bound, gsms-bound, gc, gsc,
+    gc-sj, gsc-sj. *)

@@ -127,18 +127,18 @@ let rewrite_rule ~naming ~simplify ~adorned_index ~rule_number ix
           } );
       ]
 
-let rewrite ?(simplify = true) ?(encoding = Indexing.Numeric) (adorned : Adorn.t) =
+let rewrite ?(simplify = true) ?encoding (adorned : Adorn.t) =
   let naming = adorned.Adorn.naming in
   let rules_with_meta =
     List.concat
       (List.mapi
          (fun adorned_index ar ->
            let rule_number = adorned_index + 1 in
-           let ix = Indexing.create ~encoding adorned ar in
+           let ix = Indexing.create ?encoding adorned ar in
            rewrite_rule ~naming ~simplify ~adorned_index ~rule_number ix ar)
          adorned.Adorn.rules)
   in
-  let seeds = Option.to_list (Counting.seed ~naming ~encoding adorned) in
+  let seeds = Option.to_list (Counting.seed ~naming ?encoding adorned) in
   let query, index_fields = Counting.indexed_query ~naming adorned in
   {
     Rewritten.program = Program.make (List.map fst rules_with_meta);

@@ -7,7 +7,8 @@
     rule read from them instead of recomputing the joins.  Theorem 7.1:
     equivalent to the adorned program.
 
-    Shares the conventions of {!Counting}: rule numbers and position bases
+    Shares the conventions of {!Counting}: path indices unless [encoding]
+    asks for the paper's numeric ones, rule numbers and position bases
     from {!Indexing}, the [H/t] normalization, and divergence on cyclic
     data or cyclic argument graphs. *)
 

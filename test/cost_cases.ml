@@ -28,10 +28,10 @@ let of_source src =
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-let corpus ~root =
+let corpus () =
   List.concat_map
     (fun dir ->
-      Sys.readdir (Filename.concat root dir)
+      Sys.readdir (Helpers.repo_file dir)
       |> Array.to_list
       |> List.filter (fun f ->
              Filename.check_suffix f ".dl"
@@ -41,7 +41,7 @@ let corpus ~root =
              {
                name = dir ^ "_" ^ Filename.chop_suffix f ".dl";
                only = None;
-               input = (fun () -> of_source (read (Filename.concat root (Filename.concat dir f))));
+               input = (fun () -> of_source (read (Helpers.repo_file (Filename.concat dir f))));
              }))
     [ "examples"; "data" ]
 
@@ -113,4 +113,4 @@ let generated =
         (P.ancestor, anc (G.node "n" 0), Engine.Database.create ()));
   ]
 
-let all ~root = corpus ~root @ generated
+let all () = corpus () @ generated

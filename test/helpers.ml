@@ -19,6 +19,25 @@ let load src =
 let repo_file path =
   if Sys.file_exists (Filename.concat ".." path) then Filename.concat ".." path else path
 
+(* the built CLI: from _build/default/test under dune runtest, from the
+   root under dune exec *)
+let cli =
+  let exe = Filename.concat "bin" "magic_cli.exe" in
+  let local = Filename.concat ".." exe in
+  if Sys.file_exists local then local
+  else Filename.concat "_build" (Filename.concat "default" exe)
+
+(* run the CLI: (exit code, stdout, stderr) *)
+let run_cli args =
+  let out = Filename.temp_file "magic-cli" ".out" in
+  let err = Filename.temp_file "magic-cli" ".err" in
+  let code = Sys.command (Filename.quote_command cli args ~stdout:out ~stderr:err) in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let result = (code, read out, read err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
 let tuple_list = Alcotest.testable (Fmt.list ~sep:Fmt.sp Engine.Tuple.pp) ( = )
 
 let sorted_answers (r : C.Rewrite.result) =
@@ -30,14 +49,14 @@ let run_method ?max_facts name program query edb =
 
 (* every strategy's rewritten output must satisfy the structural
    invariants of Sections 4-7; a strategy may refuse a program outright
-   (Invalid_argument), which is not an invariant violation *)
+   (Counting.Inapplicable), which is not an invariant violation *)
 let all_strategies = [ C.Rewrite.GMS; C.Rewrite.GSMS; C.Rewrite.GC; C.Rewrite.GSC ]
 
 let lint_clean name program query =
   List.iter
     (fun strategy ->
       match C.Rewrite.rewrite strategy program query with
-      | exception Invalid_argument _ -> ()
+      | exception C.Counting.Inapplicable _ -> ()
       | rw -> (
         match Analysis.Rewrite_lint.check rw with
         | [] -> ()
@@ -51,7 +70,7 @@ let lint_ok program query =
   List.for_all
     (fun strategy ->
       match C.Rewrite.rewrite strategy program query with
-      | exception Invalid_argument _ -> true
+      | exception C.Counting.Inapplicable _ -> true
       | rw -> Analysis.Rewrite_lint.check rw = [])
     all_strategies
 

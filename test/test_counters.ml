@@ -9,7 +9,7 @@
 open Datalog
 module C = Magic_core
 
-let dir = "counter_reports"
+let dir = Helpers.repo_file "test/counter_reports"
 
 let check_pinned name actual =
   let path = Filename.concat dir (name ^ ".txt") in
@@ -27,11 +27,7 @@ let bottom_up =
     (fun (_, m) -> match m with C.Rewrite.Top_down _ -> false | _ -> true)
     C.Rewrite.methods
 
-let status_name (r : C.Rewrite.result) =
-  match r.C.Rewrite.status with
-  | C.Rewrite.Ok -> "ok"
-  | C.Rewrite.Diverged -> "diverged"
-  | C.Rewrite.Unsafe _ -> "unsafe"
+let status_name (r : C.Rewrite.result) = C.Rewrite.status_name r.C.Rewrite.status
 
 let eval_report (case : Cost_cases.case) =
   let program, query, edb = case.input () in
@@ -50,12 +46,13 @@ let eval_report (case : Cost_cases.case) =
 let test_eval () =
   List.iter
     (fun (case : Cost_cases.case) -> check_pinned ("eval_" ^ case.name) (eval_report case))
-    (Cost_cases.all ~root:"..")
+    (Cost_cases.all ())
 
-(* Counting indices grow as 2^depth, so on an ancestor chain longer than
-   62 the numeric encodings overflow: each method returns the answers
-   derived so far and reports divergence.  The pinned counters and answer
-   count fix the step at which the overflow surfaces. *)
+(* The paper's numeric counting indices grow as 2^depth and would
+   overflow on an ancestor chain longer than 62; the path indices the
+   counting methods evaluate with have no depth limit, so every method
+   returns all 70 answers.  The pinned counters and answer counts fix
+   that. *)
 let overflow_name = "eval_counting_overflow"
 
 let overflow_report () =
@@ -147,7 +144,8 @@ let maint_cases =
     [ ("original", Incr.Session.Original); ("gms", Incr.Session.GMS); ("gsms", Incr.Session.GSMS) ]
   in
   let paths () =
-    (Cost_cases.read "../examples/paths.dl", Cost_cases.read "../examples/updates_paths.dl")
+    ( Cost_cases.read (Helpers.repo_file "examples/paths.dl"),
+      Cost_cases.read (Helpers.repo_file "examples/updates_paths.dl") )
   in
   List.concat_map
     (fun (case, srcs) ->
@@ -167,7 +165,7 @@ let test_maint () =
 let test_no_stray () =
   let names =
     overflow_name
-    :: List.map (fun (c : Cost_cases.case) -> "eval_" ^ c.name) (Cost_cases.all ~root:"..")
+    :: List.map (fun (c : Cost_cases.case) -> "eval_" ^ c.name) (Cost_cases.all ())
     @ List.map (fun (n, _, _) -> n) maint_cases
   in
   Array.iter

@@ -31,14 +31,8 @@ let test_index_vars_fresh () =
   in
   ignore edb
 
-let test_overflow_reported_as_divergence () =
-  let edb = Workload.Generate.db (Workload.Generate.chain ~pred:"p" 80) in
-  let q = Workload.Programs.ancestor_query (Workload.Generate.node "n" 0) in
-  let gc = run_method "gc" Workload.Programs.ancestor q edb in
-  Alcotest.(check bool)
-    "deep chain diverges (index overflow)" true
-    (gc.C.Rewrite.status = C.Rewrite.Diverged)
-
+(* path indices do not overflow: every counting method answers a chain
+   far deeper than the ~62 levels the paper's numeric indices reach *)
 let test_path_encoding_no_overflow () =
   let edb = Workload.Generate.db (Workload.Generate.chain ~pred:"p" 150) in
   let q = Workload.Programs.ancestor_query (Workload.Generate.node "n" 0) in
@@ -49,11 +43,11 @@ let test_path_encoding_no_overflow () =
       Alcotest.(check bool) (m ^ " ok") true (r.C.Rewrite.status = C.Rewrite.Ok);
       Alcotest.check tuple_list (m ^ " answers") (sorted_answers reference)
         (sorted_answers r))
-    [ "gc-path"; "gc-path-sj" ]
+    [ "gc"; "gsc"; "gc-sj"; "gsc-sj" ]
 
 let test_path_encoding_structure () =
   let rw =
-    C.Counting.rewrite ~encoding:C.Indexing.Path
+    C.Counting.rewrite
       (adorned Workload.Programs.ancestor (Workload.Programs.ancestor_query (term "j")))
   in
   (* the seed carries the path roots *)
@@ -82,7 +76,7 @@ let test_path_still_diverges_on_cycles () =
   let q = Workload.Programs.ancestor_query (Workload.Generate.node "n" 0) in
   let r =
     C.Rewrite.run ~max_facts:800
-      (List.assoc "gc-path" C.Rewrite.methods)
+      (List.assoc "gc" C.Rewrite.methods)
       Workload.Programs.ancestor q ~edb
   in
   Alcotest.(check bool) "diverged" true (r.C.Rewrite.status = C.Rewrite.Diverged)
@@ -100,7 +94,7 @@ let test_unsupported_unbound_head () =
     (try
        ignore (C.Counting.rewrite ad);
        false
-     with Invalid_argument _ -> true)
+     with C.Counting.Inapplicable _ -> true)
 
 let test_gsc_equals_gc_answers () =
   let edb =
@@ -112,7 +106,13 @@ let test_gsc_equals_gc_answers () =
   Alcotest.check tuple_list "same answers" (sorted_answers gc) (sorted_answers gsc)
 
 let test_indices_identify_levels () =
-  (* on a chain, the cnt facts' first index equals the node's depth *)
+  (* on a chain, the cnt facts' first index s(...s(0)) nests as deep as
+     the node *)
+  let rec level = function
+    | Term.Int 0 -> 0
+    | Term.App ("s", [ t ]) -> 1 + level t
+    | t -> Alcotest.failf "unexpected level index %a" Term.pp t
+  in
   let edb = Workload.Generate.db (Workload.Generate.chain ~pred:"p" 10) in
   let q = Workload.Programs.ancestor_query (Workload.Generate.node "n" 0) in
   let rw = C.Counting.rewrite (adorned Workload.Programs.ancestor q) in
@@ -122,9 +122,11 @@ let test_indices_identify_levels () =
   | Some rel ->
     Engine.Relation.iter
       (fun t ->
-        match Engine.Value.extern t.(0), Engine.Value.extern t.(3) with
-        | Term.Int level, Term.Sym node ->
-          Alcotest.(check string) "level encodes depth" (Fmt.str "n_%d" level) node
+        match Engine.Value.extern t.(3) with
+        | Term.Sym node ->
+          Alcotest.(check string) "level encodes depth"
+            (Fmt.str "n_%d" (level (Engine.Value.extern t.(0))))
+            node
         | _ -> Alcotest.fail "unexpected cnt tuple shape")
       rel
 
@@ -132,7 +134,6 @@ let suite =
   [
     Alcotest.test_case "index bases" `Quick test_index_bases;
     Alcotest.test_case "fresh index variables" `Quick test_index_vars_fresh;
-    Alcotest.test_case "overflow reported" `Quick test_overflow_reported_as_divergence;
     Alcotest.test_case "path encoding deep chain" `Quick test_path_encoding_no_overflow;
     Alcotest.test_case "path encoding structure" `Quick test_path_encoding_structure;
     Alcotest.test_case "path diverges on cycles" `Quick test_path_still_diverges_on_cycles;

@@ -9,7 +9,7 @@
 
 module A = Analysis
 
-let dir = "diag_reports"
+let dir = Helpers.repo_file "test/diag_reports"
 
 let report ~file src =
   let ds = A.check_text src in
@@ -40,7 +40,7 @@ let inline =
 let corpus () =
   List.concat_map
     (fun sub ->
-      let path = Filename.concat ".." sub in
+      let path = Helpers.repo_file sub in
       Sys.readdir path |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".dl")
       |> List.sort String.compare

@@ -7,10 +7,7 @@ let test_method_table () =
     "all advertised methods present" true
     (List.for_all
        (fun m -> List.mem_assoc m C.Rewrite.methods)
-       [
-         "naive"; "seminaive"; "sld"; "tabled"; "gms"; "gsms"; "gc"; "gsc"; "gc-sj";
-         "gsc-sj"; "gc-path"; "gc-path-sj";
-       ])
+       [ "naive"; "seminaive"; "sld"; "tabled"; "gms"; "gsms"; "gc"; "gsc"; "gc-sj"; "gsc-sj" ])
 
 let test_rewriting_names () =
   List.iter
@@ -39,6 +36,34 @@ let test_diverged_status () =
   let q = Atom.make "n" [ Term.Var "X" ] in
   let r = C.Rewrite.run ~max_facts:20 (C.Rewrite.Original `Seminaive) p q ~edb:(Engine.Database.create ()) in
   Alcotest.(check bool) "diverged" true (r.C.Rewrite.status = C.Rewrite.Diverged)
+
+(* a counting rewrite that cannot index the program (the all-free query
+   leaves every head unbound) is a status of its row, not a crash: eval
+   reports it and compare goes on to print every method *)
+let test_inapplicable_status () =
+  let file = Filename.temp_file "magic-reach" ".dl" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc
+        "e(a, b). e(b, c).\n\
+         reach(X, Y) :- e(X, Y).\n\
+         reach(X, Y) :- e(X, Z), reach(Z, Y).\n\
+         ?- reach(X, Y).\n");
+  let eval_code, eval_out, _ = run_cli [ "eval"; "-m"; "gc"; file ] in
+  let compare_code, compare_out, _ = run_cli [ "compare"; file ] in
+  Sys.remove file;
+  Alcotest.(check int) "eval -m gc exits 0" 0 eval_code;
+  Alcotest.(check bool) "eval -m gc reports inapplicable" true
+    (String.starts_with ~prefix:"% method=gc status=inapplicable: Counting:" eval_out);
+  Alcotest.(check int) "compare exits 0" 0 compare_code;
+  let rows = List.tl (String.split_on_char '\n' (String.trim compare_out)) in
+  Alcotest.(check (list string)) "compare prints every method row"
+    (List.map fst C.Rewrite.methods)
+    (List.map (fun row -> List.hd (String.split_on_char ' ' row)) rows);
+  Alcotest.(check int) "the four counting rows are inapplicable" 4
+    (List.length
+       (List.filter
+          (fun row -> List.mem "inapplicable" (String.split_on_char ' ' row))
+          rows))
 
 let test_naive_engine_through_rewritten () =
   let edb = Workload.Generate.db (Workload.Generate.chain ~pred:"p" 10) in
@@ -72,6 +97,7 @@ let suite =
     Alcotest.test_case "rewriting names" `Quick test_rewriting_names;
     Alcotest.test_case "unsafe status" `Quick test_unsafe_status;
     Alcotest.test_case "diverged status" `Quick test_diverged_status;
+    Alcotest.test_case "inapplicable status" `Quick test_inapplicable_status;
     Alcotest.test_case "naive engine on rewritten" `Quick test_naive_engine_through_rewritten;
     Alcotest.test_case "custom sip option" `Quick test_custom_sip_option;
   ]

@@ -147,7 +147,7 @@ let test_optimized_equivalence_random =
       let q = Workload.Programs.tc_query (Term.Sym "n0") in
       let reference = sorted_answers (run_method "seminaive" p q edb) in
       sorted_answers (run_method "gc-sj" p q edb) = reference
-      && sorted_answers (run_method "gc-path-sj" p q edb) = reference)
+      && sorted_answers (run_method "gsc-sj" p q edb) = reference)
 
 let suite =
   [
