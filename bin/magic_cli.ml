@@ -276,6 +276,17 @@ let method_conv =
   in
   Arg.conv (parse, fun ppf (s, _) -> Fmt.string ppf s)
 
+(* after the rows are printed: name each method whose status is not ok
+   on stderr, and exit 1 if there is one *)
+let exit_unless_ok cmd results =
+  let failed = List.filter (fun (_, r) -> r.C.Rewrite.status <> C.Rewrite.Ok) results in
+  List.iter
+    (fun (name, r) ->
+      Fmt.epr "magic %s: %s ended in status %s@." cmd name
+        (C.Rewrite.status_name r.C.Rewrite.status))
+    failed;
+  if failed <> [] then exit 1
+
 let eval_cmd =
   let run file (name, method_) max_facts json =
     let program, query, edb = load file in
@@ -314,7 +325,8 @@ let eval_cmd =
         | C.Rewrite.Unsafe m | C.Rewrite.Inapplicable m -> ": " ^ m
         | C.Rewrite.Ok | C.Rewrite.Diverged -> "")
         Engine.Stats.pp r.C.Rewrite.stats
-    end
+    end;
+    exit_unless_ok "eval" [ (name, r) ]
   in
   let eval_method_conv =
     let parse s =
@@ -340,7 +352,10 @@ let eval_cmd =
            ^ " — or auto to let the cost analysis pick from the EDB statistics."))
   in
   Cmd.v
-    (Cmd.info "eval" ~doc:"Evaluate the query with one method and print the answers.")
+    (Cmd.info "eval"
+       ~doc:
+         "Evaluate the query with one method and print the answers; exit 1 unless the \
+          status is ok.")
     (T.app
        (T.app (T.app (T.app (T.const run) file_arg) method_arg) max_facts_arg)
        json_arg)
@@ -434,36 +449,37 @@ let compare_cmd =
             method_names;
           exit 2)
     in
-    if json then begin
-      let rows =
-        List.map
-          (fun (name, method_) ->
-            let r, time_s =
-              timed (fun () -> C.Rewrite.run ~max_facts method_ program query ~edb)
-            in
-            Engine.Json_out.result_row
-              ~workload:(Filename.basename file)
-              ~meth:name
-              ~status:(C.Rewrite.status_name r.C.Rewrite.status)
-              r.C.Rewrite.stats ~time_s
-              ~answers:(List.length r.C.Rewrite.answers))
-          rows_spec
-      in
-      Fmt.pr "%s@." (Engine.Json_out.arr rows)
-    end
-    else begin
+    if not json then
       Fmt.pr "%-14s %-12s %8s %10s %10s %10s %8s@." "method" "status" "answers" "facts"
         "firings" "probes" "iters";
-      List.iter
+    let results =
+      List.map
         (fun (name, method_) ->
-          let r = C.Rewrite.run ~max_facts method_ program query ~edb in
-          Fmt.pr "%-14s %-12s %8d %10d %10d %10d %8d@." name
-            (C.Rewrite.status_name r.C.Rewrite.status)
-            (List.length r.C.Rewrite.answers)
-            r.C.Rewrite.stats.Engine.Stats.facts r.C.Rewrite.stats.Engine.Stats.firings
-            r.C.Rewrite.stats.Engine.Stats.probes r.C.Rewrite.stats.Engine.Stats.iterations)
+          let r, time_s =
+            timed (fun () -> C.Rewrite.run ~max_facts method_ program query ~edb)
+          in
+          if not json then
+            Fmt.pr "%-14s %-12s %8d %10d %10d %10d %8d@." name
+              (C.Rewrite.status_name r.C.Rewrite.status)
+              (List.length r.C.Rewrite.answers)
+              r.C.Rewrite.stats.Engine.Stats.facts r.C.Rewrite.stats.Engine.Stats.firings
+              r.C.Rewrite.stats.Engine.Stats.probes r.C.Rewrite.stats.Engine.Stats.iterations;
+          (name, r, time_s))
         rows_spec
-    end
+    in
+    if json then
+      Fmt.pr "%s@."
+        (Engine.Json_out.arr
+           (List.map
+              (fun (name, r, time_s) ->
+                Engine.Json_out.result_row
+                  ~workload:(Filename.basename file)
+                  ~meth:name
+                  ~status:(C.Rewrite.status_name r.C.Rewrite.status)
+                  r.C.Rewrite.stats ~time_s
+                  ~answers:(List.length r.C.Rewrite.answers))
+              results));
+    exit_unless_ok "compare" (List.map (fun (name, r, _) -> (name, r)) results)
   in
   let strategy_arg =
     Arg.(
@@ -474,7 +490,10 @@ let compare_cmd =
                 next to the hand-picked ones.")
   in
   Cmd.v
-    (Cmd.info "compare" ~doc:"Run every method on the query and tabulate statistics.")
+    (Cmd.info "compare"
+       ~doc:
+         "Run every method on the query and tabulate statistics; exit 1 unless every \
+          status is ok.")
     (T.app (T.app (T.app (T.app (T.const run) file_arg) max_facts_arg) strategy_arg)
        json_arg)
 

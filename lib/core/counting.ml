@@ -139,9 +139,14 @@ let seed ~naming ?encoding (adorned : Adorn.t) =
            @ Adornment.select_bound qa adorned.Adorn.query.Atom.args))
   end
 
+(* a query over a base predicate keeps its name, as {!Adorn} leaves it:
+   no rule indexes it *)
 let indexed_query ~naming (adorned : Adorn.t) =
   let pred, qa = adorned.Adorn.query_pred in
-  if not (Adornment.has_bound qa) then (adorned.Adorn.query, 0)
+  let derived =
+    Symbol.Set.mem (Symbol.make pred (Adornment.arity qa)) adorned.Adorn.source_derived
+  in
+  if not (derived && Adornment.has_bound qa) then (adorned.Adorn.query, 0)
   else
     let q = adorned.Adorn.query in
     let fresh =

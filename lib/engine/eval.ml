@@ -41,8 +41,6 @@ let strata program =
         List.filter (fun r -> stratum_of (Atom.symbol r.Rule.head) = level) rules)
       levels
 
-let full_source db sym = Database.find db sym
-
 (* ------------------------------------------------------------------ *)
 (* Plan-compiled engines                                               *)
 (* ------------------------------------------------------------------ *)
@@ -51,10 +49,12 @@ let full_source db sym = Database.find db sym
    number of new facts. *)
 let naive_round ~stats ~budget db plans =
   let added = ref 0 in
-  let source = Plan.db_source db in
   List.iter
     (fun plan ->
-      Plan.run ~stats ~source ~neg_source:source
+      (* resolved per plan: a relation an earlier plan created this round
+         is read by the later ones *)
+      let views = Plan.views plan.Plan.rule (fun _ _ -> Plan.stored db) in
+      Plan.run ~stats ~views
         ~on_fact:(fun sym tuple ->
           let is_new = Relation.add_borrowed (Database.relation db sym) tuple in
           Stats.record_fact stats sym ~is_new;
@@ -83,11 +83,7 @@ let run_stratum_naive ~stats ~budget db rules =
   done;
   !diverged
 
-(* Semi-naive over {!Fixpoint}: round 0 fires every rule's base
-   (left-to-right) instance against the database as-is — the EDB, lower
-   strata and any seed facts play the role of the delta, and the
-   stratum's own predicates are read up to the watermark; the driver
-   then runs the delta rounds. *)
+(* Semi-naive over {!Fixpoint}: its base round, then its delta rounds. *)
 let run_stratum_seminaive ~stats ~budget db rules =
   let plans = Plan.compile_stratum rules in
   let fp = Fixpoint.create db (List.map (fun r -> Atom.symbol r.Rule.head) rules) in
@@ -106,27 +102,20 @@ let run_stratum_seminaive ~stats ~budget db rules =
       Stats.record_fact stats sym ~is_new;
       if is_new then spend_fact budget
   in
-  let diverged = ref (exhausted budget) in
-  if not !diverged then begin
-    try
-      start_round ~stats ~budget;
-      let db_src = Plan.db_source db in
-      let source0 lit sym =
-        match Fixpoint.upto fp sym with Some v -> v | None -> db_src lit sym
-      in
-      List.iter
-        (fun plan ->
-          Plan.run ~stats ~source:source0 ~neg_source:db_src ~on_fact:(recorder plan)
-            plan.Plan.base)
-        plans;
-      Fixpoint.run ~stats fp plans ~record:recorder ~round:(fun () ->
-          diverged := exhausted budget;
-          if not !diverged then start_round ~stats ~budget;
-          not !diverged)
-    with Budget_exhausted | Term.Arithmetic_overflow ->
-      (* every recorded fact is already in [db]; nothing to repair *)
-      diverged := true
-  end;
+  let diverged = ref false in
+  let round () =
+    diverged := exhausted budget;
+    if not !diverged then start_round ~stats ~budget;
+    not !diverged
+  in
+  (try
+     if round () then begin
+       Fixpoint.base_round ~stats fp plans ~record:recorder;
+       Fixpoint.run ~stats fp plans ~record:recorder ~round
+     end
+   with Budget_exhausted | Term.Arithmetic_overflow ->
+     (* every recorded fact is already in [db]; nothing to repair *)
+     diverged := true);
   !diverged
 
 (* ------------------------------------------------------------------ *)
@@ -164,8 +153,8 @@ let run_stratum_seminaive_reference ~stats ~budget ~derived db rules =
     start_round ~stats ~budget;
     List.iter
       (fun rule ->
-        Solve.fire_rule ~stats ~source:(fun _ -> full_source db)
-          ~neg_source:(full_source db) ~on_fact:record rule)
+        Solve.fire_rule ~stats ~source:(fun _ -> Database.find db)
+          ~neg_source:(Database.find db) ~on_fact:record rule)
       rules;
     Database.merge_into ~dst:db ~src:round_facts;
     let delta = ref round_facts in
@@ -192,7 +181,7 @@ let run_stratum_seminaive_reference ~stats ~budget ~derived db rules =
                 let source i sym =
                   if i = dpos then Database.find !delta sym else Database.find db sym
                 in
-                Solve.fire_rule ~stats ~source ~neg_source:(full_source db)
+                Solve.fire_rule ~stats ~source ~neg_source:(Database.find db)
                   ~on_fact:record rule)
               (positions_of rule))
           rules;

@@ -39,11 +39,11 @@ val seminaive :
   outcome
 (** Semi-naive evaluation: in each round after the first, a rule instance
     must use at least one fact derived in the previous round.  Rules are
-    compiled to join plans once per stratum.  Round 0 fires every rule's
-    base instance against the database as-is; the delta rounds run on
-    {!Fixpoint}, whose delta/old/new source discipline (position [i]
-    reads the last round's delta, positions before [i] the database
-    {e before} that round, positions after [i] their union) derives each
+    compiled to join plans once per stratum and run on {!Fixpoint}:
+    round 0 fires every rule's base instance against the database as-is,
+    and the delta rounds' delta/old/new discipline (position [i] reads
+    the last round's delta, positions before [i] the database {e before}
+    that round, positions after [i] their union) derives each
     instantiation exactly once. *)
 
 val seminaive_reference :

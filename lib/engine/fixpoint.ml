@@ -19,55 +19,61 @@ let create db syms =
   { db; marks = List.map mark (List.sort_uniq Symbol.compare syms) }
 
 let find t sym = List.find_map (fun (s, m) -> if Symbol.equal s sym then Some m else None) t.marks
-let upto t sym = Option.map (fun m -> [ { Plan.rel = m.rel; lo = 0; hi = m.d } ]) (find t sym)
 
-(* A body position reads a grown predicate through its watermarks, or
-   views fixed for the whole fixpoint (builtins read nothing). *)
-type lit = Grown of mark | Fixed of Plan.view list
+(* A plan's views array, with every literal that reads a fixed relation
+   resolved once for the whole fixpoint, and the positions of its
+   grown predicates, refilled before each run. *)
+let prepare t plan =
+  let grown = ref [] in
+  let views =
+    Plan.views plan.Plan.rule (fun i lit sym ->
+        match (lit, find t sym) with
+        | Rule.Pos _, Some m ->
+          grown := (i, m) :: !grown;
+          []
+        | _ -> Plan.stored t.db sym)
+  in
+  (views, !grown)
 
-(* One delta instance.  The instances of a plan share [lits], [views]
+let base_round ?stats t plans ~record =
+  List.iter
+    (fun plan ->
+      let views, grown = prepare t plan in
+      List.iter (fun (i, m) -> views.(i) <- [ { Plan.rel = m.rel; lo = 0; hi = m.d } ]) grown;
+      Plan.run ?stats ~views ~on_fact:(record plan) plan.Plan.base)
+    plans
+
+(* One delta instance.  The instances of a plan share [grown], [views]
    and [record]; runs never nest, so refilling [views] is safe. *)
 type job = {
   dpos : int;
   dmark : mark;
   inst : Plan.instance;
-  lits : lit array;
+  grown : (int * mark) list;
   views : Plan.view list array;
   record : Symbol.t -> Tuple.t -> unit;
 }
 
 let jobs t ~record plan =
   let record = record plan in
-  let lit i l =
-    match l with
-    | Rule.Pos a | Rule.Neg a when Atom.is_builtin a -> Fixed []
-    | Rule.Pos a | Rule.Neg a -> (
-      match (l, find t (Atom.symbol a)) with
-      | Rule.Pos _, Some m -> Grown m
-      | _ -> Fixed (Plan.db_source t.db i (Atom.symbol a)))
-  in
-  let lits = Array.of_list (List.mapi lit plan.Plan.rule.Rule.body) in
-  let views = Array.map (function Fixed v -> v | Grown _ -> []) lits in
+  let views, grown = prepare t plan in
   List.filter_map
     (fun (dpos, inst) ->
-      match lits.(dpos) with
-      | Grown dmark -> Some { dpos; dmark; inst; lits; views; record }
-      | Fixed _ -> None)
+      Option.map
+        (fun dmark -> { dpos; dmark; inst; grown; views; record })
+        (List.assoc_opt dpos grown))
     plan.Plan.delta
 
-(* the views are fixed for the whole round: resolve them here, not on
-   every probe *)
+(* grown predicates read old before the delta position, delta at it and
+   new after it *)
 let run_job ?stats j =
   if j.dmark.o < j.dmark.d then begin
-    Array.iteri
-      (fun i -> function
-        | Grown m ->
-          let lo = if i = j.dpos then m.o else 0 and hi = if i < j.dpos then m.o else m.d in
-          j.views.(i) <- [ { Plan.rel = m.rel; lo; hi } ]
-        | Fixed _ -> ())
-      j.lits;
-    let source i _ = j.views.(i) in
-    Plan.run ?stats ~source ~neg_source:source ~on_fact:j.record j.inst
+    List.iter
+      (fun (i, m) ->
+        let lo = if i = j.dpos then m.o else 0 and hi = if i < j.dpos then m.o else m.d in
+        j.views.(i) <- [ { Plan.rel = m.rel; lo; hi } ])
+      j.grown;
+    Plan.run ?stats ~views:j.views ~on_fact:j.record j.inst
   end
 
 let rotate t = List.iter (fun (_, m) -> m.o <- m.d; m.d <- Relation.size m.rel) t.marks

@@ -9,8 +9,8 @@
     views; rotating ([o := d; d := size]) ends the round, so there is
     nothing to merge and an abort leaves nothing to repair.
 
-    The caller runs the seed round itself, reading the grown predicates
-    through {!upto}; {!run} ends it and loops to the fixpoint. *)
+    Evaluation from scratch seeds with {!base_round}; maintenance runs a
+    seed round of its own.  {!run} ends it and loops to the fixpoint. *)
 
 open Datalog
 
@@ -22,9 +22,11 @@ val create : Database.t -> Symbol.t list -> t
     round's input, and what lands beyond it before {!run} the first
     delta. *)
 
-val upto : t -> Symbol.t -> Plan.view list option
-(** For the seed round: a grown predicate's facts below the watermark,
-    or [None] for any other predicate. *)
+val base_round :
+  ?stats:Stats.t -> t -> Plan.t list -> record:(Plan.t -> Symbol.t -> Tuple.t -> unit) -> unit
+(** Round 0: each plan's base instance, grown predicates read below the
+    watermark and every other literal the whole database (the EDB, lower
+    strata and seed facts play the delta).  [record] is as for {!run}. *)
 
 val run :
   ?stats:Stats.t ->

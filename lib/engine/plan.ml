@@ -28,7 +28,6 @@ type action = Bind of int * int | Check of int * int | Match of int * pat
 
 type scan = {
   lit : int;
-  sym : Symbol.t;
   pattern : bool array;
   key : expr array;
   free : action array;
@@ -43,7 +42,7 @@ type stuck = { kind : stuck_kind; atom : Atom.t; known : (string * int) list }
 
 type step =
   | Scan of scan
-  | Neg_scan of { lit : int; sym : Symbol.t; key : expr array }
+  | Neg_scan of { lit : int; key : expr array }
   | Unify of expr * pat
   | Test of { op : op; l : expr; r : expr; negated : bool }
   | Stuck of stuck
@@ -162,7 +161,7 @@ let compile_scan c i atom =
       (List.init (Array.length args) Fun.id)
   in
   let free = Array.of_list free in
-  Scan { lit = i; sym = Atom.symbol atom; pattern; key; free; all_bound = free = [||] }
+  Scan { lit = i; pattern; key; free; all_bound = free = [||] }
 
 let compile_step c (i, lit) =
   match lit with
@@ -177,9 +176,7 @@ let compile_step c (i, lit) =
       Test { op = op_of a.Atom.pred; l = expr c l; r = expr c r; negated }
     | _ -> assert false (* builtins are binary *)
   end
-  | Rule.Neg a ->
-    Neg_scan
-      { lit = i; sym = Atom.symbol a; key = Array.of_list (List.map (expr c) a.Atom.args) }
+  | Rule.Neg a -> Neg_scan { lit = i; key = Array.of_list (List.map (expr c) a.Atom.args) }
   | Rule.Pos a -> compile_scan c i a
 
 let is_filter = function Rule.Pos a -> Atom.is_builtin a | Rule.Neg _ -> true
@@ -308,17 +305,24 @@ let compile_stratum rules =
 
 type view = { rel : Relation.t; lo : int; hi : int }
 
-(* A literal reads the union of a list of disjoint stamp-range views.
-   The ordinary engines use singleton lists (one relation per literal);
-   the incremental maintenance layer reads e.g. the pre-update state of a
+(* A literal reads the union of a list of disjoint stamp-range views,
+   resolved once per run into an array indexed by body position.  The
+   ordinary engines use singleton lists (one relation per literal); the
+   incremental maintenance layer reads e.g. the pre-update state of a
    relation as "post-deletion range + the deleted set" without copying
    either. *)
-type source = int -> Symbol.t -> view list
-
 let full rel = { rel; lo = 0; hi = max_int }
 
-let db_source db _ sym =
-  match Database.find db sym with Some r -> [ full r ] | None -> []
+let stored db sym = match Database.find db sym with Some r -> [ full r ] | None -> []
+
+let views rule f =
+  Array.of_list
+    (List.mapi
+       (fun i lit ->
+         match lit with
+         | Rule.Pos a | Rule.Neg a when Atom.is_builtin a -> []
+         | Rule.Pos a | Rule.Neg a -> f i lit (Atom.symbol a))
+       rule.Rule.body)
 
 (* singleton view lists are the overwhelmingly common case (the ordinary
    engines never pass anything else): dispatch without allocating the
@@ -448,7 +452,7 @@ let rec apply_free env free tuple j =
      | Match (pos, p) -> matches env p tuple.(pos))
      && apply_free env free tuple (j + 1)
 
-let run ?stats ~source ~neg_source ~on_fact inst =
+let run ?stats ~views ~on_fact inst =
   let env = Array.make (max 1 inst.nvars) inst.zero in
   let keybufs =
     Array.map
@@ -481,26 +485,26 @@ let run ?stats ~source ~neg_source ~on_fact inst =
     else
       match inst.steps.(i) with
       | Scan s -> begin
-        match source s.lit s.sym with
+        match views.(s.lit) with
         | [] -> ()
-        | views ->
+        | vs ->
           let key = keybufs.(i) in
           fill env key s.key;
           bump ();
           if s.all_bound then begin
-            if view_mem views key then go (i + 1)
+            if view_mem vs key then go (i + 1)
           end
-          else views_iter_matching views ~pattern:s.pattern ~key conts.(i)
+          else views_iter_matching vs ~pattern:s.pattern ~key conts.(i)
       end
-      | Neg_scan { lit; sym; key } ->
+      | Neg_scan { lit; key } ->
         let holds =
-          match neg_source lit sym with
+          match views.(lit) with
           | [] -> false
-          | views ->
+          | vs ->
             bump ();
             let buf = keybufs.(i) in
             fill env buf key;
-            view_mem views buf
+            view_mem vs buf
         in
         if not holds then go (i + 1)
       | Unify (e, p) -> if matches env p (eval env e) then go (i + 1)

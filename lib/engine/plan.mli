@@ -36,7 +36,7 @@
     The base instance keeps the rule's relation literals in written order,
     so it probes what a left-to-right solve with the symbolic {!Solve}
     engine probes; delta instances compute the same solution set (joins
-    commute; sources are attached to body positions, not execution
+    commute; views are attached to body positions, not execution
     order).  The equivalence is locked by the cross-engine property tests
     against {!Eval.seminaive_reference}. *)
 
@@ -69,8 +69,7 @@ type action =
   | Match of int * pat  (** tuple position matched against a pattern *)
 
 type scan = {
-  lit : int;  (** original body position, identifies the literal to the source *)
-  sym : Symbol.t;
+  lit : int;  (** original body position: the run's views at [lit] are read *)
   pattern : bool array;  (** static binding pattern over argument positions *)
   key : expr array;  (** one expression per bound position, in order *)
   free : action array;  (** residual positions to match, in order *)
@@ -94,7 +93,7 @@ type stuck = {
 
 type step =
   | Scan of scan  (** positive relation literal *)
-  | Neg_scan of { lit : int; sym : Symbol.t; key : expr array }
+  | Neg_scan of { lit : int; key : expr array }
       (** negated relation literal at original body position [lit]: a
           membership test on the fully bound key *)
   | Unify of expr * pat
@@ -112,7 +111,7 @@ type emit =
 
 type instance = { steps : step array; head : emit; nvars : int; zero : Value.t }
 (** One executable join order for the rule.  Steps carry original body
-    positions, so the same [source] works for every instance.  [nvars]
+    positions, so the same views array works for every instance.  [nvars]
     is the env size; [zero] a pre-interned filler for scratch arrays.
     Executing an instance only reads it: all scratch, the head buffer
     included, is allocated per {!run}, so the same instance can run
@@ -141,42 +140,45 @@ val compile_stratum : Rule.t list -> t list
 type view = { rel : Relation.t; lo : int; hi : int }
 (** A stamp-range view of a stored relation ({!Relation.iter_matching_in}):
     the semi-naive engine reads "old", "delta" and "new" as ranges over
-    the single stored relation rather than separate merged copies. *)
-
-type source = int -> Symbol.t -> view list
-(** Where a literal reads its tuples: [source lit sym] is a list of
-    pairwise-disjoint views whose union the literal at body position
-    [lit] enumerates (or tests membership in).  [[]] means the predicate
-    has no relation at all — the step performs no index work and counts
-    no probe, matching {!Solve}.  The ordinary engines pass singleton
-    lists; the incremental maintenance layer composes e.g. the
-    pre-update state of an updated relation as "post-deletion stamp
-    range + the deleted set" without copying either. *)
+    the single stored relation rather than separate merged copies.  A
+    literal reads the union of a list of disjoint views: singletons in
+    the ordinary engines, e.g. "post-deletion stamp range + the deleted
+    set" for maintenance's pre-update state.  [[]] means the predicate
+    has no relation: the step does no index work and counts no probe,
+    matching {!Solve}. *)
 
 val full : Relation.t -> view
 (** The whole relation, including tuples added later. *)
 
-val db_source : Database.t -> source
-(** Every literal reads the full database. *)
+val stored : Database.t -> Symbol.t -> view list
+(** The predicate's whole stored relation, or [[]] when the database has
+    none. *)
+
+val views : Rule.t -> (int -> Rule.literal -> Symbol.t -> view list) -> view list array
+(** The views array of one run of the rule's instances: [f i lit sym]
+    at the body position [i] of a relation literal [lit] over [sym],
+    positive or negated, and [[]] at a builtin. *)
 
 val run :
   ?stats:Stats.t ->
-  source:source ->
-  neg_source:source ->
+  views:view list array ->
   on_fact:(Symbol.t -> Tuple.t -> unit) ->
   instance ->
   unit
 (** Execute one instance: enumerate all body solutions by nested index
-    scans and call [on_fact] with the ground head tuple of each.
+    scans and call [on_fact] with the ground head tuple of each.  The
+    literal at body position [i], positive or negated, reads
+    [views.(i)], resolved once by the caller, so a probe asks for
+    nothing; negated literals must read complete relations (guaranteed
+    by stratification).  A relation absent when the views are resolved
+    stays unread for the run: the only one a run can create is its own
+    head's, and a body that reads that predicate found it absent and
+    never fires.
 
     The head tuple is {e borrowed}: it is one buffer per run, refilled
     for every firing, and valid only during the call.  A consumer that
     keeps it copies it ({!Relation.add_borrowed} copies only a new
     fact), so a firing allocates nothing of its own.
-    [neg_source] must be complete for every negated predicate
-    (guaranteed by stratification); it receives the negated literal's
-    original body position, so maintenance passes can serve different
-    snapshots to different occurrences of the same predicate.
     @raise Datalog.Term.Arithmetic_overflow where {!Datalog.Term.eval}
     would.
     @raise Solve.Unsafe on reaching a {!stuck} literal or head. *)

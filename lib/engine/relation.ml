@@ -176,7 +176,18 @@ let fold f r init =
 
 let to_list r = fold List.cons r []
 
-let pattern_equal a b = Array.length a = Array.length b && Array.for_all2 Bool.equal a b
+(* top-level loops rather than [Array.for_all]/[for_all2], which
+   allocate a closure per call: every probe asks them *)
+let rec free_from pattern i =
+  i >= Array.length pattern
+  || ((not (Array.unsafe_get pattern i)) && free_from pattern (i + 1))
+
+let all_free pattern = free_from pattern 0
+
+let rec equal_from a b i =
+  i >= Array.length a || (Bool.equal a.(i) b.(i) && equal_from a b (i + 1))
+
+let pattern_equal a b = Array.length a = Array.length b && equal_from a b 0
 
 let no_index = new_index ()
 
@@ -204,7 +215,7 @@ let ensure_index r pattern =
 let prepare_index r pattern =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.prepare_index: pattern arity mismatch";
-  if not (Array.for_all not pattern) then ignore (ensure_index r pattern)
+  if not (all_free pattern) then ignore (ensure_index r pattern)
 
 (* first position of the ascending [st.(0 .. n-1)] holding a stamp
    [>= hi], or [n] *)
@@ -237,15 +248,15 @@ let iter_index r idx ~key ~lo ~hi f =
 let iter_matching_in r ~pattern ~key ~lo ~hi f =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.iter_matching_in: pattern arity mismatch";
-  if Array.for_all not pattern then iter_in r ~lo ~hi f
+  if all_free pattern then iter_in r ~lo ~hi f
   else iter_index r (ensure_index r pattern) ~key ~lo ~hi f
 
-let indexed r pattern = Array.for_all not pattern || find_index pattern r.indexes != no_index
+let indexed r pattern = all_free pattern || find_index pattern r.indexes != no_index
 
 let probe_in r ~pattern ~key ~lo ~hi f =
   if Array.length pattern <> r.arity then
     invalid_arg "Relation.probe_in: pattern arity mismatch";
-  if Array.for_all not pattern then iter_in r ~lo ~hi f
+  if all_free pattern then iter_in r ~lo ~hi f
   else
     let idx = find_index pattern r.indexes in
     if idx == no_index then invalid_arg "Relation.probe_in: no index prepared for this pattern"

@@ -209,6 +209,14 @@ let rec tabled_within ~proving ~max_passes program ~edb query =
       (Program.rules_for program (Atom.symbol key))
   in
   let root = register query in
+  (* a query over a base predicate has no rules to table: its answers
+     are the EDB's matches, as for a base subgoal *)
+  if not (Symbol.Set.mem (Atom.symbol query) derived) then
+    List.iter
+      (fun subst ->
+        let a = Atom.apply_deep_eval subst query in
+        add_answer root (Atom.symbol query) (Tuple.of_list a.Atom.args))
+      (Solve.match_against ~stats edb_source query Subst.empty);
   let passes = ref 0 in
   while !changed do
     changed := false;

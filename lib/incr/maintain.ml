@@ -97,8 +97,9 @@ type mrule = {
    point lookup per tuple even for GMS magic rules, whose head variable
    the last body literal binds.  A head with arithmetic or compound
    arguments cannot be a scan pattern; its rule runs the [Enumerate]d
-   base instance and looks every emitted tuple up in the set. *)
-type check = Goal of Plan.instance | Enumerate of Plan.instance
+   base instance and looks every emitted tuple up in the set.  Each
+   carries the rule its instance belongs to, to resolve a run's views. *)
+type check = Goal of Rule.t * Plan.instance | Enumerate of Rule.t * Plan.instance
 
 type unit_ = {
   syms : Symbol.t list;
@@ -173,52 +174,38 @@ let compile_check mr =
       (Plan.compile ~delta_preds:(Symbol.Set.singleton (Atom.symbol goal)) rule')
         .Plan.delta
     with
-    | [ (0, inst) ] -> Goal inst
+    | [ (0, inst) ] -> Goal (rule', inst)
     | _ -> assert false
   end
-  else Enumerate mr.plan.Plan.base
+  else Enumerate (mr.rule, mr.plan.Plan.base)
 
 (* ------------------------------------------------------------------ *)
 (* Stamp-range views of the transaction's three relation versions      *)
 (* ------------------------------------------------------------------ *)
 
-let full_views db sym =
-  match Db.find db sym with Some r -> [ Plan.full r ] | None -> []
-
 let changed changes sym = Symbol.Tbl.find_opt changes sym
 
-(* pre-update state: carried-over stamps plus the deleted tuples *)
-let old_views t changes sym =
+let dminus_views changes sym =
   match changed changes sym with
-  | None -> full_views t.db sym
-  | Some c ->
-    let base =
-      match Db.find t.db sym with
-      | Some r -> [ { Plan.rel = r; lo = 0; hi = c.w } ]
-      | None -> []
-    in
-    if Rel.cardinal c.dminus > 0 then Plan.full c.dminus :: base else base
+  | Some c when Rel.cardinal c.dminus > 0 -> [ Plan.full c.dminus ]
+  | _ -> []
 
 (* tuples in both the old and the new state *)
 let mid_views t changes sym =
   match changed changes sym with
-  | None -> full_views t.db sym
+  | None -> Plan.stored t.db sym
   | Some c -> (
     match Db.find t.db sym with
     | Some r -> [ { Plan.rel = r; lo = 0; hi = c.w } ]
     | None -> [])
 
-let new_views t sym = full_views t.db sym
+(* pre-update state: carried-over stamps plus the deleted tuples *)
+let old_views t changes sym = dminus_views changes sym @ mid_views t changes sym
 
 (* membership union for a negated literal's "mid" version: a valuation
    passes [not q] in both old and new states iff its tuple is in
    neither, i.e. absent from old(q) ∪ new(q) = cur ∪ dminus *)
-let neg_mid_views t changes sym =
-  match changed changes sym with
-  | None -> full_views t.db sym
-  | Some c ->
-    let base = full_views t.db sym in
-    if Rel.cardinal c.dminus > 0 then Plan.full c.dminus :: base else base
+let neg_mid_views t changes sym = dminus_views changes sym @ Plan.stored t.db sym
 
 (* the tuples entering a relation this transaction *)
 let dplus_views t changes sym =
@@ -228,11 +215,6 @@ let dplus_views t changes sym =
     match Db.find t.db sym with
     | Some r when Rel.size r > c.w -> [ { Plan.rel = r; lo = c.w; hi = max_int } ]
     | _ -> [])
-
-let dminus_views changes sym =
-  match changed changes sym with
-  | Some c when Rel.cardinal c.dminus > 0 -> [ Plan.full c.dminus ]
-  | _ -> []
 
 (* the tuples leaving a relation this transaction: [dminus] without the
    tuples a recursive unit overdeleted, could not rederive from what
@@ -246,9 +228,9 @@ let left_views t changes sym =
     if Rel.cardinal left > 0 then [ Plan.full left ] else []
   | _ -> []
 
-(* Run [f i dviews inst] for every delta instance of [rules] whose delta
-   position [i] reads a predicate outside [unit]: [dviews] is [pos sym]
-   for a positive literal over [sym], [neg q] for a negated one over
+(* Run [f rule i dviews inst] for every delta instance of [rules] whose
+   delta position [i] reads a predicate outside [unit]: [dviews] is [pos
+   sym] for a positive literal over [sym], [neg q] for a negated one over
    [q] (the tuples leaving or entering [q] flip the literal's truth). *)
 let iter_deltas ~unit rules ~pos ~neg f =
   List.iter
@@ -256,10 +238,10 @@ let iter_deltas ~unit rules ~pos ~neg f =
       List.iter
         (fun (i, inst) ->
           match body_pred mr.body.(i) with
-          | Some sym when not (Symbol.Set.mem sym unit) -> f i (pos sym) inst
+          | Some sym when not (Symbol.Set.mem sym unit) -> f mr.rule i (pos sym) inst
           | Some _ | None -> ())
         mr.plan.Plan.delta;
-      List.iter (fun (i, q, inst) -> f i (neg q) inst) mr.neg_deltas)
+      List.iter (fun (i, q, inst) -> f mr.rule i (neg q) inst) mr.neg_deltas)
     rules
 
 (* ------------------------------------------------------------------ *)
@@ -315,17 +297,19 @@ let rederive t ~stats s =
   (match Symbol.Tbl.find_opt t.external_ s.p with
   | Some ext -> Rel.iter (fun tu -> if Rel.mem ext tu then restore s.p tu) s.gone
   | None -> ());
-  let db_views _ sym = full_views t.db sym in
   List.iter
     (fun c ->
       if Rel.cardinal s.gone > 0 then
         match c with
-        | Goal inst ->
-          Plan.run ~stats:stats.eng
-            ~source:(fun lit sym -> if lit = 0 then [ Plan.full s.gone ] else db_views lit sym)
-            ~neg_source:db_views ~on_fact:restore inst
-        | Enumerate inst ->
-          Plan.run ~stats:stats.eng ~source:db_views ~neg_source:db_views ~on_fact:restore inst)
+        | Goal (rule, inst) ->
+          let views =
+            Plan.views rule (fun i _ sym ->
+                if i = 0 then [ Plan.full s.gone ] else Plan.stored t.db sym)
+          in
+          Plan.run ~stats:stats.eng ~views ~on_fact:restore inst
+        | Enumerate (rule, inst) ->
+          let views = Plan.views rule (fun _ _ -> Plan.stored t.db) in
+          Plan.run ~stats:stats.eng ~views ~on_fact:restore inst)
     s.checks;
   Rel.cardinal s.gone < before
 
@@ -359,12 +343,16 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
         List.iter (fun tu -> ignore (Rel.add ext tu)) s.ext_adds
       end)
     slots;
-  let old_v _ sym = if in_u sym then full_views t.db sym else old_views t changes sym in
-  let overdelete_with dpos dviews inst =
+  let overdelete_with rule dpos dviews inst =
     if dviews <> [] then
-      Plan.run ~stats:stats.eng
-        ~source:(fun lit sym -> if lit = dpos then dviews else old_v lit sym)
-        ~neg_source:(fun _ sym -> old_views t changes sym)
+      let views =
+        Plan.views rule (fun i lit sym ->
+            match lit with
+            | _ when i = dpos -> dviews
+            | Rule.Pos _ when in_u sym -> Plan.stored t.db sym
+            | Rule.Pos _ | Rule.Neg _ -> old_views t changes sym)
+      in
+      Plan.run ~stats:stats.eng ~views
         ~on_fact:(fun sym tuple ->
           fired stats;
           mark (slot sym) tuple)
@@ -393,7 +381,7 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
               | Some sym when in_u sym ->
                 let s, lo = List.find (fun (s, _) -> Symbol.equal s.p sym) windows in
                 if lo < s.seen then
-                  overdelete_with i [ { Plan.rel = s.gone; lo; hi = s.seen } ] inst
+                  overdelete_with mr.rule i [ { Plan.rel = s.gone; lo; hi = s.seen } ] inst
               | Some _ | None -> ())
             mr.plan.Plan.delta)
         u.rules;
@@ -428,20 +416,21 @@ let process_dred t ~stats ~changes ~ext_ops ~budget u =
     if Rel.add_borrowed (slot sym).rel tuple then spend budget
   in
   (* seed round: insertion deltas of lower units, with the unit's own
-     predicates read up to the watermark; external insertions and seed
-     derivations both land beyond it and form the first delta window *)
-  let seed_with dpos dviews inst =
+     predicates read up to the watermark (their "mid" views, which phase
+     4 set to it); external insertions and seed derivations both land
+     beyond it and form the first delta window *)
+  let seed_with rule dpos dviews inst =
     if dviews <> [] then
-      Plan.run ~stats:stats.eng
-        ~source:(fun lit sym ->
-          if lit = dpos then dviews
-          else
-            match Engine.Fixpoint.upto fp sym with
-            | Some v -> v
-            | None -> if lit < dpos then new_views t sym else mid_views t changes sym)
-        ~neg_source:(fun lit sym ->
-          if lit < dpos then new_views t sym else neg_mid_views t changes sym)
-        ~on_fact:record inst
+      let views =
+        Plan.views rule (fun i lit sym ->
+            match lit with
+            | _ when i = dpos -> dviews
+            | Rule.Pos _ when i < dpos && not (in_u sym) -> Plan.stored t.db sym
+            | Rule.Pos _ -> mid_views t changes sym
+            | Rule.Neg _ when i < dpos -> Plan.stored t.db sym
+            | Rule.Neg _ -> neg_mid_views t changes sym)
+      in
+      Plan.run ~stats:stats.eng ~views ~on_fact:record inst
   in
   iter_deltas ~unit:usyms u.rules ~pos:(dplus_views t changes) ~neg:(left_views t changes)
     seed_with;

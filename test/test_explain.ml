@@ -117,8 +117,9 @@ let test_cli_query_predicate () =
 
 (* a diverged evaluation is reported, not explained: counting over the
    cyclic paths graph grows its path indices forever, and an unbounded
-   program exhausts the fact budget.  Both runs get a small budget: the
-   default one lets counting on the 5-edge cycle build 5 million facts *)
+   program exhausts the fact budget.  [magic eval] prints the diverged
+   status and exits 1 too.  Every run gets a small budget: the default
+   one lets counting on the 5-edge cycle build 5 million facts *)
 let test_cli_diverged () =
   let paths = repo_file (Filename.concat "examples" "paths.dl") in
   let code, out, err =
@@ -126,6 +127,11 @@ let test_cli_diverged () =
   in
   Alcotest.(check (pair int string)) "gc on a cycle exits 1, no tree" (1, "") (code, out);
   Alcotest.(check bool) "gc says diverged" true (contains ~sub:"diverged" err);
+  let code, out, err = run_cli [ "eval"; "-m"; "gc"; "--max-facts"; "20000"; paths ] in
+  Alcotest.(check int) "eval -m gc on a cycle exits 1" 1 code;
+  Alcotest.(check bool) "eval prints the diverged status" true
+    (contains ~sub:"% method=gc status=diverged " out);
+  Alcotest.(check string) "eval names the method" "magic eval: gc ended in status diverged\n" err;
   let file = Filename.temp_file "magic-explain" ".dl" in
   Out_channel.with_open_bin file (fun oc ->
       output_string oc "n(z).\nn(s(X)) :- n(X).\n?- n(Y).\n");

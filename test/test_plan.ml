@@ -14,6 +14,9 @@ let compile ?(delta = []) src =
     ~delta_preds:(Symbol.Set.of_list (List.map (fun (n, a) -> sym n a) delta))
     (rule src)
 
+(* every literal reads the whole database *)
+let db_views db plan = E.Plan.views plan.E.Plan.rule (fun _ _ -> E.Plan.stored db)
+
 let scan_of = function
   | E.Plan.Scan s -> s
   | _ -> Alcotest.fail "expected a relation scan"
@@ -72,10 +75,7 @@ let test_dynamic_head_unsafe () =
   | _ -> Alcotest.fail "unbound head variable must be dynamic");
   let db = E.Database.of_facts [ atom "e(v)" ] in
   match
-    E.Plan.run ~source:(E.Plan.db_source db)
-      ~neg_source:(E.Plan.db_source db)
-      ~on_fact:(fun _ _ -> ())
-      plan.E.Plan.base
+    E.Plan.run ~views:(db_views db plan) ~on_fact:(fun _ _ -> ()) plan.E.Plan.base
   with
   | () -> Alcotest.fail "running it must raise Unsafe"
   | exception E.Solve.Unsafe msg ->
@@ -109,9 +109,7 @@ let test_base_execution () =
   let db = E.Database.of_facts [ atom "e(n1, n2)"; atom "e(n2, n3)"; atom "t(n2, n4)" ] in
   let plan = compile ~delta:[ ("t", 2) ] "a(X, Y) :- e(X, Z), t(Z, Y)." in
   let facts = ref [] in
-  E.Plan.run
-    ~source:(E.Plan.db_source db)
-    ~neg_source:(E.Plan.db_source db)
+  E.Plan.run ~views:(db_views db plan)
     ~on_fact:(fun s t -> facts := (s, E.Tuple.to_list t) :: !facts)
     plan.E.Plan.base;
   Alcotest.(check bool) "base instance solves left-to-right" true
@@ -128,12 +126,12 @@ let test_range_views () =
   let plan = compile ~delta:[ ("t", 2) ] "a(X, Y) :- e(X, Z), t(Z, Y)." in
   let inst = List.assoc 1 plan.E.Plan.delta in
   let facts = ref [] in
-  let source lit s =
-    if lit = 1 then [ { E.Plan.rel = trel; lo = d; hi = E.Relation.size trel } ]
-    else E.Plan.db_source db lit s
+  let views =
+    E.Plan.views plan.E.Plan.rule (fun i _ s ->
+        if i = 1 then [ { E.Plan.rel = trel; lo = d; hi = E.Relation.size trel } ]
+        else E.Plan.stored db s)
   in
-  E.Plan.run ~source
-    ~neg_source:(E.Plan.db_source db)
+  E.Plan.run ~views
     ~on_fact:(fun _ t -> facts := E.Tuple.to_list t :: !facts)
     inst;
   (* only t(n3, n5) is in the delta range, so only a(n2, n5) is derived;
@@ -146,12 +144,25 @@ let test_missing_relation_not_probed () =
   let db = E.Database.of_facts [ atom "b(1)" ] in
   let plan = compile "a(X) :- b(X), c(X)." in
   let s = E.Stats.create () in
-  E.Plan.run ~stats:s
-    ~source:(E.Plan.db_source db)
-    ~neg_source:(E.Plan.db_source db)
-    ~on_fact:(fun _ _ -> ())
+  E.Plan.run ~stats:s ~views:(db_views db plan) ~on_fact:(fun _ _ -> ())
     plan.E.Plan.base;
   Alcotest.(check int) "only b is probed" 1 s.E.Stats.probes
+
+(* A naive round resolves each plan's views just before that plan runs:
+   [b] is absent when the round starts, the first rule's first firing
+   creates it, and the second rule reads it in the same round.  Round 1
+   probes e once and b once, f for each of b(1), b(2); round 2 repeats
+   it and derives nothing.  Resolving every plan's views before the round
+   would read b as absent in round 1 and take a third round. *)
+let test_mid_round_relation () =
+  let p, _, edb =
+    load "e(1). e(2). f(1). f(2). f(3). b(X) :- e(X). c(X) :- b(X), f(X). ?- c(X)."
+  in
+  let s = (E.Eval.naive p ~edb).E.Eval.stats in
+  Alcotest.(check (list int))
+    "probes, facts, rounds"
+    [ 8; 4; 2 ]
+    [ s.E.Stats.probes; s.E.Stats.facts; s.E.Stats.iterations ]
 
 (* regression: executor scratch (env, key and head buffers) is allocated
    per run — a nested run fired from inside on_fact must not corrupt the
@@ -165,8 +176,8 @@ let test_run_reentrant () =
   let db = E.Database.of_facts facts in
   let plan = compile "a(X, Y) :- e(X, Z), t(Z, Y)." in
   let inst = plan.E.Plan.base in
-  let source = E.Plan.db_source db in
-  let run_with on_fact = E.Plan.run ~source ~neg_source:source ~on_fact inst in
+  let views = db_views db plan in
+  let run_with on_fact = E.Plan.run ~views ~on_fact inst in
   let run_one () =
     let acc = ref [] in
     run_with (fun _ t -> acc := Array.copy t :: !acc);
@@ -202,21 +213,21 @@ let test_duplicate_firings_no_alloc () =
   let arel = E.Database.relation db (sym "a" 2) in
   let views =
     [| [ E.Plan.full (E.Database.relation db (sym "e" 2)) ];
-       [ E.Plan.full (E.Database.relation db (sym "t" 2)) ] |]
+       [ E.Plan.full (E.Database.relation db (sym "t" 2)) ];
+       [] |]
   in
-  let source lit _ = views.(lit) in
   let inst = (compile "a(X, Y) :- e(X, Z), t(Z, Y), X <> Y.").E.Plan.base in
   let firings = ref 0 and fresh = ref 0 in
   let on_fact _ t =
     incr firings;
     if E.Relation.add_borrowed arel t then incr fresh
   in
-  E.Plan.run ~source ~neg_source:source ~on_fact inst;
+  E.Plan.run ~views ~on_fact inst;
   Alcotest.(check int) "first run stores every fact" (n * n) !fresh;
   firings := 0;
   fresh := 0;
   let before = Gc.minor_words () in
-  E.Plan.run ~source ~neg_source:source ~on_fact inst;
+  E.Plan.run ~views ~on_fact inst;
   let words = Gc.minor_words () -. before in
   Alcotest.(check int) "second run: every firing a duplicate" 0 !fresh;
   Alcotest.(check int) "second run fires" (n * n) !firings;
@@ -224,6 +235,36 @@ let test_duplicate_firings_no_alloc () =
   if per_firing >= 1.0 then
     Alcotest.failf "a duplicate firing allocates %.2f words (%.0f for %d firings)" per_firing
       words !firings
+
+(* A naive round resolves each plan's views from the database once per
+   run, so a probe asks for nothing: beyond the per-run scratch (views
+   array, env, key and head buffers, continuations), a run whose
+   firings are all duplicates allocates nothing per probe. *)
+let test_db_views_no_alloc () =
+  let n = 400 in
+  let facts =
+    List.init n (fun i -> atom (Fmt.str "e(n%d, z%d)" i (i mod 4)))
+    @ List.init 4 (fun i -> atom (Fmt.str "t(z%d, m)" i))
+  in
+  let db = E.Database.of_facts facts in
+  let arel = E.Database.relation db (sym "a" 2) in
+  let plan = compile "a(X, Y) :- e(X, Z), t(Z, Y)." in
+  let s = E.Stats.create () in
+  let on_fact _ t = ignore (E.Relation.add_borrowed arel t) in
+  let round () = E.Plan.run ~stats:s ~views:(db_views db plan) ~on_fact plan.E.Plan.base in
+  round ();
+  Alcotest.(check int) "first round stores every fact" n (E.Relation.cardinal arel);
+  let probes0 = s.E.Stats.probes in
+  let before = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. before in
+  let probes = s.E.Stats.probes - probes0 in
+  Alcotest.(check int) "one probe of e, one of t per e tuple" (n + 1) probes;
+  Alcotest.(check int) "second round adds nothing" n (E.Relation.cardinal arel);
+  let per_probe = words /. float_of_int probes in
+  if per_probe >= 1.0 then
+    Alcotest.failf "a probe over database views allocates %.2f words (%.0f for %d probes)"
+      per_probe words probes
 
 (* A filter written before the literal that binds it waits until it is
    ready; relation literals keep their written order. *)
@@ -329,9 +370,13 @@ let suite =
     Alcotest.test_case "range views" `Quick test_range_views;
     Alcotest.test_case "missing relation not probed" `Quick
       test_missing_relation_not_probed;
+    Alcotest.test_case "relation created mid-round is read that round" `Quick
+      test_mid_round_relation;
     Alcotest.test_case "run is re-entrant (fast form)" `Quick test_run_reentrant;
     Alcotest.test_case "duplicate firings do not allocate" `Quick
       test_duplicate_firings_no_alloc;
+    Alcotest.test_case "database views do not allocate per probe" `Quick
+      test_db_views_no_alloc;
     Alcotest.test_case "filter waits until ready" `Quick test_filter_waits;
     Alcotest.test_case "filters before binders = tabled" `Quick test_filters_before_binders;
     Alcotest.test_case "never-ready filter is unsafe" `Quick test_never_ready_unsafe;

@@ -39,7 +39,8 @@ let test_diverged_status () =
 
 (* a counting rewrite that cannot index the program (the all-free query
    leaves every head unbound) is a status of its row, not a crash: eval
-   reports it and compare goes on to print every method *)
+   reports it and compare goes on to print every method; both exit 1 and
+   name the methods that did not end ok on stderr *)
 let test_inapplicable_status () =
   let file = Filename.temp_file "magic-reach" ".dl" in
   Out_channel.with_open_bin file (fun oc ->
@@ -48,13 +49,20 @@ let test_inapplicable_status () =
          reach(X, Y) :- e(X, Y).\n\
          reach(X, Y) :- e(X, Z), reach(Z, Y).\n\
          ?- reach(X, Y).\n");
-  let eval_code, eval_out, _ = run_cli [ "eval"; "-m"; "gc"; file ] in
-  let compare_code, compare_out, _ = run_cli [ "compare"; file ] in
+  let eval_code, eval_out, eval_err = run_cli [ "eval"; "-m"; "gc"; file ] in
+  let compare_code, compare_out, compare_err = run_cli [ "compare"; file ] in
   Sys.remove file;
-  Alcotest.(check int) "eval -m gc exits 0" 0 eval_code;
+  Alcotest.(check int) "eval -m gc exits 1" 1 eval_code;
   Alcotest.(check bool) "eval -m gc reports inapplicable" true
     (String.starts_with ~prefix:"% method=gc status=inapplicable: Counting:" eval_out);
-  Alcotest.(check int) "compare exits 0" 0 compare_code;
+  Alcotest.(check string) "eval names the method" "magic eval: gc ended in status inapplicable\n"
+    eval_err;
+  Alcotest.(check int) "compare exits 1" 1 compare_code;
+  Alcotest.(check (list string)) "compare names the four counting methods"
+    (List.map
+       (fun m -> Fmt.str "magic compare: %s ended in status inapplicable" m)
+       [ "gc"; "gsc"; "gc-sj"; "gsc-sj" ])
+    (String.split_on_char '\n' (String.trim compare_err));
   let rows = List.tl (String.split_on_char '\n' (String.trim compare_out)) in
   Alcotest.(check (list string)) "compare prints every method row"
     (List.map fst C.Rewrite.methods)
@@ -64,6 +72,21 @@ let test_inapplicable_status () =
        (List.filter
           (fun row -> List.mem "inapplicable" (String.split_on_char ' ' row))
           rows))
+
+(* a query over a base predicate with a bound argument: no rule is
+   rewritten, and every method answers from the EDB (the counting
+   rewrites once renamed the query to an indexed predicate nothing
+   derives, and answered nothing) *)
+let test_edb_query_all_methods () =
+  let p, q, edb = load "e(a, b). e(b, c). t(X, Y) :- e(X, Y). ?- e(a, X)." in
+  List.iter
+    (fun (name, _) ->
+      let r = run_method name p q edb in
+      Alcotest.(check bool) (name ^ " status ok") true (r.C.Rewrite.status = C.Rewrite.Ok);
+      Alcotest.check tuple_list name
+        [ Engine.Tuple.of_list [ Term.Sym "a"; Term.Sym "b" ] ]
+        (sorted_answers r))
+    C.Rewrite.methods
 
 let test_naive_engine_through_rewritten () =
   let edb = Workload.Generate.db (Workload.Generate.chain ~pred:"p" 10) in
@@ -98,6 +121,7 @@ let suite =
     Alcotest.test_case "unsafe status" `Quick test_unsafe_status;
     Alcotest.test_case "diverged status" `Quick test_diverged_status;
     Alcotest.test_case "inapplicable status" `Quick test_inapplicable_status;
+    Alcotest.test_case "EDB query: every method answers" `Quick test_edb_query_all_methods;
     Alcotest.test_case "naive engine on rewritten" `Quick test_naive_engine_through_rewritten;
     Alcotest.test_case "custom sip option" `Quick test_custom_sip_option;
   ]

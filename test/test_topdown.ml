@@ -77,6 +77,25 @@ let test_negation_as_failure () =
   let r = Engine.Topdown.sld p ~edb q in
   Alcotest.(check int) "one ok" 1 (List.length r.Engine.Topdown.answers)
 
+(* a query over a base predicate has no rules to table: tabled answers
+   it from the EDB, as seminaive does, also beside rules for other
+   predicates and with a repeated variable *)
+let test_tabled_edb_query () =
+  List.iter
+    (fun src ->
+      let p, q, edb = load src in
+      let expected = Engine.Eval.answers (Engine.Eval.seminaive p ~edb) q in
+      Alcotest.(check bool) (src ^ ": seminaive answers") true (expected <> []);
+      let r = Engine.Topdown.tabled p ~edb q in
+      Alcotest.(check bool) (src ^ ": complete") true r.Engine.Topdown.complete;
+      Alcotest.check tuple_list src expected
+        (List.sort Engine.Tuple.compare r.Engine.Topdown.answers))
+    [
+      "q(a). ?- q(X).";
+      "e(a, b). e(b, c). ?- e(a, X).";
+      "e(a, a). e(a, b). t(X, Y) :- e(X, Y). ?- e(X, X).";
+    ]
+
 let prop_topdown_matches_bottom_up =
   qtest ~count:50 "tabled = seminaive on random graphs" gen_edges (fun edges ->
       let p = Workload.Programs.transitive_closure in
@@ -137,5 +156,6 @@ let suite =
     Alcotest.test_case "sld function symbols" `Quick test_sld_function_symbols;
     Alcotest.test_case "negation as failure" `Quick test_negation_as_failure;
     Alcotest.test_case "filter before its binder" `Quick test_filter_before_binder;
+    Alcotest.test_case "tabled answers an EDB query" `Quick test_tabled_edb_query;
     prop_topdown_matches_bottom_up;
   ]
