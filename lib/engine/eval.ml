@@ -57,7 +57,7 @@ let naive_round ~stats ~budget db plans =
       Plan.run ~stats ~views
         ~on_fact:(fun sym tuple ->
           let is_new = Relation.add_borrowed (Database.relation db sym) tuple in
-          Stats.record_fact stats sym ~is_new;
+          Stats.record_fact stats ~is_new;
           if is_new then begin
             incr added;
             spend_fact budget
@@ -99,7 +99,7 @@ let run_stratum_seminaive ~stats ~budget db rules =
           (if Symbol.equal sym hsym then hrel else Database.relation db sym)
           tuple
       in
-      Stats.record_fact stats sym ~is_new;
+      Stats.record_fact stats ~is_new;
       if is_new then spend_fact budget
   in
   let diverged = ref false in
@@ -144,9 +144,8 @@ let run_stratum_seminaive_reference ~stats ~budget ~derived db rules =
   else begin
     let round_facts = Database.create () in
     let record head =
-      let sym = Atom.symbol head in
       let is_new = (not (Database.mem db head)) && Database.add_fact round_facts head in
-      Stats.record_fact stats sym ~is_new;
+      Stats.record_fact stats ~is_new;
       if is_new then spend_fact budget
     in
     (* round 0: all rules fire against the database as-is (delta = EDB) *)
@@ -169,9 +168,8 @@ let run_stratum_seminaive_reference ~stats ~budget ~derived db rules =
         start_round ~stats ~budget;
         let next = Database.create () in
         let record head =
-          let sym = Atom.symbol head in
           let is_new = (not (Database.mem db head)) && Database.add_fact next head in
-          Stats.record_fact stats sym ~is_new;
+          Stats.record_fact stats ~is_new;
           if is_new then spend_fact budget
         in
         List.iter

@@ -40,9 +40,10 @@ val add : t -> Tuple.t -> bool
 
 val add_borrowed : t -> Tuple.t -> bool
 (** {!add} for a tuple the caller will reuse (the head buffer of
-    {!Plan.run}): the stamp table is probed with [t] as given, and a
-    copy is stored only when it is new, so a duplicate allocates
-    nothing. *)
+    {!Plan.run}).  One probe of the stamp table, with [t] as given,
+    either finds the tuple (a duplicate: nothing is allocated or
+    written) or ends on the slot a new tuple takes; only then is [t]
+    copied, and the copy is logged and indexed. *)
 
 val remove : t -> Tuple.t -> bool
 (** Delete; returns [true] iff the tuple was present.  The tuple's log
@@ -104,7 +105,8 @@ val probe_in :
 
 val copy : t -> t
 (** A fresh relation with the same tuples, re-stamped in insertion order,
-    and no indexes. *)
+    and no indexes.  When nothing was ever removed the stamps are already
+    dense and the copy is three array copies; otherwise it compacts. *)
 
 val of_log : arity:int -> log:Tuple.t array -> dead:Bytes.t -> t
 (** Rebuild a relation from an insertion log and its dead-slot bitset:

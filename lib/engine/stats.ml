@@ -1,5 +1,3 @@
-open Datalog
-
 type t = {
   mutable iterations : int;
   mutable firings : int;
@@ -7,33 +5,14 @@ type t = {
   mutable rederivations : int;
   mutable probes : int;
   mutable subqueries : int;
-  per_pred : int ref Symbol.Tbl.t;
 }
 
 let create () =
-  {
-    iterations = 0;
-    firings = 0;
-    facts = 0;
-    rederivations = 0;
-    probes = 0;
-    subqueries = 0;
-    per_pred = Symbol.Tbl.create 16;
-  }
+  { iterations = 0; firings = 0; facts = 0; rederivations = 0; probes = 0; subqueries = 0 }
 
-let record_fact s sym ~is_new =
+let record_fact s ~is_new =
   s.firings <- s.firings + 1;
-  if is_new then begin
-    s.facts <- s.facts + 1;
-    (* counters are refs so the common case is one hash lookup + incr *)
-    match Symbol.Tbl.find s.per_pred sym with
-    | n -> incr n
-    | exception Not_found -> Symbol.Tbl.add s.per_pred sym (ref 1)
-  end
-  else s.rederivations <- s.rederivations + 1
-
-let facts_for s sym =
-  match Symbol.Tbl.find_opt s.per_pred sym with Some n -> !n | None -> 0
+  if is_new then s.facts <- s.facts + 1 else s.rederivations <- s.rederivations + 1
 
 (* Allocation and collection counters, deltas of [Gc.quick_stat]: the
    memory half of a benchmark row.  Word counts are floats because that

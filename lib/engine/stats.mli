@@ -6,8 +6,6 @@
     all of these.  They describe one evaluation; the work of an
     incremental repair is counted by [Incr.Maintain.stats]. *)
 
-open Datalog
-
 type t = {
   mutable iterations : int;  (** fixpoint rounds *)
   mutable firings : int;  (** successful rule instantiations *)
@@ -15,13 +13,11 @@ type t = {
   mutable rederivations : int;  (** firings that produced an already-known fact *)
   mutable probes : int;  (** body-literal match attempts (join probes) *)
   mutable subqueries : int;  (** top-down only: distinct subgoals *)
-  per_pred : int ref Symbol.Tbl.t;
-      (** distinct facts per predicate; read through {!facts_for} *)
 }
 
 val create : unit -> t
-val record_fact : t -> Symbol.t -> is_new:bool -> unit
-val facts_for : t -> Symbol.t -> int
+val record_fact : t -> is_new:bool -> unit
+(** One firing: a new fact, or a rederivation of a known one. *)
 
 val pp : t Fmt.t
 

@@ -63,7 +63,7 @@ let sld ?(max_depth = 10_000) program ~edb query =
         let t = Tuple.of_list a.Atom.args in
         if not (Tuple.Set.mem t !answers) then begin
           answers := Tuple.Set.add t !answers;
-          Stats.record_fact stats (Atom.symbol query) ~is_new:true
+          Stats.record_fact stats ~is_new:true
         end
       end);
   {
@@ -120,13 +120,13 @@ let rec tabled_within ~proving ~max_passes program ~edb query =
       changed := true;
       answers
   in
-  let add_answer call_answers sym tuple =
+  let add_answer call_answers tuple =
     if not (Tuple.Set.mem tuple !call_answers) then begin
       call_answers := Tuple.Set.add tuple !call_answers;
-      Stats.record_fact stats sym ~is_new:true;
+      Stats.record_fact stats ~is_new:true;
       changed := true
     end
-    else Stats.record_fact stats sym ~is_new:false
+    else Stats.record_fact stats ~is_new:false
   in
   (* A negated derived subgoal lies in a lower stratum, but its table here
      may still lack answers a later pass adds.  It is evaluated to
@@ -167,7 +167,7 @@ let rec tabled_within ~proving ~max_passes program ~edb query =
             | None ->
               let head = Atom.apply_deep_eval subst key in
               if Atom.is_ground head then
-                add_answer answers (Atom.symbol key) (Tuple.of_list head.Atom.args)
+                add_answer answers (Tuple.of_list head.Atom.args)
             | Some (Rule.Pos g, rest) when Atom.is_builtin g ->
               Solve.eval_builtin (Atom.apply_deep_eval subst g) subst (fun s -> go rest s)
             | Some (Rule.Pos g, rest) ->
@@ -215,7 +215,7 @@ let rec tabled_within ~proving ~max_passes program ~edb query =
     List.iter
       (fun subst ->
         let a = Atom.apply_deep_eval subst query in
-        add_answer root (Atom.symbol query) (Tuple.of_list a.Atom.args))
+        add_answer root (Tuple.of_list a.Atom.args))
       (Solve.match_against ~stats edb_source query Subst.empty);
   let passes = ref 0 in
   while !changed do

@@ -53,7 +53,7 @@ let hash a =
 
 (* the hash/equality a projection of [t] on [positions] WOULD have, so
    index maintenance can probe for a bucket without materializing the
-   key ({!Ttbl.get_proj}); must agree with {!hash}/{!equal} on the
+   key ({!Relation}); must agree with {!hash}/{!equal} on the
    materialized projection *)
 let hash_proj positions t =
   let h = ref 0x811c9dc5 in
